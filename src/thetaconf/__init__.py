@@ -18,7 +18,7 @@ from .labelled import (LabelledTree, embed, hom_exists, hom_morphism,
                        unit_exists)
 from .nord import (NOrdering, PosetView, degree, enumerate_nord, from_tree,
                    hasse, leq, pair_level, parse_text, sigma_act, to_tree)
-from .theta import (ThetaMorphism, assemble_morphism, assemble_object,
+from .theta import (ThetaMorphism, assemble_morphism,
                     branching_condition_holds, enumerate_hom_bruteforce,
                     identity_morphism, lift_active, theta_compose,
                     theta_is_active)

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Hashable, Iterable, Mapping
 
 from .errors import LabelMismatch
-from .nord import NOrdering, enumerate_nord, leq, pair_level, to_tree
+from .nord import NOrdering, enumerate_nord, leq, to_tree
 from .trees import level_n_leaves
 
 _SAMPLE_SPAN = 2**40
@@ -57,6 +57,8 @@ class Configuration:
     def relabel(self, g: Mapping) -> "Configuration":
         """Transport along a bijection of the label set: the point of x
         becomes the point of g(x)."""
+        if not all(x in g for x in self.labels):
+            raise LabelMismatch("not a bijection of the label set")
         values = tuple(g[x] for x in self.labels)
         if set(values) != set(self.labels):
             raise LabelMismatch("not a bijection of the label set")
@@ -97,7 +99,7 @@ def _parse_entry(token: str, lineno: int) -> Fraction:
         if "." in token or "e" in token or "E" in token:
             return Fraction(float(token))
         return Fraction(int(token))
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ValueError(f"line {lineno}: bad coordinate {token!r}: {exc}") \
             from None
 
@@ -114,12 +116,11 @@ def in_cell(config: Configuration, ordering: NOrdering) -> bool:
     """Exact membership test against the ordering's defining equalities
     and weak inequalities."""
     _common_checks(config, ordering)
-    labels = ordering.labels
-    for i, a in enumerate(labels):
-        pa = config.point(a)
-        for b in labels[i + 1:]:
-            pb = config.point(b)
-            beta = pair_level(ordering, a, b)
+    by_label = dict(zip(config.labels, config.coords))
+    points = [by_label[a] for a in ordering.labels]
+    for i, (pa, levels) in enumerate(zip(points, ordering.levels)):
+        for j in range(i + 1, len(points)):
+            pb, beta = points[j], levels[j]
             if pa[:beta] != pb[:beta]:
                 return False
             if pa[beta] > pb[beta]:

@@ -7,6 +7,12 @@ branching levels of consecutive leaves.  Branching levels of
 non-adjacent pairs are the minimum of the word entries in between,
 which is why the encoding is faithful.
 
+Every reader of pair levels goes through one table per ordering,
+computed on first use and kept with the instance: `positions` sends
+each label to its planar index, and `levels[i][j]` is the branching
+level of the leaves at positions i and j.  Comparisons therefore work
+over positions and need only hashable labels, never an order on them.
+
 There are r! * n^(r-1) such orderings for |A| = r >= 1 and exactly one
 for r = 0.  The order relation: S <= T when every pairwise branching
 level weakly drops from S to T and pairs with equal levels keep their
@@ -17,7 +23,7 @@ is graded by `degree`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from itertools import permutations, product
 from math import factorial
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
@@ -47,6 +53,25 @@ class NOrdering:
     @property
     def size(self) -> int:
         return len(self.labels)
+
+    @cached_property
+    def positions(self) -> dict[Hashable, int]:
+        """Planar index of each label."""
+        return {label: i for i, label in enumerate(self.labels)}
+
+    @cached_property
+    def levels(self) -> tuple[tuple[int, ...], ...]:
+        """Symmetric r x r table of branching levels by position: the
+        minimum of the word between positions i and j, and n on the
+        diagonal."""
+        r, word = self.size, self.word
+        rows = [[self.n] * r for _ in range(r)]
+        for i in range(r):
+            level = self.n
+            for j in range(i + 1, r):
+                level = min(level, word[j - 1])
+                rows[i][j] = rows[j][i] = level
+        return tuple(map(tuple, rows))
 
     def text(self) -> str:
         """Alternating form "a 0 b 1 c"."""
@@ -81,37 +106,14 @@ def parse_text(text: str, n: int) -> NOrdering:
 
 def pair_level(ordering: NOrdering, a: Hashable, b: Hashable) -> int:
     """Branching level of an arbitrary pair: min of the word between."""
-    i, j = ordering.labels.index(a), ordering.labels.index(b)
+    try:
+        i, j = ordering.positions[a], ordering.positions[b]
+    except KeyError as exc:
+        raise LabelMismatch(
+            f"{exc.args[0]!r} is not a label of the ordering") from None
     if i == j:
         raise ValueError(f"distinct labels required, got {a!r} twice")
-    if i > j:
-        i, j = j, i
-    return min(ordering.word[i:j])
-
-
-@lru_cache(maxsize=None)
-def _pair_table(ordering: NOrdering) -> dict:
-    """(level, a-precedes-b) per unordered label pair, keyed with a < b
-    by position."""
-    table = {}
-    labels, word = ordering.labels, ordering.word
-    for i in range(len(labels)):
-        level = None
-        for j in range(i + 1, len(labels)):
-            level = word[j - 1] if level is None else min(level, word[j - 1])
-            a, b = labels[i], labels[j]
-            key = (a, b) if _key_order(a, b) else (b, a)
-            table[key] = (level, key == (a, b))
-    return table
-
-
-def _key_order(a, b):
-    # Stable canonical key for an unordered pair, independent of the
-    # ordering under inspection.  Falls back to repr for mixed types.
-    try:
-        return a < b
-    except TypeError:
-        return repr(a) < repr(b)
+    return ordering.levels[i][j]
 
 
 def to_tree(ordering: NOrdering) -> PlanarLevelTree:
@@ -190,22 +192,29 @@ def leq(a: NOrdering, b: NOrdering) -> bool:
     order."""
     if a.n != b.n:
         raise LabelMismatch(f"height parameters differ: {a.n} vs {b.n}")
-    if set(a.labels) != set(b.labels):
+    if a.size != b.size:
         raise LabelMismatch("label sets differ")
-    table_a, table_b = _pair_table(a), _pair_table(b)
-    for key, (level_a, order_a) in table_a.items():
-        level_b, order_b = table_b[key]
-        if level_b > level_a:
-            return False
-        if level_b == level_a and order_a != order_b:
-            return False
+    # a's positions carried over to b: pair (i, j) of a is (p[i], p[j]) in b
+    try:
+        p = list(map(b.positions.__getitem__, a.labels))
+    except KeyError:
+        raise LabelMismatch("label sets differ") from None
+    levels_a, levels_b = a.levels, b.levels
+    r = len(p)
+    for i in range(r):
+        pi, row_a, row_b = p[i], levels_a[i], levels_b[p[i]]
+        for j in range(i + 1, r):
+            pj = p[j]
+            level_a, level_b = row_a[j], row_b[pj]
+            if level_b > level_a or (level_b == level_a and pj < pi):
+                return False
     return True
 
 
 def sigma_act(g: Mapping, ordering: NOrdering) -> NOrdering:
     """Relabel through a bijection of the label set; the word (the tree
     shape) is untouched."""
-    if set(g) < set(ordering.labels):
+    if not all(x in g for x in ordering.labels):
         raise LabelMismatch("not a bijection of the label set")
     values = [g[x] for x in ordering.labels]
     if set(values) != set(ordering.labels):

@@ -122,11 +122,6 @@ def theta_compose(g: ThetaMorphism, f: ThetaMorphism) -> ThetaMorphism:
     return ThetaMorphism.make(f.n, delta, parts)
 
 
-def assemble_object(tree: PlanarLevelTree, n: int) -> tuple[LeafId, ...]:
-    """Level-n leaf set of the tree, planar order retained."""
-    return level_n_leaves(tree, n)
-
-
 def _check_ranks(f: ThetaMorphism, source: PlanarLevelTree,
                  target: PlanarLevelTree):
     if f.delta.source_rank != len(source.children) \

@@ -223,10 +223,7 @@ def branching_level(t: PlanarLevelTree, n: int, a: LeafId, b: LeafId) -> int:
     for leaf in (a, b):
         if leaf.level != n:
             raise ValueError(f"{leaf} is not a level-{n} leaf")
-        try:
-            t.subtree(leaf.path)
-        except IndexError:
-            raise ValueError(f"{leaf} is not a vertex of the tree") from None
+        t.subtree(leaf.path)
     common = 0
     while a.path[common] == b.path[common]:
         common += 1

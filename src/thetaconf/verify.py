@@ -17,7 +17,8 @@ from .cells import (cell_of, convexity_probe, functoriality_check, in_cell,
                     partition_check, sample, witness)
 from .errors import DEFAULT_MAX_COUNT
 from .gamma import enumerate_gamma
-from .homology import euler_characteristic, order_complex, poset_homology
+from .homology import (boundary_matrices, euler_characteristic, homology,
+                       order_complex)
 from .labelled import (LabelledTree, embed, hom_exists, initiality_check,
                        retract, unit_exists)
 from .nord import PosetView, degree, enumerate_nord, leq, sigma_act
@@ -78,7 +79,7 @@ def suite_theorem_a(cases: Sequence[tuple[int, int]] = DEFAULT_HOMOLOGY_CASES,
         labels = tuple(label_pool)[:r]
         view = PosetView.of_orderings(labels, n)
         cx = order_complex(view, max_chains)
-        result = poset_homology(view, max_chains)
+        result = homology(boundary_matrices(cx))
         expected = expected_configuration_betti(n, r)
         betti = list(result.betti)
         betti_ok = betti[:len(expected)] == expected \

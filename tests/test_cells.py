@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from thetaconf import (Configuration, cell_of, convexity_probe,
+from thetaconf import (Configuration, LabelMismatch, cell_of, convexity_probe,
                        functoriality_check, in_cell, leq, midpoint,
                        parse_point_file, partition_check, sample,
                        sample_in_cell, enumerate_nord, parse_text, witness)
@@ -156,3 +156,9 @@ def test_relabel():
     swapped = config.relabel({"a": "b", "b": "a"})
     assert swapped.point("b") == (Fraction(0), Fraction(0))
     assert cell_of(swapped).text() == "b 1 a"
+
+
+def test_relabel_rejects_map_missing_a_label():
+    config = _config(2, a=(0, 0), b=(0, 1))
+    with pytest.raises(LabelMismatch):
+        config.relabel({"a": "b", "z": "a"})

@@ -167,6 +167,13 @@ def test_classify_duplicate_rows(tmp_path, capsys):
     assert "duplicate" in err
 
 
+def test_classify_overflowing_coordinate(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO("a 1e999 0\nb 0 1\n"))
+    code, _, err = run(capsys, "classify", "--points", "-")
+    assert code == 2
+    assert "line 1: bad coordinate '1e999'" in err
+
+
 def test_classify_missing_file(capsys):
     code, _, err = run(capsys, "classify", "--points", "/no/such/file")
     assert code == 2

@@ -67,8 +67,10 @@ def test_pair_level():
     assert pair_level(s, "b", "c") == 1
     assert pair_level(s, "a", "b") == 0
     assert pair_level(s, "a", "c") == 0
-    with pytest.raises(ValueError):
+    with pytest.raises(LabelMismatch):
         pair_level(s, "a", "z")
+    with pytest.raises(ValueError):
+        pair_level(s, "a", "a")
 
 
 def test_to_tree():
@@ -163,12 +165,32 @@ def test_sigma_act():
         sigma_act({"a": "b"}, parse_text("a 0 b", 2))
 
 
+def test_sigma_act_rejects_map_missing_a_label():
+    with pytest.raises(LabelMismatch):
+        sigma_act({"a": "b", "z": "a"}, parse_text("a 0 b", 2))
+
+
 def test_sigma_act_preserves_order():
     swap = {"a": "b", "b": "a", "c": "c"}
     orderings = enumerate_nord(("a", "b", "c"), 2)
     for x in orderings:
         for y in orderings:
             assert leq(x, y) == leq(sigma_act(swap, x), sigma_act(swap, y))
+
+
+def test_leq_needs_only_hashable_labels():
+    # subset inclusion is not a total order on these labels
+    sets = (frozenset({1}), frozenset({2}), frozenset({1, 2}))
+    orderings = enumerate_nord(sets, 2)
+    pairs = [(x, y) for x in orderings for y in orderings]
+    assert len(pairs) == 576
+    related = [pair for pair in pairs if leq(*pair)]
+    view = PosetView.of_orderings(sets, 2)
+    plain = PosetView.of_orderings(("a", "b", "c"), 2)
+    assert len(view.elements) == 24
+    assert len(related) - 24 == len(view.relation()) == 96
+    assert len(view.covers()) == len(plain.covers()) == 60
+    assert len(plain.relation()) == 96
 
 
 def test_poset_view_axioms():

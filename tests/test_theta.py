@@ -5,7 +5,7 @@ import pytest
 from thetaconf import (BranchingConditionViolation, CapExceeded,
                        DeltaMorphism, GammaMorphism, LabelMismatch, LeafId,
                        NotActive, ThetaMorphism, UnhealthyTarget,
-                       assemble_morphism, assemble_object,
+                       assemble_morphism,
                        branching_condition_holds, enumerate_gamma,
                        enumerate_hom_bruteforce, enumerate_trees,
                        gamma_compose, gamma_is_active, identity_morphism,
@@ -102,12 +102,6 @@ def test_enumerate_hom_cap():
     t = parse_symbol("[3]([3],[3],[3])", 2)
     with pytest.raises(CapExceeded):
         enumerate_hom_bruteforce(t, t, 2, max_count=10)
-
-
-def test_assemble_object_is_leaf_listing():
-    t = parse_symbol("[2]([1],[2])", 2)
-    assert assemble_object(t, 2) == (LeafId((0, 0)), LeafId((1, 0)),
-                                     LeafId((1, 1)))
 
 
 def test_assemble_at_level_one_is_the_interval_map():
