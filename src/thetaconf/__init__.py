@@ -23,8 +23,8 @@ from .theta import (ThetaMorphism, assemble_morphism,
                     identity_morphism, lift_active, theta_compose,
                     theta_is_active)
 from .trees import (LeafId, PlanarLevelTree, ROOT_ONLY, branching_level,
-                    branching_table, enumerate_trees, healthify, is_healthy,
-                    level_n_leaves, parse_symbol, render_symbol, tree,
-                    tree_from_json, tree_to_json)
+                    enumerate_trees, healthify, is_healthy, level_n_leaves,
+                    parse_symbol, render_symbol, tree, tree_from_json,
+                    tree_to_json)
 
 __version__ = "0.1.0"

@@ -161,16 +161,20 @@ def witness(ordering: NOrdering) -> Configuration:
 
 
 def sample(labels: Iterable[Hashable], n: int, seed: int) -> Configuration:
-    """Seeded random configuration with wide integer coordinates."""
+    """Seeded random configuration on a grid of side max(2, r): r
+    distinct grid cells, so coordinates tie often and every cell shape
+    is reachable."""
     labels = tuple(labels)
+    side = max(2, len(labels))
     rng = random.Random(seed)
-    for _ in range(100):
-        coords = tuple(tuple(Fraction(rng.randrange(_SAMPLE_SPAN))
-                             for _ in range(n))
-                       for _ in labels)
-        if len(set(coords)) == len(coords):
-            return Configuration(labels, coords, n)
-    raise RuntimeError("failed to sample an injective configuration")
+    coords = []
+    for code in rng.sample(range(side ** n), len(labels)):
+        digits = []
+        for _ in range(n):
+            code, digit = divmod(code, side)
+            digits.append(Fraction(digit))
+        coords.append(tuple(digits))
+    return Configuration(labels, tuple(coords), n)
 
 
 def sample_in_cell(ordering: NOrdering, rng: random.Random) -> Configuration:

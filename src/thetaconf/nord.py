@@ -29,7 +29,7 @@ from math import factorial
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .errors import DEFAULT_MAX_COUNT, CapExceeded, LabelMismatch
-from .trees import (PlanarLevelTree, is_healthy, level_n_leaves)
+from .trees import PlanarLevelTree, is_healthy, level_n_leaves
 
 
 @dataclass(frozen=True)
@@ -151,13 +151,8 @@ def from_tree(tree: PlanarLevelTree, n: int,
     if len(labels) != len(leaves):
         raise LabelMismatch(
             f"{len(labels)} labels for {len(leaves)} level-{n} leaves")
-    word = []
-    for a, b in zip(leaves, leaves[1:]):
-        common = 0
-        while a.path[common] == b.path[common]:
-            common += 1
-        word.append(common)
-    return NOrdering(tuple(labels), tuple(word), n)
+    word = tuple(a.meet(b) for a, b in zip(leaves, leaves[1:]))
+    return NOrdering(tuple(labels), word, n)
 
 
 def degree(ordering: NOrdering) -> int:

@@ -20,9 +20,8 @@ from typing import Mapping
 from .errors import (DEFAULT_MAX_COUNT, BranchingConditionViolation,
                      CapExceeded, LabelMismatch, NotActive, UnhealthyTarget)
 from .gamma import (DeltaMorphism, GammaMorphism, delta_compose,
-                    gamma_is_active, segal)
-from .trees import (LeafId, PlanarLevelTree, branching_table, is_healthy,
-                    level_n_leaves)
+                    gamma_is_active)
+from .trees import LeafId, PlanarLevelTree, is_healthy, level_n_leaves
 
 
 @dataclass(frozen=True)
@@ -144,15 +143,17 @@ def assemble_morphism(f: ThetaMorphism, source: PlanarLevelTree,
 
 def _assemble(f, source, target, n) -> dict[LeafId, frozenset]:
     _check_ranks(f, source, target)
+    values = f.delta.values
     if n == 1:
-        shadow = segal(f.delta)
-        return {LeafId((i - 1,)): frozenset(LeafId((j - 1,)) for j in shadow(i))
+        # leaf i goes to the interval f(i-1) < j <= f(i)
+        return {LeafId((i - 1,)): frozenset(LeafId((j,)) for j in
+                                            range(values[i - 1], values[i]))
                 for i in range(1, len(source.children) + 1)}
     parts = f.parts_map
     mapping: dict[LeafId, set] = {
         leaf: set() for leaf in level_n_leaves(source, n)}
     for i in range(1, len(source.children) + 1):
-        for j in range(f.delta(i - 1) + 1, f.delta(i) + 1):
+        for j in range(values[i - 1] + 1, values[i] + 1):
             sub = _assemble(parts[(i, j)], source.children[i - 1],
                             target.children[j - 1], n - 1)
             for a_local, image in sub.items():
@@ -189,15 +190,13 @@ def branching_condition_holds(source: PlanarLevelTree, target: PlanarLevelTree,
         raise UnhealthyTarget(
             "branching condition contract applies to healthy targets only")
     _check_endpoints(gbar, source, target, n)
-    bt_source = branching_table(source, n)
-    bt_target = branching_table(target, n)
     leaves = gbar.source
     for idx, a in enumerate(leaves):
         for b in leaves[idx + 1:]:          # a precedes b in planar order
-            level_ab = bt_source[(a, b)]
+            level_ab = a.meet(b)
             for c in gbar(a):
                 for d in gbar(b):
-                    level_cd = bt_target[(c, d)]
+                    level_cd = c.meet(d)
                     if level_cd > level_ab:
                         return False
                     if level_cd == level_ab and not c < d:

@@ -5,11 +5,17 @@ children of every vertex.  The level of a vertex is its edge distance to
 the root.  A tree "of height n" is a tree whose height is at most n; the
 bound n is never stored on the tree, it is passed to the operations that
 need it, so the same object can be read at any sufficient height.
+
+A tree computes its invariants once, bottom-up from its children, and
+keeps them with the instance: its height, its edge count, the addresses
+of its deepest vertices in planar order, and whether every leaf sits at
+the deepest level.  The leaf readers below are lookups on these.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, cached_property
 from typing import NamedTuple
 
 from .errors import SymbolParseError
@@ -29,21 +35,56 @@ class LeafId(NamedTuple):
     def level(self) -> int:
         return len(self.path)
 
+    def meet(self, other: "LeafId") -> int:
+        """Level of the deepest common ancestor of the two vertices."""
+        level = 0
+        for i, j in zip(self.path, other.path):
+            if i != j:
+                break
+            level += 1
+        return level
+
     def __str__(self):
         return ".".join(str(i) for i in self.path)
 
 
 @dataclass(frozen=True)
 class PlanarLevelTree:
-    """Immutable planar level tree; equality and hashing are structural."""
+    """Immutable planar level tree; equality and hashing are structural.
+
+    The cached invariants stay out of equality, hashing and repr."""
 
     children: tuple["PlanarLevelTree", ...] = ()
 
-    def height(self) -> int:
+    @cached_property
+    def _height(self) -> int:
         return 1 + max((c.height() for c in self.children), default=-1)
 
-    def edge_count(self) -> int:
+    @cached_property
+    def _edges(self) -> int:
         return len(self.children) + sum(c.edge_count() for c in self.children)
+
+    @cached_property
+    def _deepest(self) -> tuple[LeafId, ...]:
+        """Addresses of the vertices at level height(), in planar order."""
+        if not self.children:
+            return (LeafId(()),)
+        below = self._height - 1
+        return tuple(LeafId((i,) + leaf.path)
+                     for i, c in enumerate(self.children) if c._height == below
+                     for leaf in c._deepest)
+
+    @cached_property
+    def _balanced(self) -> bool:
+        """True when every leaf sits at level height()."""
+        below = self._height - 1
+        return all(c._height == below and c._balanced for c in self.children)
+
+    def height(self) -> int:
+        return self._height
+
+    def edge_count(self) -> int:
+        return self._edges
 
     def subtree(self, path: tuple[int, ...]) -> "PlanarLevelTree":
         node = self
@@ -156,8 +197,7 @@ def render_symbol(t: PlanarLevelTree, n: int) -> str:
     """
     if n < 1:
         raise ValueError(f"height parameter must be >= 1, got {n}")
-    if t.height() > n:
-        raise ValueError(f"tree of height {t.height()} does not fit height {n}")
+    _check_fits(t, n)
     s = len(t.children)
     if s == 0:
         return "[0]"
@@ -183,21 +223,11 @@ def tree_from_json(data: list) -> PlanarLevelTree:
 def level_n_leaves(t: PlanarLevelTree, n: int) -> tuple[LeafId, ...]:
     """All vertices at level exactly n, in planar order.
 
-    In a tree of height <= n every level-n vertex is a leaf.
+    In a tree of height <= n every level-n vertex is a leaf, and there
+    are level-n vertices only when the height is exactly n.
     """
-    if t.height() > n:
-        raise ValueError(f"tree of height {t.height()} does not fit height {n}")
-    out: list[LeafId] = []
-
-    def walk(node, path):
-        if len(path) == n:
-            out.append(LeafId(path))
-            return
-        for i, c in enumerate(node.children):
-            walk(c, path + (i,))
-
-    walk(t, ())
-    return tuple(out)
+    _check_fits(t, n)
+    return t._deepest if t.height() == n else ()
 
 
 def is_healthy(t: PlanarLevelTree, n: int) -> bool:
@@ -205,15 +235,8 @@ def is_healthy(t: PlanarLevelTree, n: int) -> bool:
 
     The root-only tree is healthy for every n.
     """
-    if t.height() > n:
-        raise ValueError(f"tree of height {t.height()} does not fit height {n}")
-
-    def walk(node, level):
-        if not node.children:
-            return level == 0 or level == n
-        return all(walk(c, level + 1) for c in node.children)
-
-    return walk(t, 0)
+    _check_fits(t, n)
+    return not t.children or (t.height() == n and t._balanced)
 
 
 def branching_level(t: PlanarLevelTree, n: int, a: LeafId, b: LeafId) -> int:
@@ -224,24 +247,7 @@ def branching_level(t: PlanarLevelTree, n: int, a: LeafId, b: LeafId) -> int:
         if leaf.level != n:
             raise ValueError(f"{leaf} is not a level-{n} leaf")
         t.subtree(leaf.path)
-    common = 0
-    while a.path[common] == b.path[common]:
-        common += 1
-    return common
-
-
-def branching_table(t: PlanarLevelTree, n: int) -> dict[tuple[LeafId, LeafId], int]:
-    """Branching level for every ordered pair of distinct level-n leaves."""
-    leaves = level_n_leaves(t, n)
-    table = {}
-    for i, a in enumerate(leaves):
-        for b in leaves[i + 1 :]:
-            common = 0
-            while a.path[common] == b.path[common]:
-                common += 1
-            table[(a, b)] = common
-            table[(b, a)] = common
-    return table
+    return a.meet(b)
 
 
 def healthify(t: PlanarLevelTree, n: int) -> PlanarLevelTree:
@@ -251,70 +257,52 @@ def healthify(t: PlanarLevelTree, n: int) -> PlanarLevelTree:
     leaves come out unchanged and in the same order.  Idempotent; the
     result is healthy at n.
     """
-    if t.height() > n:
-        raise ValueError(f"tree of height {t.height()} does not fit height {n}")
-
-    def reaches(node, depth):
-        if depth == 0:
-            return True
-        return any(reaches(c, depth - 1) for c in node.children)
+    _check_fits(t, n)
 
     def prune(node, depth):
-        kept = [prune(c, depth - 1) for c in node.children if reaches(c, depth - 1)]
+        # a child has vertices at depth - 1 below it iff it is that tall
+        kept = [prune(c, depth - 1) for c in node.children
+                if c.height() >= depth - 1]
         return PlanarLevelTree(tuple(kept))
 
     return prune(t, n)
 
 
+def _check_fits(t: PlanarLevelTree, n: int):
+    if t.height() > n:
+        raise ValueError(f"tree of height {t.height()} does not fit height {n}")
+
+
 # -- enumeration ------------------------------------------------------------
-
-_TREES_EXACT: dict[tuple[int, int], tuple[PlanarLevelTree, ...]] = {}
-_FORESTS_EXACT: dict[tuple[int, int], tuple[tuple[PlanarLevelTree, ...], ...]] = {}
-
-
-def _forests_exact(edges, height):
-    # Forests are counted with their connecting edges: a forest of k trees
-    # with e_1..e_k edges costs k + sum(e_i).
-    key = (edges, height)
-    if key in _FORESTS_EXACT:
-        return _FORESTS_EXACT[key]
-    if edges == 0:
-        result: tuple = ((),)
-    elif height < 0:
-        result = ()
-    else:
-        acc = []
-        for first_edges in range(edges):
-            rest = _forests_exact(edges - 1 - first_edges, height)
-            for first in _trees_exact(first_edges, height):
-                for tail in rest:
-                    acc.append((first,) + tail)
-        result = tuple(acc)
-    _FORESTS_EXACT[key] = result
-    return result
-
-
-def _trees_exact(edges, height):
-    key = (edges, height)
-    if key in _TREES_EXACT:
-        return _TREES_EXACT[key]
-    if edges == 0:
-        result = (ROOT_ONLY,)
-    elif height < 1:
-        result = ()
-    else:
-        result = tuple(
-            PlanarLevelTree(f) for f in _forests_exact(edges, height - 1)
-        )
-    _TREES_EXACT[key] = result
-    return result
 
 
 def enumerate_trees(max_edges: int, height: int) -> tuple[PlanarLevelTree, ...]:
     """All planar level trees with at most max_edges edges and height
     at most `height`, in a fixed deterministic order (by edge count,
     then recursively by first subtree)."""
-    out = []
-    for edges in range(max_edges + 1):
-        out.extend(_trees_exact(edges, height))
-    return tuple(out)
+
+    # Both memos live for one call, so subtrees are shared within the
+    # result and nothing outlives it.
+    @cache
+    def forests(edges, height):
+        # Forests are counted with their connecting edges: a forest of k
+        # trees with e_1..e_k edges costs k + sum(e_i).
+        if edges == 0:
+            return ((),)
+        if height < 0:
+            return ()
+        return tuple((first,) + tail
+                     for first_edges in range(edges)
+                     for first in trees(first_edges, height)
+                     for tail in forests(edges - 1 - first_edges, height))
+
+    @cache
+    def trees(edges, height):
+        if edges == 0:
+            return (ROOT_ONLY,)
+        if height < 1:
+            return ()
+        return tuple(PlanarLevelTree(f) for f in forests(edges, height - 1))
+
+    return tuple(t for edges in range(max_edges + 1)
+                 for t in trees(edges, height))

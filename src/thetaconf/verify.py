@@ -3,7 +3,10 @@
 Each suite re-derives a piece of the library's contract from scratch at
 a configurable exhaustive scale and reports one entry per check.  The
 sweeps are deterministic; the morphism sweep optionally fans out over a
-process pool bounded by THETA_CONF_THREADS.
+process pool of THETA_CONF_THREADS workers, capped at the CPU count and
+at the number of tree pairs.  `theorem-a` reports dd = 0 of every
+boundary matrix it builds as a check of its own; the library computes
+without asserting it.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from .cells import (cell_of, convexity_probe, functoriality_check, in_cell,
                     partition_check, sample, witness)
 from .errors import DEFAULT_MAX_COUNT
 from .gamma import enumerate_gamma
-from .homology import (boundary_matrices, euler_characteristic, homology,
-                       order_complex)
+from .homology import (ChainComplex, boundary_matrices, euler_characteristic,
+                       homology, order_complex)
 from .labelled import (LabelledTree, embed, hom_exists, initiality_check,
                        retract, unit_exists)
 from .nord import PosetView, degree, enumerate_nord, leq, sigma_act
@@ -31,6 +34,7 @@ DEFAULT_LABELS = ("a", "b", "c", "d", "e", "f", "g", "h")
 
 
 def worker_count() -> int:
+    """THETA_CONF_THREADS, capped at the CPU count."""
     raw = os.environ.get("THETA_CONF_THREADS", "1")
     try:
         count = int(raw)
@@ -38,7 +42,7 @@ def worker_count() -> int:
         raise ValueError(f"THETA_CONF_THREADS must be an integer, got {raw!r}")
     if count < 1:
         raise ValueError(f"THETA_CONF_THREADS must be >= 1, got {count}")
-    return count
+    return min(count, os.cpu_count() or 1)
 
 
 def _check(name: str, passed: bool, checked: int, **extra) -> dict:
@@ -71,6 +75,20 @@ def expected_configuration_betti(n: int, r: int) -> list[int]:
 DEFAULT_HOMOLOGY_CASES = ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (2, 4))
 
 
+def _dd_zero(cc: ChainComplex) -> bool:
+    """Every boundary of a boundary vanishes."""
+    for k in range(2, len(cc.dims)):
+        lower = cc.boundaries[k - 2]
+        for col in cc.boundaries[k - 1]:
+            acc: dict[int, int] = {}
+            for r, v in col.items():
+                for rr, vv in lower[r].items():
+                    acc[rr] = acc.get(rr, 0) + v * vv
+            if any(acc.values()):
+                return False
+    return True
+
+
 def suite_theorem_a(cases: Sequence[tuple[int, int]] = DEFAULT_HOMOLOGY_CASES,
                     max_chains: int = DEFAULT_MAX_COUNT,
                     label_pool: Sequence = DEFAULT_LABELS) -> dict:
@@ -79,7 +97,8 @@ def suite_theorem_a(cases: Sequence[tuple[int, int]] = DEFAULT_HOMOLOGY_CASES,
         labels = tuple(label_pool)[:r]
         view = PosetView.of_orderings(labels, n)
         cx = order_complex(view, max_chains)
-        result = homology(boundary_matrices(cx))
+        cc = boundary_matrices(cx)
+        result = homology(cc)
         expected = expected_configuration_betti(n, r)
         betti = list(result.betti)
         betti_ok = betti[:len(expected)] == expected \
@@ -96,6 +115,8 @@ def suite_theorem_a(cases: Sequence[tuple[int, int]] = DEFAULT_HOMOLOGY_CASES,
             and result.euler == sum((-1) ** k * b
                                     for k, b in enumerate(result.betti)),
             1, euler=result.euler))
+        checks.append(_check(f"dd-zero(n={n},r={r})", _dd_zero(cc),
+                             sum(len(cols) for cols in cc.boundaries[1:])))
     return _report("theorem-a", checks, cases=list(map(list, cases)))
 
 
@@ -142,20 +163,27 @@ def check_morphism_pair(job: tuple) -> tuple[bool, int, str]:
 
 def suite_morphisms(levels: Iterable[int] = (1, 2, 3), max_edges: int = 6,
                     max_morphisms: int = DEFAULT_MAX_COUNT) -> dict:
+    per_level = [(n, [job + (max_morphisms,)
+                      for job in _pair_jobs(n, max_edges)]) for n in levels]
+    jobs = [job for _, level_jobs in per_level for job in level_jobs]
+    # one pool for all levels, never larger than the job list
+    workers = min(worker_count(), max(len(jobs), 1))
+    if workers > 1:
+        with get_context("fork").Pool(workers) as pool:
+            results = pool.map(check_morphism_pair, jobs, chunksize=16)
+    else:
+        results = [check_morphism_pair(job) for job in jobs]
     checks = []
-    workers = worker_count()
-    for n in levels:
-        jobs = [job + (max_morphisms,) for job in _pair_jobs(n, max_edges)]
-        if workers > 1 and len(jobs) > 1:
-            with get_context("fork").Pool(workers) as pool:
-                results = pool.map(check_morphism_pair, jobs, chunksize=16)
-        else:
-            results = [check_morphism_pair(job) for job in jobs]
-        bad = [(jobs[k][1], jobs[k][2], results[k][2])
-               for k in range(len(jobs)) if not results[k][0]]
+    start = 0
+    for n, level_jobs in per_level:
+        level_results = results[start:start + len(level_jobs)]
+        start += len(level_jobs)
+        bad = [(job[1], job[2], message)
+               for job, (ok, _, message) in zip(level_jobs, level_results)
+               if not ok]
         checks.append(_check(
-            f"active-bijection(n={n})", not bad, len(jobs),
-            morphisms=sum(r[1] for r in results),
+            f"active-bijection(n={n})", not bad, len(level_jobs),
+            morphisms=sum(r[1] for r in level_results),
             failures=bad[:5]))
     return _report("morphisms", checks, max_edges=max_edges,
                    max_morphisms=max_morphisms, workers=workers)

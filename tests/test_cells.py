@@ -108,6 +108,14 @@ def test_sample_deterministic():
     assert sample(("a", "b"), 2, seed=5) != sample(("a", "b"), 2, seed=6)
 
 
+def test_sample_ties_coordinates():
+    def ties(config):
+        return any(len({point[k] for point in config.coords}) < 3
+                   for k in range(2))
+
+    assert any(ties(sample(("a", "b", "c"), 2, seed)) for seed in range(20))
+
+
 def test_sample_in_cell_lands_in_cell():
     rng = random.Random(11)
     for ordering in enumerate_nord("abc", 2):

@@ -3,7 +3,7 @@ from math import factorial
 import pytest
 
 from thetaconf import (CapExceeded, LabelMismatch, NOrdering, PosetView,
-                       branching_table, degree, enumerate_nord, from_tree,
+                       branching_level, degree, enumerate_nord, from_tree,
                        hasse, level_n_leaves, leq, pair_level, parse_symbol,
                        parse_text, sigma_act, to_tree)
 
@@ -111,12 +111,12 @@ def test_pair_level_equals_tree_branching_level():
     for n in (1, 2, 3):
         for ordering in enumerate_nord(LABELS[:3], n):
             t = to_tree(ordering)
-            table = branching_table(t, n)
             leaves = dict(zip(ordering.labels, level_n_leaves(t, n)))
-            for i, a in enumerate(ordering.labels):
-                for b in ordering.labels[i + 1:]:
-                    assert pair_level(ordering, a, b) == \
-                        table[leaves[a], leaves[b]]
+            for a in ordering.labels:
+                for b in ordering.labels:
+                    if a != b:
+                        assert pair_level(ordering, a, b) == \
+                            branching_level(t, n, leaves[a], leaves[b])
 
 
 def test_leq_on_the_four_two_orderings():

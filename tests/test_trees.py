@@ -4,8 +4,8 @@ from math import comb
 import pytest
 
 from thetaconf import (LeafId, PlanarLevelTree, ROOT_ONLY, SymbolParseError,
-                       branching_level, branching_table, enumerate_trees,
-                       healthify, is_healthy, level_n_leaves, parse_symbol,
+                       branching_level, enumerate_trees, healthify,
+                       is_healthy, level_n_leaves, parse_symbol,
                        render_symbol, tree, tree_from_json, tree_to_json)
 
 
@@ -125,16 +125,24 @@ def test_branching_level_rejects_bad_input():
         branching_level(s, 2, a, LeafId((1,)))
 
 
-def test_branching_table_symmetric():
-    u = parse_symbol("[2]([2],[1])", 2)
-    table = branching_table(u, 2)
-    leaves = level_n_leaves(u, 2)
-    for a in leaves:
-        for b in leaves:
-            if a != b:
-                assert table[a, b] == table[b, a]
-    assert table[LeafId((0, 0)), LeafId((0, 1))] == 1
-    assert table[LeafId((0, 0)), LeafId((1, 0))] == 0
+def test_leaf_id_meet():
+    a, b = LeafId((0, 1, 2)), LeafId((0, 1, 0))
+    assert a.meet(b) == b.meet(a) == 2
+    assert a.meet(LeafId((1, 1, 2))) == 0
+    assert a.meet(a) == 3
+    assert a.meet(LeafId((0,))) == 1        # an ancestor meets at itself
+
+
+def test_level_n_leaves_below_and_above_height():
+    t = parse_symbol("[2]([0],[1])", 2)
+    assert level_n_leaves(t, 3) == ()
+    assert level_n_leaves(ROOT_ONLY, 0) == (LeafId(()),)
+    with pytest.raises(ValueError):
+        level_n_leaves(t, 1)
+    with pytest.raises(ValueError):
+        is_healthy(t, 1)
+    with pytest.raises(ValueError):
+        healthify(t, 1)
 
 
 def test_healthify_drops_dead_branches():
