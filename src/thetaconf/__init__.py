@@ -17,7 +17,8 @@ from .labelled import (LabelledTree, embed, hom_exists, hom_morphism,
                        initiality_check, label_bijection, retract,
                        unit_exists)
 from .nord import (NOrdering, PosetView, degree, enumerate_nord, from_tree,
-                   hasse, leq, pair_level, parse_text, sigma_act, to_tree)
+                   hasse, leq, pair_level, parse_text, sigma_act, to_tree,
+                   upper_covers)
 from .theta import (ThetaMorphism, assemble_morphism,
                     branching_condition_holds, enumerate_hom_bruteforce,
                     identity_morphism, lift_active, theta_compose,

@@ -17,7 +17,18 @@ There are r! * n^(r-1) such orderings for |A| = r >= 1 and exactly one
 for r = 0.  The order relation: S <= T when every pairwise branching
 level weakly drops from S to T and pairs with equal levels keep their
 relative order.  Morphisms strictly raise the edge count, so the poset
-is graded by `degree`.
+is graded by `degree`, which the word gives as n + sum(n - b).
+
+The covers of S come from one local tree move (`upper_covers`): take a
+vertex at depth d, 1 <= d <= n - 1, with at least two children, split
+its children into two nonempty subsequences A and B that keep their
+order, and hang A then B under two adjacent siblings at depth d.  In
+the word, the boundary between A and B becomes d - 1 and every other
+boundary between the children stays d; the degree rises by one.  These
+are the codimension-one incidences of the Fox-Neuwirth cells.
+`PosetView.of_orderings` builds the poset from these moves alone: the
+strictly-above set of S is the union of its covers and theirs, filled
+from the top degree down, so it never calls `leq`.
 """
 
 from __future__ import annotations
@@ -156,8 +167,12 @@ def from_tree(tree: PlanarLevelTree, n: int,
 
 
 def degree(ordering: NOrdering) -> int:
-    """Edge count of the realizing tree."""
-    return to_tree(ordering).edge_count()
+    """Edge count of the realizing tree: n edges down to the first leaf,
+    and n - b more for each further leaf branching off at level b."""
+    if not ordering.size:
+        return 0
+    n = ordering.n
+    return n + sum(n - b for b in ordering.word)
 
 
 def enumerate_nord(labels: Iterable[Hashable], n: int,
@@ -179,6 +194,44 @@ def enumerate_nord(labels: Iterable[Hashable], n: int,
         for word in product(range(n), repeat=r - 1):
             out.append(NOrdering(perm, word, n))
     return tuple(out)
+
+
+def _cover_moves(labels: tuple, word: tuple, n: int):
+    """(labels, word) of each ordering that covers (labels, word), one
+    per split of the children of a vertex at depth 1..n-1."""
+    r = len(labels)
+    for d in range(1, n):
+        start = 0
+        for end in range(1, r + 1):
+            if end < r and word[end - 1] >= d:
+                continue
+            # positions start..end-1 are the leaves below one depth-d
+            # vertex; boundaries equal to d separate its children
+            cuts = [k for k in range(start + 1, end) if word[k - 1] == d]
+            if cuts:
+                bounds = [start, *cuts, end]
+                blocks = [(labels[a:b], word[a:b - 1])
+                          for a, b in zip(bounds, bounds[1:])]
+                for split in range(1, (1 << len(blocks)) - 1):
+                    # the blocks of A (bits set in split), then those of B
+                    moved = [b for k, b in enumerate(blocks) if split >> k & 1]
+                    moved += [b for k, b in enumerate(blocks)
+                              if not split >> k & 1]
+                    joint = split.bit_count()
+                    new_labels, new_word = labels[:start], word[:start]
+                    for k, (block_labels, block_word) in enumerate(moved):
+                        if k:
+                            new_word += (d - 1 if k == joint else d,)
+                        new_labels += block_labels
+                        new_word += block_word
+                    yield new_labels + labels[end:], new_word + word[end - 1:]
+            start = end
+
+
+def upper_covers(ordering: NOrdering) -> tuple[NOrdering, ...]:
+    """The orderings that cover this one, each one degree higher."""
+    return tuple(NOrdering(labels, word, ordering.n) for labels, word
+                 in _cover_moves(ordering.labels, ordering.word, ordering.n))
 
 
 def leq(a: NOrdering, b: NOrdering) -> bool:
@@ -220,7 +273,9 @@ def sigma_act(g: Mapping, ordering: NOrdering) -> NOrdering:
 class PosetView:
     """Finite poset with a fixed element order.  The relation is stored
     as per-element bitmasks, which keeps cover computation and
-    transitivity checks cheap."""
+    transitivity checks cheap.  The constructor decides the relation by
+    calling `leq_fn` on every ordered pair; `of_orderings` builds the
+    same view from cover moves instead."""
 
     def __init__(self, elements: Sequence, leq_fn: Callable):
         self.elements = tuple(elements)
@@ -237,7 +292,34 @@ class PosetView:
     @classmethod
     def of_orderings(cls, labels: Iterable[Hashable], n: int,
                      max_count: int = DEFAULT_MAX_COUNT) -> "PosetView":
-        return cls(enumerate_nord(labels, n, max_count), leq)
+        """The poset of n-orderings in `enumerate_nord` order, built from
+        cover moves without calling `leq`."""
+        elements = enumerate_nord(labels, n, max_count)
+        index = {(e.labels, e.word): k for k, e in enumerate(elements)}
+        count = len(elements)
+        # descending degree: each element's covers come before it
+        order = sorted(range(count), key=lambda k: sum(elements[k].word))
+        ups: list[list[int]] = [[] for _ in range(count)]
+        above = [0] * count
+        for k in order:
+            e = elements[k]
+            mask = 0
+            for key in _cover_moves(e.labels, e.word, n):
+                j = index[key]
+                ups[k].append(j)
+                mask |= above[j] | 1 << j
+            above[k] = mask
+        below = [0] * count
+        # ascending degree: each element's mask is complete before it
+        # is pushed to its covers
+        for k in reversed(order):
+            mask = below[k] | 1 << k
+            for j in ups[k]:
+                below[j] |= mask
+        view = cls.__new__(cls)
+        view.elements, view.leq = elements, leq
+        view.above, view.below = above, below
+        return view
 
     def relation(self) -> list[tuple[int, int]]:
         """Strictly related index pairs (i, j) with elements[i] < elements[j]."""

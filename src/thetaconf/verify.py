@@ -6,7 +6,9 @@ sweeps are deterministic; the morphism sweep optionally fans out over a
 process pool of THETA_CONF_THREADS workers, capped at the CPU count and
 at the number of tree pairs.  `theorem-a` reports dd = 0 of every
 boundary matrix it builds as a check of its own; the library computes
-without asserting it.
+without asserting it.  `poset` decides the order a second way after its
+other checks: `leq` on every pair against the view built from cover
+moves.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from multiprocessing import get_context
 from typing import Iterable, Sequence
 
 from .cells import (cell_of, convexity_probe, functoriality_check, in_cell,
-                    partition_check, sample, witness)
+                    sample, witness)
 from .errors import DEFAULT_MAX_COUNT
 from .gamma import enumerate_gamma
 from .homology import (ChainComplex, boundary_matrices, euler_characteristic,
@@ -196,6 +198,7 @@ def suite_poset(sizes: Iterable[int] = (0, 1, 2, 3, 4),
                 levels: Iterable[int] = (1, 2, 3),
                 label_pool: Sequence = DEFAULT_LABELS) -> dict:
     checks = []
+    agreement = []
     for n in levels:
         for r in sizes:
             labels = tuple(label_pool)[:r]
@@ -204,8 +207,8 @@ def suite_poset(sizes: Iterable[int] = (0, 1, 2, 3, 4),
             checks.append(_check(
                 f"partial-order(n={n},r={r})", view.is_partial_order(),
                 len(view.elements)))
-            graded = all(degree(view.elements[i]) < degree(view.elements[j])
-                         for i, j in relation)
+            degrees = list(map(degree, view.elements))
+            graded = all(degrees[i] < degrees[j] for i, j in relation)
             checks.append(_check(
                 f"degree-raising(n={n},r={r})", graded, len(relation)))
             index = {e: k for k, e in enumerate(view.elements)}
@@ -223,7 +226,14 @@ def suite_poset(sizes: Iterable[int] = (0, 1, 2, 3, 4),
                                  len(view.elements)))
             checks.append(_check(f"equivariant-action(n={n},r={r})",
                                  equivariant, len(relation)))
-    return _report("poset", checks, sizes=list(sizes), levels=list(levels))
+            # the N^2 route: leq on every ordered pair
+            reference = PosetView(view.elements, leq)
+            agrees = reference.above == view.above \
+                and all(map(leq, view.elements, view.elements))
+            agreement.append(_check(f"leq-agrees(n={n},r={r})", agrees,
+                                    len(view.elements) ** 2))
+    return _report("poset", checks + agreement, sizes=list(sizes),
+                   levels=list(levels))
 
 
 # -- suite: theorem-b (embedding, retraction, units, initiality) -------------
@@ -317,7 +327,7 @@ def suite_cells(max_size: int = 3, levels: Iterable[int] = (1, 2, 3),
         for r in range(min(max_size, len(pool)) + 1):
             labels = pool[:r]
             orderings = enumerate_nord(labels, n)
-            universal = True
+            universal = partition = True
             for k, config in enumerate(
                     [witness(o) for o in orderings]
                     + [sample(labels, n, seed + k) for k in range(samples)]):
@@ -325,13 +335,14 @@ def suite_cells(max_size: int = 3, levels: Iterable[int] = (1, 2, 3),
                 universal &= all(
                     in_cell(config, other) == leq(classifier, other)
                     for other in orderings)
+                # the first sampled configurations lie in their own cell
+                if 0 <= k - len(orderings) < min(samples, 200):
+                    partition &= in_cell(config, classifier)
             checks.append(_check(
                 f"classifier-universal(n={n},r={r})", universal,
                 len(orderings) + samples))
-            checks.append(_check(
-                f"partition(n={n},r={r})",
-                partition_check(labels, n, min(samples, 200), seed),
-                min(samples, 200)))
+            checks.append(_check(f"partition(n={n},r={r})", partition,
+                                 min(samples, 200)))
             convex = all(convexity_probe(o, 10, seed) for o in orderings)
             checks.append(_check(f"midpoint-convexity(n={n},r={r})", convex,
                                  10 * len(orderings)))

@@ -4,8 +4,9 @@ import pytest
 
 from thetaconf import (CapExceeded, LabelMismatch, NOrdering, PosetView,
                        branching_level, degree, enumerate_nord, from_tree,
-                       hasse, level_n_leaves, leq, pair_level, parse_symbol,
-                       parse_text, sigma_act, to_tree)
+                       hasse, level_n_leaves, leq, nord, pair_level,
+                       parse_symbol, parse_text, sigma_act, to_tree,
+                       upper_covers)
 
 LABELS = ("a", "b", "c", "d")
 
@@ -98,13 +99,12 @@ def test_degree_is_edge_count():
     u = parse_text("a 1 b", 2)
     assert degree(u) == 3
     assert degree(parse_text("a 0 b", 2)) == 4
-    # closed form: n for the first label, n - w for each further one
-    for n in (1, 2, 3):
-        for ordering in enumerate_nord(LABELS[:3], n):
-            expected = ordering.n + sum(ordering.n - w
-                                        for w in ordering.word)
-            assert degree(ordering) == expected
     assert degree(parse_text("", 2)) == 0
+    # the word's closed form against the realizing tree, up to (3,4), (4,3)
+    cases = [(n, r) for n in (1, 2, 3) for r in range(5)] + [(4, 3)]
+    for n, r in cases:
+        for ordering in enumerate_nord(LABELS[:r], n):
+            assert degree(ordering) == to_tree(ordering).edge_count()
 
 
 def test_pair_level_equals_tree_branching_level():
@@ -218,3 +218,51 @@ def test_one_orderings_form_antichain():
     view = PosetView.of_orderings(("a", "b", "c"), 1)
     assert len(view.elements) == 6
     assert view.covers() == []
+
+
+def _counts(view):
+    return (len(view.elements), len(view.covers()),
+            sum(mask.bit_count() for mask in view.above))
+
+
+def test_structural_view_equals_the_leq_view():
+    cases = [(n, r) for n in (1, 2, 3, 4) for r in range(5)
+             if (factorial(r) * n ** (r - 1) if r else 1) <= 700]
+    assert (3, 4) in cases and (4, 4) not in cases
+    for n, r in cases + [(1, 5)]:
+        labels = "abcde"[:r]
+        view = PosetView.of_orderings(labels, n)
+        reference = PosetView(enumerate_nord(labels, n), leq)
+        assert view.elements == reference.elements
+        assert view.above == reference.above
+        assert view.below == reference.below
+        assert view.covers() == reference.covers()
+
+
+def test_structural_build_makes_no_leq_call(monkeypatch):
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return leq(a, b)
+
+    monkeypatch.setattr(nord, "leq", counting)
+    PosetView.of_orderings(LABELS[:3], 3)
+    assert calls == []
+
+
+def test_pinned_poset_sizes():
+    assert _counts(PosetView.of_orderings("abcde", 2)) == (1920, 13440, 99840)
+    assert _counts(PosetView.of_orderings("abcd", 4)) == (1536, 8496, 205056)
+
+
+def test_upper_covers_split_the_children_of_one_vertex():
+    # the depth-1 vertex over a, b, c has three children: 2^3 - 2 splits
+    got = {o.text() for o in upper_covers(parse_text("a 1 b 1 c", 2))}
+    assert got == {"a 0 b 1 c", "b 0 a 1 c", "c 0 a 1 b",
+                   "a 1 b 0 c", "a 1 c 0 b", "b 1 c 0 a"}
+    # the root's children are never split, nor are deepest leaves
+    assert upper_covers(parse_text("a 0 b", 2)) == ()
+    assert upper_covers(parse_text("a 0 b 0 c", 1)) == ()
+    assert upper_covers(parse_text("a", 3)) == ()
+    assert upper_covers(parse_text("", 3)) == ()

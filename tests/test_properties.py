@@ -2,7 +2,8 @@
 
 `leq` is checked against the labelled-tree route of theorem B
 (`hom_exists` between embedded orderings), against relabelling, and,
-on configurations with tied coordinates, against cell membership.
+on configurations with tied coordinates, against cell membership.  The
+cover moves are checked to raise the order and the degree by one.
 Labels range over ints, frozensets (whose `<` is not total) and mixed
 str/int sets, so nothing may rely on an order of the labels.
 
@@ -16,10 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thetaconf import (Configuration, LeafId, NOrdering, PlanarLevelTree,
-                       cell_of, embed, enumerate_nord, enumerate_trees,
-                       healthify, hom_exists, in_cell, is_healthy, leq,
-                       level_n_leaves, sigma_act, tree_from_json,
-                       tree_to_json, witness)
+                       cell_of, degree, embed, enumerate_nord,
+                       enumerate_trees, healthify, hom_exists, in_cell,
+                       is_healthy, leq, level_n_leaves, sigma_act,
+                       tree_from_json, tree_to_json, upper_covers, witness)
 
 # Deterministic draws and no deadline keep the suite steady on a busy host.
 STEADY = settings(deadline=None, derandomize=True)
@@ -76,6 +77,18 @@ def test_leq_is_invariant_under_relabelling(pair, data):
     a, b = pair
     g = dict(zip(a.labels, data.draw(st.permutations(a.labels))))
     assert leq(sigma_act(g, a), sigma_act(g, b)) == leq(a, b)
+
+
+@STEADY
+@given(st.data())
+def test_upper_covers_raise_order_and_degree(data):
+    labels = data.draw(LABEL_SETS)
+    low = data.draw(orderings(labels, data.draw(st.integers(1, 4))))
+    covers = upper_covers(low)
+    assert len(set(covers)) == len(covers)
+    for high in covers:
+        assert leq(low, high) and not leq(high, low)
+        assert degree(high) == degree(low) + 1
 
 
 @settings(STEADY, max_examples=60)

@@ -85,6 +85,15 @@ def test_suite_poset_small():
     report = suite_poset(sizes=(0, 1, 2), levels=(1, 2))
     _assert_report_shape(report, "poset")
     assert report["passed"]
+    names = [c["name"] for c in report["checks"]]
+    assert names[:4] == ["partial-order(n=1,r=0)", "degree-raising(n=1,r=0)",
+                         "free-action(n=1,r=0)",
+                         "equivariant-action(n=1,r=0)"]
+    # the leq route comes after every other check, one entry per case
+    assert [(c["name"], c["checked"]) for c in report["checks"][24:]] == [
+        ("leq-agrees(n=1,r=0)", 1), ("leq-agrees(n=1,r=1)", 1),
+        ("leq-agrees(n=1,r=2)", 4), ("leq-agrees(n=2,r=0)", 1),
+        ("leq-agrees(n=2,r=1)", 1), ("leq-agrees(n=2,r=2)", 16)]
 
 
 def test_suite_theorem_b_small():
@@ -99,6 +108,8 @@ def test_suite_cells_small():
     report = suite_cells(max_size=2, levels=(1, 2), samples=20, seed=4)
     _assert_report_shape(report, "cells")
     assert report["passed"]
+    assert {c["checked"] for c in report["checks"]
+            if c["name"].startswith("partition")} == {20}
 
 
 def test_check_morphism_pair():
