@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Hashable, Iterable, Mapping
 
 from .errors import LabelMismatch
@@ -50,6 +51,16 @@ class Configuration:
         coords = tuple(tuple(Fraction(x) for x in points[label])
                        for label in labels)
         return cls(labels, coords, n)
+
+    @cached_property
+    def ranks(self) -> dict[Hashable, tuple[int, ...]]:
+        """Each label's point with every coordinate replaced by its dense
+        rank among the distinct values on that axis; ties and order are
+        kept, so every comparison of coordinates reads the same."""
+        axes = [{v: k for k, v in enumerate(sorted(set(axis)))}
+                for axis in zip(*self.coords)]
+        return {label: tuple(rank[x] for rank, x in zip(axes, vec))
+                for label, vec in zip(self.labels, self.coords)}
 
     def point(self, label: Hashable) -> tuple[Fraction, ...]:
         return self.coords[self.labels.index(label)]
@@ -108,23 +119,20 @@ def _common_checks(config: Configuration, ordering: NOrdering):
     if config.n != ordering.n:
         raise LabelMismatch(
             f"dimensions differ: {config.n} vs {ordering.n}")
-    if set(config.labels) != set(ordering.labels):
+    if config.ranks.keys() != ordering.positions.keys():
         raise LabelMismatch("label sets differ")
 
 
 def in_cell(config: Configuration, ordering: NOrdering) -> bool:
     """Exact membership test against the ordering's defining equalities
-    and weak inequalities."""
+    and weak inequalities.  Only neighbours in planar order are checked:
+    a pair further apart branches at the least word entry between them,
+    so its conditions follow from its neighbours' by transitivity."""
     _common_checks(config, ordering)
-    by_label = dict(zip(config.labels, config.coords))
-    points = [by_label[a] for a in ordering.labels]
-    for i, (pa, levels) in enumerate(zip(points, ordering.levels)):
-        for j in range(i + 1, len(points)):
-            pb, beta = points[j], levels[j]
-            if pa[:beta] != pb[:beta]:
-                return False
-            if pa[beta] > pb[beta]:
-                return False
+    points = list(map(config.ranks.__getitem__, ordering.labels))
+    for pa, pb, beta in zip(points, points[1:], ordering.word):
+        if pa[:beta] != pb[:beta] or pa[beta] > pb[beta]:
+            return False
     return True
 
 

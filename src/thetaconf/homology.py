@@ -11,7 +11,25 @@ The Smith normal form runs in two phases: a sparse pass that peels off
 least fill, then a dense textbook pass with smallest-magnitude pivoting
 on whatever small core is left.  Eliminating a unit pivot with row
 operations splits off an invariant factor 1 and leaves the Schur
-complement, so the phases compose exactly.
+complement, so the phases compose exactly.  The rows of a boundary
+matrix stay its faces and the shortest rows go first: a face with one
+coface is a free face, and its pivot is an elementary collapse with no
+fill.
+
+`homology` reduces the boundaries from the top degree down and clears
+(Chen-Kerber, "Persistent homology computation with a twist", 2011):
+the reduction of d_(k+1) reports the row of each unit pivot, a
+k-simplex, and those columns are dropped from d_k before its Smith
+form.  This is exact over the integers.  Let R be the unit-pivot rows
+of d_(k+1) and C their columns.  The elimination factors d_(k+1)[R, C]
+as a unit lower triangular matrix times a triangular one with +-1 on
+the diagonal, so it is invertible over Z; for each s in R some integral
+v has d_(k+1) v equal to 1 at s and 0 elsewhere on R.  That boundary z
+is a cycle, and replacing each e_s by its z is a unimodular change of
+basis of C_k that makes the columns of d_k at R zero and leaves the
+others alone.  So d_k and d_k without the columns R have the same
+invariant factors.  Pivots of the dense phase need not be units and
+are never cleared.
 """
 
 from __future__ import annotations
@@ -119,36 +137,22 @@ def boundary_matrices(cx: OrderComplex) -> ChainComplex:
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], int]:
     """Invariant factors (nonzero diagonal of the Smith form, ones
     included, divisibility order) and the rank."""
-    entries = []
-    ncols = 0
-    for r, row in enumerate(matrix):
-        ncols = max(ncols, len(row))
-        for c, v in enumerate(row):
-            if v:
-                entries.append((r, c, v))
-    return _smith_sparse(entries)
+    entries = [(r, c, v) for r, row in enumerate(matrix)
+               for c, v in enumerate(row) if v]
+    factors, _ = _smith_sparse(entries)
+    return factors, len(factors)
 
 
-def _smith_of_columns(cols: Sequence[dict[int, int]]) -> tuple[tuple[int, ...], int]:
-    entries = [(r, c, v) for c, col in enumerate(cols)
-               for r, v in col.items() if v]
-    return _smith_sparse(entries)
-
-
-def _smith_sparse(entries) -> tuple[tuple[int, ...], int]:
-    # Work with rows on the smaller side; SNF is transpose-invariant.
-    nrows = 1 + max((r for r, _, _ in entries), default=-1)
-    ncols = 1 + max((c for _, c, _ in entries), default=-1)
-    if ncols < nrows:
-        entries = [(c, r, v) for r, c, v in entries]
-
+def _smith_sparse(entries) -> tuple[tuple[int, ...], list[int]]:
+    """Invariant factors of the matrix given by its (row, column,
+    value) entries, and the original row of each unit pivot."""
     rows: dict[int, dict[int, int]] = {}
     col_rows: dict[int, set[int]] = {}
     for r, c, v in entries:
         rows.setdefault(r, {})[c] = v
         col_rows.setdefault(c, set()).add(r)
 
-    ones = 0
+    pivot_rows = []
     # Rounds of unit-pivot elimination, shortest rows first; within a
     # row the unit entry with the emptiest column wins.  Unit pivots
     # are smallest-magnitude pivots, so this refines the documented
@@ -186,7 +190,7 @@ def _smith_sparse(entries) -> tuple[tuple[int, ...], int]:
                 if not other:
                     del rows[r]
             col_rows.pop(c0, None)
-            ones += 1
+            pivot_rows.append(r0)
             progressed = True
 
     # Dense residue: no unit entries left anywhere.
@@ -202,8 +206,8 @@ def _smith_sparse(entries) -> tuple[tuple[int, ...], int]:
     else:
         core = ()
 
-    factors = (1,) * ones + core       # 1 divides everything: still a chain
-    return factors, len(factors)
+    # 1 divides everything: still a chain
+    return (1,) * len(pivot_rows) + core, pivot_rows
 
 
 def _smith_dense(m: list[list[int]]) -> list[int]:
@@ -315,12 +319,18 @@ class HomologyResult:
 def homology(cc: ChainComplex) -> HomologyResult:
     """Betti numbers and torsion coefficients per degree.  Betti numbers
     are dims minus adjacent ranks, so their alternating sum equals the
-    simplex-count Euler characteristic by construction."""
+    simplex-count Euler characteristic by construction.  The boundaries
+    are reduced from the top degree down, each without the columns that
+    the unit pivots of the one above cleared."""
     dim = len(cc.dims)
-    ranks = [0] * (dim + 1)
     factor_lists: list[tuple[int, ...]] = [()] * (dim + 1)
-    for k in range(1, dim):
-        factor_lists[k], ranks[k] = _smith_of_columns(cc.boundaries[k - 1])
+    cleared: set[int] = set()
+    for k in range(dim - 1, 0, -1):
+        entries = [(r, c, v) for c, col in enumerate(cc.boundaries[k - 1])
+                   if c not in cleared for r, v in col.items() if v]
+        factor_lists[k], pivot_rows = _smith_sparse(entries)
+        cleared = set(pivot_rows)
+    ranks = [len(factors) for factors in factor_lists]
     betti = tuple(cc.dims[k] - ranks[k] - ranks[k + 1] for k in range(dim))
     torsion = tuple(tuple(f for f in factor_lists[k + 1] if f > 1)
                     for k in range(dim))

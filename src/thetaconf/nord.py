@@ -270,12 +270,25 @@ def sigma_act(g: Mapping, ordering: NOrdering) -> NOrdering:
     return NOrdering(tuple(values), ordering.word, ordering.n)
 
 
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits, ascending.  Scans the binary digits once:
+    peeling off the lowest bit would copy the whole int for every bit."""
+    digits = bin(mask)[:1:-1]
+    out = []
+    k = digits.find("1")
+    while k >= 0:
+        out.append(k)
+        k = digits.find("1", k + 1)
+    return out
+
+
 class PosetView:
     """Finite poset with a fixed element order.  The relation is stored
-    as per-element bitmasks, which keeps cover computation and
-    transitivity checks cheap.  The constructor decides the relation by
-    calling `leq_fn` on every ordered pair; `of_orderings` builds the
-    same view from cover moves instead."""
+    as per-element bitmasks, which keeps transitivity checks cheap, and
+    `ups[i]` lists the covers of element i, ascending.  The constructor
+    decides the relation by calling `leq_fn` on every ordered pair and
+    derives the covers from the masks; `of_orderings` builds the same
+    view from cover moves instead."""
 
     def __init__(self, elements: Sequence, leq_fn: Callable):
         self.elements = tuple(elements)
@@ -288,6 +301,9 @@ class PosetView:
                 if i != j and leq_fn(x, y):
                     self.above[i] |= 1 << j
                     self.below[j] |= 1 << i
+        # j covers i when nothing lies strictly between them
+        self.ups = [[j for j in _bits(mask) if not mask & self.below[j]]
+                    for mask in self.above]
 
     @classmethod
     def of_orderings(cls, labels: Iterable[Hashable], n: int,
@@ -309,6 +325,7 @@ class PosetView:
                 ups[k].append(j)
                 mask |= above[j] | 1 << j
             above[k] = mask
+            ups[k].sort()
         below = [0] * count
         # ascending degree: each element's mask is complete before it
         # is pushed to its covers
@@ -318,39 +335,27 @@ class PosetView:
                 below[j] |= mask
         view = cls.__new__(cls)
         view.elements, view.leq = elements, leq
-        view.above, view.below = above, below
+        view.above, view.below, view.ups = above, below, ups
         return view
 
     def relation(self) -> list[tuple[int, int]]:
         """Strictly related index pairs (i, j) with elements[i] < elements[j]."""
-        out = []
-        for i in range(len(self.elements)):
-            mask = self.above[i]
-            while mask:
-                low = mask & -mask
-                out.append((i, low.bit_length() - 1))
-                mask ^= low
-        return out
+        return [(i, j) for i, mask in enumerate(self.above)
+                for j in _bits(mask)]
 
     def covers(self) -> list[tuple[int, int]]:
         """Pairs with nothing strictly in between."""
-        return [(i, j) for i, j in self.relation()
-                if not self.above[i] & self.below[j]]
+        return [(i, j) for i, row in enumerate(self.ups) for j in row]
 
     def is_partial_order(self) -> bool:
-        n = len(self.elements)
-        for i in range(n):
-            if not self.leq(self.elements[i], self.elements[i]):
+        for i, x in enumerate(self.elements):
+            if not self.leq(x, x):
                 return False
             if self.above[i] & self.below[i]:       # antisymmetry
                 return False
-            mask = self.above[i]
-            while mask:                             # transitivity
-                low = mask & -mask
-                j = low.bit_length() - 1
+            for j in _bits(self.above[i]):          # transitivity
                 if self.above[j] & ~self.above[i]:
                     return False
-                mask ^= low
         return True
 
 

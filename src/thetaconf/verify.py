@@ -74,7 +74,8 @@ def expected_configuration_betti(n: int, r: int) -> list[int]:
 
 # -- suite: theorem-a (nerve homology matches configuration spaces) ---------
 
-DEFAULT_HOMOLOGY_CASES = ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (2, 4))
+DEFAULT_HOMOLOGY_CASES = ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (2, 4),
+                          (3, 3))
 
 
 def _dd_zero(cc: ChainComplex) -> bool:

@@ -19,6 +19,7 @@ HOMOLOGY_TABLE = {
     (2, 3): (1, 3, 2),
     (3, 2): (1, 0, 1),
     (2, 4): (1, 6, 11, 6),
+    (3, 3): (1, 0, 3, 0, 2),
 }
 
 

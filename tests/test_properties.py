@@ -7,19 +7,25 @@ cover moves are checked to raise the order and the degree by one.
 Labels range over ints, frozensets (whose `<` is not total) and mixed
 str/int sets, so nothing may rely on an order of the labels.
 
+`in_cell`, which checks neighbouring leaves only, is checked against
+the cell's conditions on every pair.  `homology` is checked against the
+per-degree Smith normal form on random simplicial complexes.
+
 The tree invariants a `PlanarLevelTree` caches are checked, over every
 small tree, against plain recursive walkers kept here as references.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chain_reference import reference_homology, simplicial_chain_complex
 from thetaconf import (Configuration, LeafId, NOrdering, PlanarLevelTree,
                        cell_of, degree, embed, enumerate_nord,
-                       enumerate_trees, healthify, hom_exists, in_cell,
-                       is_healthy, leq, level_n_leaves, sigma_act,
+                       enumerate_trees, healthify, hom_exists, homology,
+                       in_cell, is_healthy, leq, level_n_leaves, sigma_act,
                        tree_from_json, tree_to_json, upper_covers, witness)
 
 # Deterministic draws and no deadline keep the suite steady on a busy host.
@@ -97,6 +103,43 @@ def test_tied_configuration_lies_in_cells_above_its_classifier(config):
     classifier = cell_of(config)
     for other in enumerate_nord(config.labels, config.n):
         assert in_cell(config, other) == leq(classifier, other)
+
+
+def every_pair_in_cell(config, ordering):
+    """The cell's conditions on every pair, read off the coordinates."""
+    points = [config.point(a) for a in ordering.labels]
+    for i, j in combinations(range(len(points)), 2):
+        beta = ordering.levels[i][j]
+        if points[i][:beta] != points[j][:beta] \
+                or points[i][beta] > points[j][beta]:
+            return False
+    return True
+
+
+# Grid values 0, 1, 2 sent to values whose set order is not their order.
+SPREAD = (Fraction(10 ** 12), Fraction(-7, 3), Fraction(1, 2))
+
+
+@settings(STEADY, max_examples=60)
+@given(tied_configurations())
+def test_in_cell_matches_the_conditions_on_every_pair(config):
+    spread = Configuration(config.labels, tuple(
+        tuple(SPREAD[int(x)] for x in point) for point in config.coords),
+        config.n)
+    for ordering in enumerate_nord(config.labels, config.n):
+        for c in (config, spread):
+            assert in_cell(c, ordering) == every_pair_in_cell(c, ordering)
+
+
+# Facets of two to four of seven vertices: about a quarter of the draws
+# have homology above degree 0, and most have 3-simplices.
+@settings(STEADY, max_examples=150)
+@given(st.lists(st.frozensets(st.integers(0, 6), min_size=2, max_size=4),
+                min_size=1, max_size=12))
+def test_homology_matches_the_per_degree_reference(facets):
+    cc = simplicial_chain_complex(facets)
+    result = homology(cc)
+    assert (result.betti, result.torsion) == reference_homology(cc)
 
 
 @STEADY

@@ -4,7 +4,8 @@ from math import factorial
 import pytest
 
 from thetaconf import ChainComplex
-from thetaconf.verify import (_dd_zero, check_morphism_pair,
+from thetaconf.verify import (DEFAULT_HOMOLOGY_CASES, _dd_zero,
+                              check_morphism_pair,
                               expected_configuration_betti,
                               suite_cells, suite_morphisms, suite_poset,
                               suite_theorem_a, suite_theorem_b, worker_count)
@@ -65,6 +66,15 @@ def test_suite_theorem_a_small():
     report = suite_theorem_a(cases=((2, 3),))
     assert [(c["passed"], c["checked"]) for c in report["checks"]
             if c["name"] == "dd-zero(n=2,r=3)"] == [(True, 72)]
+
+
+def test_suite_theorem_a_default_cases():
+    report = suite_theorem_a()
+    assert report["passed"]
+    assert len(report["checks"]) == 4 * len(DEFAULT_HOMOLOGY_CASES) == 28
+    # (3,3) is the first odd-n case with more than two labels
+    assert [c["betti"] for c in report["checks"]
+            if c["name"] == "betti(n=3,r=3)"] == [[1, 0, 3, 0, 2]]
 
 
 def test_dd_zero_detects_a_nonzero_square():
