@@ -3,7 +3,7 @@ nerve homology, and exact configuration-cell classification."""
 
 from .cells import (Configuration, cell_of, convexity_probe,
                     functoriality_check, in_cell, midpoint, parse_point_file,
-                    partition_check, sample, sample_in_cell, witness)
+                    sample, sample_in_cell, witness)
 from .errors import (DEFAULT_MAX_COUNT, BranchingConditionViolation,
                      CapExceeded, LabelMismatch, NotActive, SymbolParseError,
                      UnhealthyTarget)

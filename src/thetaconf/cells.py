@@ -7,8 +7,10 @@ of a and b agree and coordinate beta+1 weakly increases.  Every
 configuration lies in the cell of exactly one classifier: sort the
 points lexicographically and count leading coordinate agreements of
 neighbours.  Membership in any other cell is governed by the poset
-order on classifiers, which is checked, not assumed, by the probes
-here.  All arithmetic is exact (fractions), so ties are honest ties.
+order on classifiers, which `verify cells` checks rather than assumes.
+Points inside a given cell, the integer witness and seeded random
+samples, come from one walk over the word, leaf by leaf.  All
+arithmetic is exact (fractions), so ties are honest ties.
 """
 
 from __future__ import annotations
@@ -17,11 +19,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Hashable, Iterable, Mapping
+from typing import Callable, Hashable, Iterable, Mapping
 
 from .errors import LabelMismatch
-from .nord import NOrdering, enumerate_nord, leq, to_tree
-from .trees import level_n_leaves
+from .nord import NOrdering, leq
 
 _SAMPLE_SPAN = 2**40
 
@@ -151,21 +152,31 @@ def cell_of(config: Configuration) -> NOrdering:
     return NOrdering(labels, tuple(word), config.n)
 
 
+def _walk(ordering: NOrdering,
+          step: Callable[[int, int], int]) -> Configuration:
+    """One point per leaf, in planar order, from the first leaf at the
+    origin: leaf k copies the first b = word[k-1] coordinates of leaf
+    k-1 and moves each later axis a (0-based, so a >= b) by step(a, b).
+    A positive step on axis b puts leaf k after leaf k-1 in the
+    lexicographic order, agreeing on exactly b leading coordinates, so
+    the configuration classifies to the ordering itself."""
+    point = [Fraction(0)] * ordering.n
+    coords = [tuple(point)] if ordering.size else []
+    for b in ordering.word:
+        for axis in range(b, ordering.n):
+            point[axis] += step(axis, b)
+        coords.append(tuple(point))
+    return Configuration(ordering.labels, tuple(coords), ordering.n)
+
+
 def witness(ordering: NOrdering) -> Configuration:
     """Integer configuration in the cell's interior: coordinate i of a
-    leaf is the planar index of its level-i ancestor.  Distinct
-    ancestors get distinct indices, so the classifier is the ordering
-    itself."""
-    leaves = level_n_leaves(to_tree(ordering), ordering.n)
-    index_at = []
-    for level in range(1, ordering.n + 1):
-        prefixes = sorted({leaf.path[:level] for leaf in leaves})
-        index_at.append({p: Fraction(k) for k, p in enumerate(prefixes)})
-    coords = tuple(
-        tuple(index_at[level - 1][leaf.path[:level]]
-              for level in range(1, ordering.n + 1))
-        for leaf in leaves)
-    return Configuration(ordering.labels, coords, ordering.n)
+    leaf is the planar index of its level-i ancestor among all level-i
+    vertices.  A leaf branching off at level b shares its first b
+    ancestors with the leaf before it and starts a new vertex, the next
+    in planar order, at every deeper level: each of those coordinates
+    moves by one."""
+    return _walk(ordering, lambda axis, b: 1)
 
 
 def sample(labels: Iterable[Hashable], n: int, seed: int) -> Configuration:
@@ -186,26 +197,15 @@ def sample(labels: Iterable[Hashable], n: int, seed: int) -> Configuration:
 
 
 def sample_in_cell(ordering: NOrdering, rng: random.Random) -> Configuration:
-    """Random point of the cell: perturb the witness by giving every
-    tree vertex a random value, strictly increasing across siblings.
-    Leaf coordinates are its ancestors' values; all defining equalities
-    hold by construction and the inequalities hold strictly."""
-    leaves = level_n_leaves(to_tree(ordering), ordering.n)
-    values: dict[tuple[int, ...], Fraction] = {}
-    for level in range(1, ordering.n + 1):
-        prefixes = sorted({leaf.path[:level] for leaf in leaves})
-        by_parent: dict[tuple[int, ...], list] = {}
-        for p in prefixes:
-            by_parent.setdefault(p[:-1], []).append(p)
-        for siblings in by_parent.values():
-            draws = sorted(rng.sample(range(_SAMPLE_SPAN), len(siblings)))
-            for p, v in zip(siblings, draws):
-                values[p] = Fraction(v)
-    coords = tuple(
-        tuple(values[leaf.path[:level]]
-              for level in range(1, ordering.n + 1))
-        for leaf in leaves)
-    return Configuration(ordering.labels, coords, ordering.n)
+    """Random point of the cell: the witness walk with random steps,
+    positive on the axis where a leaf branches off and of either sign
+    on the axes after it.  All defining equalities hold by construction
+    and the inequalities hold strictly.  The first leaf stays at the
+    origin; every cell is invariant under translation."""
+    def step(axis: int, b: int) -> int:
+        return rng.randrange(1 if axis == b else -_SAMPLE_SPAN, _SAMPLE_SPAN)
+
+    return _walk(ordering, step)
 
 
 def midpoint(a: Configuration, b: Configuration) -> Configuration:
@@ -240,20 +240,3 @@ def functoriality_check(lower: NOrdering, upper: NOrdering,
     rng = random.Random(seed)
     return all(in_cell(sample_in_cell(lower, rng), upper)
                for _ in range(samples))
-
-
-def partition_check(labels: Iterable[Hashable], n: int,
-                    samples: int, seed: int) -> bool:
-    """Sampled configurations lie in their classifier's cell, and the
-    classifier is the least ordering whose cell contains them."""
-    labels = tuple(labels)
-    all_orderings = enumerate_nord(labels, n)
-    for k in range(samples):
-        config = sample(labels, n, seed + k)
-        classifier = cell_of(config)
-        if not in_cell(config, classifier):
-            return False
-        for other in all_orderings:
-            if in_cell(config, other) != leq(classifier, other):
-                return False
-    return True

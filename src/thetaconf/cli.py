@@ -136,11 +136,11 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def _verify_kwargs(args: argparse.Namespace) -> dict:
     labels = _parse_labels(args.labels) if args.labels else None
     pool = labels if labels else DEFAULT_LABELS
-    levels = (args.n,) if args.n else (1, 2, 3)
+    levels = (args.n,) if args.n is not None else (1, 2, 3)
     if args.suite == "theorem-a":
-        if args.n and labels:
+        if args.n is not None and labels:
             cases = ((args.n, len(labels)),)
-        elif args.n:
+        elif args.n is not None:
             cases = tuple(c for c in DEFAULT_HOMOLOGY_CASES
                           if c[0] == args.n) or ((args.n, 2), (args.n, 3))
         elif labels:

@@ -35,10 +35,10 @@ are never cleared.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Container, Sequence
 
 from .errors import DEFAULT_MAX_COUNT, CapExceeded
-from .nord import PosetView
+from .nord import PosetView, _bits
 
 Simplex = tuple[int, ...]
 
@@ -61,15 +61,7 @@ def order_complex(view: PosetView,
     """All strict chains of the poset.  Consecutive-successor extension
     is enough because the relation is transitive."""
     count = len(view.elements)
-    succ = []
-    for i in range(count):
-        mask = view.above[i]
-        row = []
-        while mask:
-            low = mask & -mask
-            row.append(low.bit_length() - 1)
-            mask ^= low
-        succ.append(row)
+    succ = [_bits(mask) for mask in view.above]
 
     layers: list[tuple[Simplex, ...]] = []
     current: list[Simplex] = [(i,) for i in range(count)]
@@ -137,20 +129,30 @@ def boundary_matrices(cx: OrderComplex) -> ChainComplex:
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], int]:
     """Invariant factors (nonzero diagonal of the Smith form, ones
     included, divisibility order) and the rank."""
-    entries = [(r, c, v) for r, row in enumerate(matrix)
-               for c, v in enumerate(row) if v]
-    factors, _ = _smith_sparse(entries)
+    columns: list[dict[int, int]] = [{} for _ in range(
+        max(map(len, matrix), default=0))]
+    for r, row in enumerate(matrix):
+        for c, v in enumerate(row):
+            if v:
+                columns[c][r] = v
+    factors, _ = _smith_sparse(columns)
     return factors, len(factors)
 
 
-def _smith_sparse(entries) -> tuple[tuple[int, ...], list[int]]:
-    """Invariant factors of the matrix given by its (row, column,
-    value) entries, and the original row of each unit pivot."""
+def _smith_sparse(columns: Sequence[dict[int, int]],
+                  skip: Container[int] = ()) -> tuple[tuple[int, ...], list[int]]:
+    """Invariant factors of the matrix given by its column dicts
+    {row: value}, without the columns in `skip`, and the original row
+    of each unit pivot.  The column dicts are read, never changed."""
     rows: dict[int, dict[int, int]] = {}
     col_rows: dict[int, set[int]] = {}
-    for r, c, v in entries:
-        rows.setdefault(r, {})[c] = v
-        col_rows.setdefault(c, set()).add(r)
+    for c, col in enumerate(columns):
+        if c in skip:
+            continue
+        for r, v in col.items():
+            if v:
+                rows.setdefault(r, {})[c] = v
+                col_rows.setdefault(c, set()).add(r)
 
     pivot_rows = []
     # Rounds of unit-pivot elimination, shortest rows first; within a
@@ -326,9 +328,8 @@ def homology(cc: ChainComplex) -> HomologyResult:
     factor_lists: list[tuple[int, ...]] = [()] * (dim + 1)
     cleared: set[int] = set()
     for k in range(dim - 1, 0, -1):
-        entries = [(r, c, v) for c, col in enumerate(cc.boundaries[k - 1])
-                   if c not in cleared for r, v in col.items() if v]
-        factor_lists[k], pivot_rows = _smith_sparse(entries)
+        factor_lists[k], pivot_rows = _smith_sparse(cc.boundaries[k - 1],
+                                                    cleared)
         cleared = set(pivot_rows)
     ranks = [len(factors) for factors in factor_lists]
     betti = tuple(cc.dims[k] - ranks[k] - ranks[k + 1] for k in range(dim))

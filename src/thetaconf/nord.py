@@ -179,6 +179,8 @@ def enumerate_nord(labels: Iterable[Hashable], n: int,
                    max_count: int = DEFAULT_MAX_COUNT) -> tuple[NOrdering, ...]:
     """All n-orderings of the label set: label permutations in
     lexicographic order, then words in lexicographic order."""
+    if n < 1:
+        raise ValueError(f"height parameter must be >= 1, got {n}")
     try:
         base = tuple(sorted(set(labels)))
     except TypeError:       # mixed label types: any fixed order will do
@@ -283,27 +285,29 @@ def _bits(mask: int) -> list[int]:
 
 
 class PosetView:
-    """Finite poset with a fixed element order.  The relation is stored
-    as per-element bitmasks, which keeps transitivity checks cheap, and
-    `ups[i]` lists the covers of element i, ascending.  The constructor
-    decides the relation by calling `leq_fn` on every ordered pair and
-    derives the covers from the masks; `of_orderings` builds the same
-    view from cover moves instead."""
+    """Finite poset with a fixed element order, held as one relation:
+    `above[i]` is the bitmask of the elements strictly above element i,
+    and `ups[i]` lists its covers, ascending.  The constructor decides
+    the relation by calling `leq_fn` on every ordered pair and derives
+    the covers from the masks; `of_orderings` builds the same view from
+    cover moves instead."""
 
     def __init__(self, elements: Sequence, leq_fn: Callable):
         self.elements = tuple(elements)
         self.leq = leq_fn
-        n = len(self.elements)
-        self.above = [0] * n     # strictly-above bitmask per element
-        self.below = [0] * n
+        self.above = [0] * len(self.elements)
         for i, x in enumerate(self.elements):
             for j, y in enumerate(self.elements):
                 if i != j and leq_fn(x, y):
                     self.above[i] |= 1 << j
-                    self.below[j] |= 1 << i
-        # j covers i when nothing lies strictly between them
-        self.ups = [[j for j in _bits(mask) if not mask & self.below[j]]
-                    for mask in self.above]
+        # j covers i when it lies above i but above nothing above i
+        self.ups = []
+        for mask in self.above:
+            bits = _bits(mask)
+            beyond = 0
+            for m in bits:
+                beyond |= self.above[m]
+            self.ups.append([j for j in bits if not beyond >> j & 1])
 
     @classmethod
     def of_orderings(cls, labels: Iterable[Hashable], n: int,
@@ -313,11 +317,10 @@ class PosetView:
         elements = enumerate_nord(labels, n, max_count)
         index = {(e.labels, e.word): k for k, e in enumerate(elements)}
         count = len(elements)
-        # descending degree: each element's covers come before it
-        order = sorted(range(count), key=lambda k: sum(elements[k].word))
         ups: list[list[int]] = [[] for _ in range(count)]
         above = [0] * count
-        for k in order:
+        # descending degree: each element's covers come before it
+        for k in sorted(range(count), key=lambda k: sum(elements[k].word)):
             e = elements[k]
             mask = 0
             for key in _cover_moves(e.labels, e.word, n):
@@ -326,16 +329,9 @@ class PosetView:
                 mask |= above[j] | 1 << j
             above[k] = mask
             ups[k].sort()
-        below = [0] * count
-        # ascending degree: each element's mask is complete before it
-        # is pushed to its covers
-        for k in reversed(order):
-            mask = below[k] | 1 << k
-            for j in ups[k]:
-                below[j] |= mask
         view = cls.__new__(cls)
         view.elements, view.leq = elements, leq
-        view.above, view.below, view.ups = above, below, ups
+        view.above, view.ups = above, ups
         return view
 
     def relation(self) -> list[tuple[int, int]]:
@@ -348,14 +344,25 @@ class PosetView:
         return [(i, j) for i, row in enumerate(self.ups) for j in row]
 
     def is_partial_order(self) -> bool:
+        """`leq` is reflexive, no element lies above itself, and the
+        elements above i are exactly its covers and what lies above
+        them.  These suffice.  A cover j of i then has j in above[i]
+        and above[j] inside above[i], so along a cycle of covers through
+        i the masks would put i in above[i]: the cover graph is acyclic.
+        On a finite acyclic graph the third condition, read from the
+        sinks up, makes above[i] the set reached from i by one or more
+        covers.  So the strict relation is the transitive closure of an
+        acyclic graph, which is irreflexive and transitive.  Conversely
+        a finite partial order passes when `ups` lists its covers, as
+        both constructors make it.  The check costs one OR per cover."""
         for i, x in enumerate(self.elements):
-            if not self.leq(x, x):
+            if not self.leq(x, x) or self.above[i] >> i & 1:
                 return False
-            if self.above[i] & self.below[i]:       # antisymmetry
+            closure = 0
+            for j in self.ups[i]:
+                closure |= self.above[j] | 1 << j
+            if closure != self.above[i]:
                 return False
-            for j in _bits(self.above[i]):          # transitivity
-                if self.above[j] & ~self.above[i]:
-                    return False
         return True
 
 

@@ -18,9 +18,7 @@ def reference_homology(cc):
     dim = len(cc.dims)
     factors = [()] * (dim + 1)
     for k in range(1, dim):
-        entries = [(r, c, v) for c, col in enumerate(cc.boundaries[k - 1])
-                   for r, v in col.items()]
-        factors[k], _ = _smith_sparse(entries)
+        factors[k], _ = _smith_sparse(cc.boundaries[k - 1])
     ranks = [len(f) for f in factors]
     betti = tuple(cc.dims[k] - ranks[k] - ranks[k + 1] for k in range(dim))
     torsion = tuple(tuple(f for f in factors[k + 1] if f > 1)

@@ -5,7 +5,7 @@ import pytest
 
 from thetaconf import (Configuration, LabelMismatch, cell_of, convexity_probe,
                        functoriality_check, in_cell, leq, midpoint,
-                       parse_point_file, partition_check, sample,
+                       parse_point_file, sample,
                        sample_in_cell, enumerate_nord, parse_text, witness)
 
 
@@ -144,19 +144,18 @@ def test_functoriality_on_related_pair():
         functoriality_check(upper, lower, samples=5, seed=3)
 
 
-def test_partition_small():
-    assert partition_check(("a", "b"), 2, samples=50, seed=1)
-    assert partition_check(("a", "b", "c"), 1, samples=50, seed=1)
-
-
 def test_classifier_is_minimal():
-    # every cell containing the point sits above the classifier
-    rng_orderings = enumerate_nord("abc", 2)
-    for k in range(30):
-        config = sample(("a", "b", "c"), 2, seed=100 + k)
-        classifier = cell_of(config)
-        for other in rng_orderings:
-            assert in_cell(config, other) == leq(classifier, other)
+    # the point lies in its classifier's cell, and every cell containing
+    # it sits above the classifier
+    for labels, n, samples, seed in (("abc", 2, 30, 100), ("ab", 2, 50, 1),
+                                     ("abc", 1, 50, 1)):
+        orderings = enumerate_nord(labels, n)
+        for k in range(samples):
+            config = sample(labels, n, seed=seed + k)
+            classifier = cell_of(config)
+            assert in_cell(config, classifier)
+            for other in orderings:
+                assert in_cell(config, other) == leq(classifier, other)
 
 
 def test_relabel():

@@ -210,6 +210,40 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--labels", "a,b"),
+    ("hasse", "--labels", "a,b"),
+    ("homology", "--labels", "a,b"),
+    ("verify", "theorem-a"),
+    ("verify", "theorem-b"),
+    ("verify", "morphisms"),
+    ("verify", "poset"),
+    ("verify", "cells"),
+    ("verify", "cells", "--labels", "a,b"),
+])
+def test_height_zero_is_an_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "--n", "0")
+    assert code == 2
+    assert out == ""
+    assert "height parameter must be >= 1, got 0" in err
+
+
+def test_negative_height_is_an_error(capsys):
+    code, out, err = run(capsys, "enumerate", "--n", "-2", "--labels", "a,b")
+    assert code == 2
+    assert out == ""
+    assert "height parameter must be >= 1, got -2" in err
+
+
+def test_classify_height_zero_is_an_error(tmp_path, capsys):
+    points = tmp_path / "points.txt"
+    points.write_text("a 0 0\nb 0 1\n")
+    code, _, err = run(capsys, "classify", "--n", "0",
+                       "--points", str(points))
+    assert code == 2
+    assert "--n is 0" in err
+
+
 def test_verify_unknown_suite():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nonsense"])

