@@ -21,8 +21,7 @@ from .nord import (NOrdering, PosetView, degree, enumerate_nord, from_tree,
                    upper_covers)
 from .theta import (ThetaMorphism, assemble_morphism,
                     branching_condition_holds, enumerate_hom_bruteforce,
-                    identity_morphism, lift_active, theta_compose,
-                    theta_is_active)
+                    identity_morphism, lift_active, theta_compose)
 from .trees import (LeafId, PlanarLevelTree, ROOT_ONLY, branching_level,
                     enumerate_trees, healthify, is_healthy, level_n_leaves,
                     parse_symbol, render_symbol, tree, tree_from_json,

@@ -204,7 +204,7 @@ def _smith_sparse(columns: Sequence[dict[int, int]],
         for k, r in enumerate(row_ids):
             for c, v in rows[r].items():
                 dense[k][col_pos[c]] = v
-        core = _normalize_chain(_smith_dense(dense))
+        core = tuple(_smith_dense(dense))
     else:
         core = ()
 
@@ -214,7 +214,9 @@ def _smith_sparse(columns: Sequence[dict[int, int]],
 
 def _smith_dense(m: list[list[int]]) -> list[int]:
     """Textbook Smith reduction with smallest-nonzero-magnitude pivoting.
-    Returns the nonzero diagonal."""
+    Returns the nonzero diagonal in divisibility order: before a pivot
+    is retired, the offender step makes it divide the rest of the live
+    block, so every later pivot is a multiple of it."""
     factors = []
     top = 0
     nrows, ncols = len(m), len(m[0]) if m else 0
@@ -280,25 +282,6 @@ def _smith_dense(m: list[list[int]]) -> list[int]:
         if ncols == 0:
             break
     return factors
-
-
-def _normalize_chain(factors: list[int]) -> tuple[int, ...]:
-    """Enforce d1 | d2 | ... by pairwise gcd/lcm exchange."""
-    from math import gcd
-
-    fs = sorted(factors)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(fs)):
-            for j in range(i + 1, len(fs)):
-                if fs[j] % fs[i]:
-                    g = gcd(fs[i], fs[j])
-                    fs[i], fs[j] = g, fs[i] * fs[j] // g
-                    changed = True
-        if changed:
-            fs.sort()
-    return tuple(fs)
 
 
 # -- homology ----------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Morphisms of iterated wreath-product tree categories.
 
 A level-n morphism between trees S and T (read at height n) is a
-monotone map between the child counts together with one level-(n-1)
-morphism S_i -> T_j for exactly the pairs with f(i-1) < j <= f(i).
-Level 1 is the simplex category.
+monotone map f between the child counts together with one level-(n-1)
+morphism S_i -> T_j for each pair with f(i-1) < j <= f(i).  Those pairs
+are in bijection with the target children f(0) < j <= f(s), so the
+parts are stored by target child, in ascending j, and f alone fixes
+the source child i of each.  Level 1 is the simplex category.
 
 Assembly sends a morphism to its set-level shadow on level-n leaves.
 For a healthy target this shadow is a bijection onto the active
@@ -24,43 +26,36 @@ from .gamma import (DeltaMorphism, GammaMorphism, delta_compose,
 from .trees import LeafId, PlanarLevelTree, is_healthy, level_n_leaves
 
 
+def _part_keys(values: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The 1-based (i, j) of each part of a morphism with monotone map
+    `values`: f(i-1) < j <= f(i), in ascending j."""
+    return [(i, j) for i in range(1, len(values))
+            for j in range(values[i - 1] + 1, values[i] + 1)]
+
+
 @dataclass(frozen=True)
 class ThetaMorphism:
-    """Level-n morphism.  `parts` is a tuple of ((i, j), sub-morphism)
-    pairs sorted by key; i and j are 1-based child indices.  At level 1
-    the morphism is just its monotone map and `parts` is empty."""
+    """Level-n morphism.  `parts` holds one level-(n-1) morphism per
+    target child j with f(0) < j <= f(s), in ascending j; its source
+    child is the i with f(i-1) < j <= f(i).  At level 1 the morphism is
+    just its monotone map and `parts` is empty."""
 
     n: int
     delta: DeltaMorphism
-    parts: tuple[tuple[tuple[int, int], "ThetaMorphism"], ...] = ()
+    parts: tuple["ThetaMorphism", ...] = ()
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"level must be >= 1, got {self.n}")
-        keys = [key for key, _ in self.parts]
-        if self.n == 1:
-            if keys:
-                raise ValueError("level-1 morphisms carry no parts")
-            return
-        expected = [(i, j)
-                    for i in range(1, self.delta.source_rank + 1)
-                    for j in range(self.delta(i - 1) + 1, self.delta(i) + 1)]
-        if keys != expected:
-            raise ValueError(f"parts keyed {keys}, expected {expected}")
-        for _, sub in self.parts:
-            if sub.n != self.n - 1:
-                raise ValueError("part level must be one below the morphism")
-
-    @classmethod
-    def make(cls, n: int, delta: DeltaMorphism,
-             parts: Mapping[tuple[int, int], "ThetaMorphism"] | None = None
-             ) -> "ThetaMorphism":
-        items = tuple(sorted((parts or {}).items()))
-        return cls(n, delta, items)
-
-    @property
-    def parts_map(self) -> dict[tuple[int, int], "ThetaMorphism"]:
-        return dict(self.parts)
+        values = self.delta.values
+        expected = values[-1] - values[0] if self.n > 1 else 0
+        if not isinstance(self.parts, tuple) or len(self.parts) != expected:
+            raise ValueError(f"a level-{self.n} morphism with map {values} "
+                             f"needs a tuple of {expected} parts")
+        for sub in self.parts:
+            if not isinstance(sub, ThetaMorphism) or sub.n != self.n - 1:
+                raise ValueError(
+                    f"each part must be a level-{self.n - 1} ThetaMorphism")
 
     def to_json(self) -> dict:
         # "t" is carried alongside the value list because a monotone map
@@ -68,8 +63,8 @@ class ThetaMorphism:
         out = {"n": self.n, "delta": list(self.delta.values),
                "t": self.delta.target_rank}
         if self.n > 1:
-            out["parts"] = {f"{i},{j}": sub.to_json()
-                            for (i, j), sub in self.parts}
+            out["parts"] = {f"{i},{j}": sub.to_json() for (i, j), sub
+                            in zip(_part_keys(self.delta.values), self.parts)}
         return out
 
     @classmethod
@@ -77,21 +72,19 @@ class ThetaMorphism:
         n = data["n"]
         values = tuple(data["delta"])
         delta = DeltaMorphism(len(values) - 1, data["t"], values)
-        parts = {}
-        for key, sub in data.get("parts", {}).items():
-            i, j = key.split(",")
-            parts[(int(i), int(j))] = cls.from_json(sub)
-        return cls.make(n, delta, parts)
+        keys = [f"{i},{j}" for i, j in _part_keys(values)] if n > 1 else []
+        given = data.get("parts", {})
+        if set(given) != set(keys):
+            raise ValueError(f"parts keyed {sorted(given)}, expected {keys}")
+        return cls(n, delta, tuple(cls.from_json(given[k]) for k in keys))
 
 
 def identity_morphism(tree: PlanarLevelTree, n: int) -> ThetaMorphism:
-    s = len(tree.children)
-    delta = DeltaMorphism.identity(s)
+    delta = DeltaMorphism.identity(len(tree.children))
     if n == 1:
         return ThetaMorphism(1, delta)
-    parts = {(i, i): identity_morphism(tree.children[i - 1], n - 1)
-             for i in range(1, s + 1)}
-    return ThetaMorphism.make(n, delta, parts)
+    return ThetaMorphism(n, delta, tuple(identity_morphism(c, n - 1)
+                                         for c in tree.children))
 
 
 def theta_compose(g: ThetaMorphism, f: ThetaMorphism) -> ThetaMorphism:
@@ -104,21 +97,13 @@ def theta_compose(g: ThetaMorphism, f: ThetaMorphism) -> ThetaMorphism:
     delta = delta_compose(g.delta, f.delta)
     if f.n == 1:
         return ThetaMorphism(1, delta)
-    f_parts, g_parts = f.parts_map, g.parts_map
-    parts = {}
-    for i in range(1, delta.source_rank + 1):
-        for k in range(delta(i - 1) + 1, delta(i) + 1):
-            # k lies in exactly one interval (g(j-1), g(j)] with j in
-            # the interval (f(i-1), f(i)]; images of distinct j's are
-            # disjoint, so the scan finds a unique j.
-            for j in range(f.delta(i - 1) + 1, f.delta(i) + 1):
-                if g.delta(j - 1) < k <= g.delta(j):
-                    parts[(i, k)] = theta_compose(g_parts[(j, k)],
-                                                  f_parts[(i, j)])
-                    break
-            else:
-                raise AssertionError("interval decomposition failed")
-    return ThetaMorphism.make(f.n, delta, parts)
+    # Part k of g.f is g's part k after f's part at k's g-owner j; the
+    # parts of g.f are exactly the k whose owner has f(0) < j <= f(s).
+    first, last = f.delta.values[0], f.delta.values[-1]
+    return ThetaMorphism(f.n, delta, tuple(
+        theta_compose(g_part, f.parts[j - first - 1])
+        for (j, _), g_part in zip(_part_keys(g.delta.values), g.parts)
+        if first < j <= last))
 
 
 def _check_ranks(f: ThetaMorphism, source: PlanarLevelTree,
@@ -143,28 +128,20 @@ def assemble_morphism(f: ThetaMorphism, source: PlanarLevelTree,
 
 def _assemble(f, source, target, n) -> dict[LeafId, frozenset]:
     _check_ranks(f, source, target)
-    values = f.delta.values
-    if n == 1:
-        # leaf i goes to the interval f(i-1) < j <= f(i)
-        return {LeafId((i - 1,)): frozenset(LeafId((j,)) for j in
-                                            range(values[i - 1], values[i]))
-                for i in range(1, len(source.children) + 1)}
-    parts = f.parts_map
     mapping: dict[LeafId, set] = {
         leaf: set() for leaf in level_n_leaves(source, n)}
-    for i in range(1, len(source.children) + 1):
-        for j in range(values[i - 1] + 1, values[i] + 1):
-            sub = _assemble(parts[(i, j)], source.children[i - 1],
-                            target.children[j - 1], n - 1)
-            for a_local, image in sub.items():
-                a = LeafId((i - 1,) + a_local.path)
-                mapping[a] |= {LeafId((j - 1,) + d.path) for d in image}
+    keys = _part_keys(f.delta.values)
+    if n == 1:
+        # leaf i goes to the leaves j with f(i-1) < j <= f(i)
+        for i, j in keys:
+            mapping[LeafId((i - 1,))].add(LeafId((j - 1,)))
+    for (i, j), part in zip(keys, f.parts):
+        sub = _assemble(part, source.children[i - 1],
+                        target.children[j - 1], n - 1)
+        for a_local, image in sub.items():
+            a = LeafId((i - 1,) + a_local.path)
+            mapping[a] |= {LeafId((j - 1,) + d.path) for d in image}
     return {a: frozenset(img) for a, img in mapping.items()}
-
-
-def theta_is_active(f: ThetaMorphism, source: PlanarLevelTree,
-                    target: PlanarLevelTree, n: int) -> bool:
-    return gamma_is_active(assemble_morphism(f, source, target, n))
 
 
 # -- branching condition and the constructive lift --------------------------
@@ -241,9 +218,7 @@ def _lift(source, target, n, mapping) -> ThetaMorphism:
 
     if t == 0:
         assert all(not img for img in mapping.values())
-        return ThetaMorphism.make(
-            n, DeltaMorphism(s, 0, (0,) * (s + 1)),
-            {})
+        return ThetaMorphism(n, DeltaMorphism(s, 0, (0,) * (s + 1)))
 
     # Leaves grouped by the child they live under, on both sides.
     source_groups = [[a for a in source_leaves if a.path[0] == i]
@@ -268,26 +243,23 @@ def _lift(source, target, n, mapping) -> ThetaMorphism:
         cuts.append(sum(1 for o in owner if o <= i))
     delta = DeltaMorphism(s, t, tuple(cuts))
 
-    parts = {}
-    for i in range(1, s + 1):
-        for j in range(cuts[i - 1] + 1, cuts[i] + 1):
-            sub = {}
-            for a in source_groups[i - 1]:
-                a_local = LeafId(a.path[1:])
-                sub[a_local] = frozenset(LeafId(d.path[1:])
-                                         for d in mapping[a]
-                                         if d.path[0] == j - 1)
-            parts[(i, j)] = _lift(source.children[i - 1],
-                                  target.children[j - 1], n - 1, sub)
-    return ThetaMorphism.make(n, delta, parts)
+    # every target child has an owner, so part j lies under child j
+    parts = []
+    for j, i in enumerate(owner):
+        sub = {LeafId(a.path[1:]): frozenset(LeafId(d.path[1:])
+                                             for d in mapping[a]
+                                             if d.path[0] == j)
+               for a in source_groups[i]}
+        parts.append(_lift(source.children[i], target.children[j],
+                           n - 1, sub))
+    return ThetaMorphism(n, delta, tuple(parts))
 
 
 # -- brute-force hom sets ----------------------------------------------------
 
 
 def enumerate_hom_bruteforce(source: PlanarLevelTree, target: PlanarLevelTree,
-                             n: int, active_only: bool = False,
-                             max_count: int = DEFAULT_MAX_COUNT
+                             n: int, max_count: int = DEFAULT_MAX_COUNT
                              ) -> tuple[ThetaMorphism, ...]:
     """Every morphism source -> target at level n, by exhausting monotone
     maps and part combinations.  Deterministic order.  The cap counts
@@ -313,24 +285,17 @@ def enumerate_hom_bruteforce(source: PlanarLevelTree, target: PlanarLevelTree,
         else:
             for values in _monotone_tuples(s, t):
                 delta = DeltaMorphism(s, t, values)
-                keys = [(i, j) for i in range(1, s + 1)
-                        for j in range(values[i - 1] + 1, values[i] + 1)]
                 pools = [homs(src.children[i - 1], tgt.children[j - 1],
-                              level - 1) for i, j in keys]
+                              level - 1) for i, j in _part_keys(values)]
                 if any(not pool for pool in pools):
                     continue
                 for combo in product(*pools):
                     charge()
-                    out.append(ThetaMorphism.make(
-                        level, delta, dict(zip(keys, combo))))
+                    out.append(ThetaMorphism(level, delta, combo))
         memo[key] = out
         return out
 
-    result = homs(source, target, n)
-    if active_only:
-        result = [f for f in result
-                  if gamma_is_active(assemble_morphism(f, source, target, n))]
-    return tuple(result)
+    return tuple(homs(source, target, n))
 
 
 def _monotone_tuples(s, t):

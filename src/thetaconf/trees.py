@@ -280,6 +280,8 @@ def enumerate_trees(max_edges: int, height: int) -> tuple[PlanarLevelTree, ...]:
     """All planar level trees with at most max_edges edges and height
     at most `height`, in a fixed deterministic order (by edge count,
     then recursively by first subtree)."""
+    if height < 0:
+        raise ValueError(f"tree height must be >= 0, got {height}")
 
     # Both memos live for one call, so subtrees are shared within the
     # result and nothing outlives it.

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 from .cells import (cell_of, convexity_probe, functoriality_check, in_cell,
                     sample, witness)
 from .errors import DEFAULT_MAX_COUNT
-from .gamma import enumerate_gamma
+from .gamma import enumerate_gamma, gamma_is_active
 from .homology import (ChainComplex, boundary_matrices, euler_characteristic,
                        homology, order_complex)
 from .labelled import (LabelledTree, embed, hom_exists, initiality_check,
@@ -140,11 +140,13 @@ def check_morphism_pair(job: tuple) -> tuple[bool, int, str]:
     n, source_symbol, target_symbol, max_morphisms = job
     source = parse_symbol(source_symbol, n)
     target = parse_symbol(target_symbol, n)
-    active = enumerate_hom_bruteforce(source, target, n, active_only=True,
-                                      max_count=max_morphisms)
-    by_shadow = {}
-    for f in active:
-        by_shadow[assemble_morphism(f, source, target, n)] = f
+    active = []
+    for f in enumerate_hom_bruteforce(source, target, n,
+                                      max_count=max_morphisms):
+        shadow = assemble_morphism(f, source, target, n)
+        if gamma_is_active(shadow):
+            active.append((shadow, f))
+    by_shadow = dict(active)
     if len(by_shadow) != len(active):
         return False, len(active), "assembly not injective on active morphisms"
     source_leaves = level_n_leaves(source, n)
@@ -166,6 +168,10 @@ def check_morphism_pair(job: tuple) -> tuple[bool, int, str]:
 
 def suite_morphisms(levels: Iterable[int] = (1, 2, 3), max_edges: int = 6,
                     max_morphisms: int = DEFAULT_MAX_COUNT) -> dict:
+    levels = tuple(levels)
+    for n in levels:
+        if n < 1:
+            raise ValueError(f"height parameter must be >= 1, got {n}")
     per_level = [(n, [job + (max_morphisms,)
                       for job in _pair_jobs(n, max_edges)]) for n in levels]
     jobs = [job for _, level_jobs in per_level for job in level_jobs]

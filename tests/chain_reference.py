@@ -4,10 +4,12 @@
 matrix, degree by degree, with no clearing: the route `homology` took
 before it reduced from the top degree down.  `simplicial_chain_complex`
 builds the simplicial chain complex of the faces of given facets, with
-no order complex in between.
+no order complex in between.  `minor_gcd` gives the determinantal
+divisors of a matrix, the classical oracle of its invariant factors.
 """
 
 from itertools import combinations
+from math import gcd
 
 from thetaconf import ChainComplex
 from thetaconf.homology import _smith_sparse
@@ -47,3 +49,25 @@ def simplicial_chain_complex(facets):
                          for i in range(len(face))})
         boundaries.append(tuple(cols))
     return ChainComplex(tuple(map(len, layers)), tuple(boundaries))
+
+
+def minor_gcd(matrix, k):
+    """gcd of all k x k minors; the k-th invariant factor is
+    minor_gcd(matrix, k) // minor_gcd(matrix, k - 1)."""
+    rows = len(matrix)
+    cols = len(matrix[0]) if rows else 0
+
+    def det(sub):
+        if len(sub) == 1:
+            return sub[0][0]
+        total = 0
+        for j in range(len(sub)):
+            minor = [row[:j] + row[j + 1:] for row in sub[1:]]
+            total += (-1) ** j * sub[0][j] * det(minor)
+        return total
+
+    g = 0
+    for rs in combinations(range(rows), k):
+        for cs in combinations(range(cols), k):
+            g = gcd(g, det([[matrix[i][j] for j in cs] for i in rs]))
+    return g

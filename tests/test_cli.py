@@ -210,7 +210,7 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     assert "FAIL" in out
 
 
-@pytest.mark.parametrize("argv", [
+HEIGHT_ARGV = [
     ("enumerate", "--labels", "a,b"),
     ("hasse", "--labels", "a,b"),
     ("homology", "--labels", "a,b"),
@@ -220,7 +220,10 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     ("verify", "poset"),
     ("verify", "cells"),
     ("verify", "cells", "--labels", "a,b"),
-])
+]
+
+
+@pytest.mark.parametrize("argv", HEIGHT_ARGV)
 def test_height_zero_is_an_error(capsys, argv):
     code, out, err = run(capsys, *argv, "--n", "0")
     assert code == 2
@@ -228,8 +231,9 @@ def test_height_zero_is_an_error(capsys, argv):
     assert "height parameter must be >= 1, got 0" in err
 
 
-def test_negative_height_is_an_error(capsys):
-    code, out, err = run(capsys, "enumerate", "--n", "-2", "--labels", "a,b")
+@pytest.mark.parametrize("argv", HEIGHT_ARGV)
+def test_negative_height_is_an_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "--n", "-2")
     assert code == 2
     assert out == ""
     assert "height parameter must be >= 1, got -2" in err

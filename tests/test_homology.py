@@ -1,10 +1,10 @@
 import random
 from itertools import combinations
-from math import gcd
 
 import pytest
 
-from chain_reference import reference_homology, simplicial_chain_complex
+from chain_reference import (minor_gcd, reference_homology,
+                             simplicial_chain_complex)
 from thetaconf import (CapExceeded, ChainComplex, PosetView,
                        boundary_matrices, euler_characteristic, homology,
                        order_complex, poset_homology, smith_normal_form)
@@ -17,27 +17,6 @@ def test_smith_basics():
     assert smith_normal_form([[1, 0], [0, 1]]) == ((1, 1), 2)
     assert smith_normal_form([[2, 4], [4, 2]]) == ((2, 6), 2)
     assert smith_normal_form([[0, 1], [1, 0]]) == ((1, 1), 2)
-
-
-def _determinant_divisors(matrix, k):
-    """gcd of all k x k minors, the classical invariant-factor oracle."""
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-
-    def det(sub):
-        if len(sub) == 1:
-            return sub[0][0]
-        total = 0
-        for j in range(len(sub)):
-            minor = [row[:j] + row[j + 1:] for row in sub[1:]]
-            total += (-1) ** j * sub[0][j] * det(minor)
-        return total
-
-    g = 0
-    for rs in combinations(range(rows), k):
-        for cs in combinations(range(cols), k):
-            g = gcd(g, det([[matrix[i][j] for j in cs] for i in rs]))
-    return g
 
 
 def test_smith_against_minor_gcds():
@@ -53,7 +32,7 @@ def test_smith_against_minor_gcds():
             assert factors[i + 1] % factors[i] == 0
         previous = 1
         for k in range(1, min(rows, cols) + 1):
-            d = _determinant_divisors(matrix, k)
+            d = minor_gcd(matrix, k)
             if k <= rank:
                 assert d == previous * factors[k - 1]
                 previous = d

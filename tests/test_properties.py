@@ -16,24 +16,34 @@ small tree, against plain recursive walkers kept here as references;
 `witness`, which walks the word, is checked against the tree walk it
 replaced.  Random points of a cell classify to it and their midpoints
 stay in it.  The text, JSON and tree-symbol forms round-trip.
+
+`smith_normal_form` is checked against the determinantal divisors on
+small matrices whose entries share factors, so most pivots are not
+units.  Malformed command-line input ends in an exit code and an
+`error:` line, never in a traceback.
 """
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chain_reference import reference_homology, simplicial_chain_complex
+from chain_reference import (minor_gcd, reference_homology,
+                             simplicial_chain_complex)
 from thetaconf import (Configuration, LeafId, NOrdering, PlanarLevelTree,
                        cell_of, degree, embed, enumerate_nord,
                        enumerate_trees, healthify, hom_exists, homology,
                        in_cell, is_healthy, leq, level_n_leaves, midpoint,
                        parse_symbol, parse_text, render_symbol,
-                       sample_in_cell, sigma_act, to_tree, tree_from_json,
-                       tree_to_json, upper_covers, witness)
+                       sample_in_cell, sigma_act, smith_normal_form, to_tree,
+                       tree_from_json, tree_to_json, upper_covers, witness)
+from thetaconf.cli import main
 
 # Deterministic draws and no deadline keep the suite steady on a busy host.
 STEADY = settings(deadline=None, derandomize=True)
@@ -147,6 +157,31 @@ def test_homology_matches_the_per_degree_reference(facets):
     cc = simplicial_chain_complex(facets)
     result = homology(cc)
     assert (result.betti, result.torsion) == reference_homology(cc)
+
+
+@st.composite
+def factor_sharing_matrices(draw):
+    """Up to 4 x 4, each entry a small integer times a row factor and a
+    column factor, so the entries share factors."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    factor = st.sampled_from((1, 2, 3, 4, 6, 9))
+    row_factors = [draw(factor) for _ in range(rows)]
+    col_factors = [draw(factor) for _ in range(cols)]
+    return [[draw(st.integers(-4, 4)) * row_factors[i] * col_factors[j]
+             for j in range(cols)] for i in range(rows)]
+
+
+@settings(STEADY, max_examples=300)
+@given(factor_sharing_matrices())
+def test_smith_normal_form_matches_determinantal_divisors(matrix):
+    divisors = [1]
+    for k in range(1, min(len(matrix), len(matrix[0])) + 1):
+        d = minor_gcd(matrix, k)
+        if d == 0:
+            break
+        divisors.append(d)
+    factors = tuple(b // a for a, b in zip(divisors, divisors[1:]))
+    assert smith_normal_form(matrix) == (factors, len(factors))
 
 
 @STEADY
@@ -316,3 +351,59 @@ def test_cached_tree_equals_and_hashes_like_a_fresh_copy():
         assert t == fresh and hash(t) == hash(fresh)
         assert repr(t) == repr(fresh)
         assert level_n_leaves(fresh, n) == level_n_leaves(t, n)
+
+
+def run_cli(argv, stdin=""):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(stdin)), \
+            redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def assert_clean_exit(code, err):
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert any(line.startswith("error: ") for line in err.splitlines())
+
+
+# At most six characters make at most three labels, which keeps every
+# subcommand fast; the alphabet has separators, blanks and a dash.
+LABEL_TEXT = st.text(st.sampled_from("ab,é -\t\x00"), max_size=6)
+LABEL_COMMANDS = (("enumerate",), ("hasse",), ("homology",),
+                  ("verify", "theorem-a"), ("verify", "theorem-b"),
+                  ("verify", "poset"), ("verify", "cells", "--samples", "3"),
+                  ("verify", "morphisms", "--max-edges", "2"))
+
+
+@settings(STEADY, max_examples=150)
+@given(st.sampled_from(LABEL_COMMANDS), st.integers(-1, 2), LABEL_TEXT)
+def test_cli_labels_end_in_an_exit_code(command, n, text):
+    assert_clean_exit(*run_cli([*command, "--n", str(n), f"--labels={text}"]))
+
+
+# A label and a coordinate count per line that usually agree with the
+# other lines, and tokens that are numbers or free text, so that
+# accepted and rejected files are both drawn.
+TOKEN = st.one_of(
+    st.sampled_from(("0", "1", "-2", "1/2", "0.5", "3e-1", "7", "-1/3")),
+    st.text(st.sampled_from("ab01-/.e#"), max_size=4))
+
+
+@st.composite
+def point_files(draw):
+    n = draw(st.integers(1, 3))
+    lines = []
+    for label in draw(st.lists(st.sampled_from(("a", "b", "c", "d", "#")),
+                               max_size=4)):
+        count = draw(st.sampled_from((n, n, n, n - 1, n + 1)))
+        lines.append(" ".join([label] + [draw(TOKEN) for _ in range(count)]))
+    return "\n".join(lines)
+
+
+@settings(STEADY, max_examples=200)
+@given(point_files(), st.sampled_from(((), ("--format", "json"),
+                                    ("--n", "2"))))
+def test_cli_point_files_end_in_an_exit_code(text, options):
+    assert_clean_exit(*run_cli(["classify", "--points", "-", *options],
+                               stdin=text))

@@ -10,7 +10,7 @@ from thetaconf import (BranchingConditionViolation, CapExceeded,
                        enumerate_hom_bruteforce, enumerate_trees,
                        gamma_compose, gamma_is_active, identity_morphism,
                        is_healthy, level_n_leaves, lift_active, parse_symbol,
-                       theta_compose, theta_is_active)
+                       theta_compose)
 
 
 def _delta(s, t, *values):
@@ -25,19 +25,26 @@ def test_level_one_morphisms_are_monotone_maps():
                       (((1, 1), ThetaMorphism(1, _delta(0, 0, 0))),))
 
 
-def test_make_validates_part_keys():
-    u = parse_symbol("[1]([2])", 2)
-    t = parse_symbol("[2]([1],[1])", 2)
+def test_constructor_validates_parts():
+    # [1]([2]) -> [2]([1],[1]): f = (0, 2), one part per target child
     delta = _delta(1, 2, 0, 2)
-    good = {(1, 1): ThetaMorphism(1, _delta(2, 1, 0, 1, 1)),
-            (1, 2): ThetaMorphism(1, _delta(2, 1, 0, 0, 1))}
-    ThetaMorphism.make(2, delta, good)
+    first = ThetaMorphism(1, _delta(2, 1, 0, 1, 1))
+    second = ThetaMorphism(1, _delta(2, 1, 0, 0, 1))
+    assert ThetaMorphism(2, delta, (first, second)).parts == (first, second)
+    # parts count target children f(0) < j <= f(s), not source children
+    assert ThetaMorphism(2, _delta(1, 3, 1, 2), (first,)).parts == (first,)
+    bad_parts = [
+        (first,),                                   # too few
+        (first, second, first),                     # too many
+        (first, ThetaMorphism(2, _delta(0, 0, 0))),  # wrong level
+        (((1, 1), first), ((1, 2), second)),        # old (i, j)-keyed pairs
+        [first, second],                            # not a tuple
+    ]
+    for parts in bad_parts:
+        with pytest.raises(ValueError):
+            ThetaMorphism(2, delta, parts)
     with pytest.raises(ValueError):
-        ThetaMorphism.make(2, delta, {(1, 1): good[(1, 1)]})
-    with pytest.raises(ValueError):
-        bad = dict(good)
-        bad[(2, 2)] = bad.pop((1, 2))
-        ThetaMorphism.make(2, delta, bad)
+        ThetaMorphism(2, _delta(0, 2, 1), (first,))
 
 
 def test_identity_morphism():
@@ -116,13 +123,28 @@ def test_assemble_at_level_one_is_the_interval_map():
 
 
 def test_json_roundtrip_keeps_codomain():
-    u = parse_symbol("[1]([2])", 2)
-    t = parse_symbol("[2]([1],[1])", 2)
-    for f in enumerate_hom_bruteforce(u, t, 2):
-        assert ThetaMorphism.from_json(f.to_json()) == f
+    for n in (1, 2, 3):
+        trees = enumerate_trees(3, n)
+        for u in trees:
+            for t in trees:
+                for f in enumerate_hom_bruteforce(u, t, n):
+                    assert ThetaMorphism.from_json(f.to_json()) == f
     # codomain rank is not recoverable from a monotone map alone
     f = ThetaMorphism(1, _delta(1, 3, 0, 1))
     assert ThetaMorphism.from_json(f.to_json()).delta.target_rank == 3
+
+
+def test_json_keys_are_the_pairs_the_map_fixes():
+    part = ThetaMorphism(1, _delta(2, 1, 0, 1, 1))
+    data = ThetaMorphism(2, _delta(1, 2, 0, 2), (part, part)).to_json()
+    assert list(data["parts"]) == ["1,1", "1,2"]
+    for keys in (["1,1"], ["1,1", "1,2", "2,2"], ["1,1", "2,2"]):
+        wrong = dict(data, parts={k: part.to_json() for k in keys})
+        with pytest.raises(ValueError):
+            ThetaMorphism.from_json(wrong)
+    with pytest.raises(ValueError):
+        ThetaMorphism.from_json(dict(part.to_json(),
+                                     parts={"1,1": part.to_json()}))
 
 
 def test_lift_worked_example():
@@ -133,11 +155,8 @@ def test_lift_worked_example():
         {LeafId((0, 0)): {LeafId((0, 0))}, LeafId((0, 1)): {LeafId((1, 0))}})
     f = lift_active(u, t, 2, gbar)
     assert f.delta.values == (0, 2)
-    parts = f.parts_map
-    assert parts[(1, 1)].delta.values == (0, 1, 1)
-    assert parts[(1, 2)].delta.values == (0, 0, 1)
+    assert [part.delta.values for part in f.parts] == [(0, 1, 1), (0, 0, 1)]
     assert assemble_morphism(f, u, t, 2) == gbar
-    assert theta_is_active(f, u, t, 2)
 
 
 def test_lift_rejects_unhealthy_target():
@@ -227,10 +246,12 @@ def test_bijection_small_sweep():
             for target in trees:
                 if not is_healthy(target, n):
                     continue
-                active = enumerate_hom_bruteforce(source, target, n,
-                                                  active_only=True)
-                shadows = {assemble_morphism(f, source, target, n): f
-                           for f in active}
+                active = []
+                for f in enumerate_hom_bruteforce(source, target, n):
+                    shadow = assemble_morphism(f, source, target, n)
+                    if gamma_is_active(shadow):
+                        active.append((shadow, f))
+                shadows = dict(active)
                 assert len(shadows) == len(active)
                 good = [g for g in enumerate_gamma(
                             level_n_leaves(source, n),

@@ -209,6 +209,12 @@ def test_enumerate_trees_deterministic():
     assert enumerate_trees(4, 2) == enumerate_trees(4, 2)
 
 
+def test_enumerate_trees_height_bounds():
+    assert enumerate_trees(3, 0) == (ROOT_ONLY,)
+    with pytest.raises(ValueError, match="height must be >= 0, got -1"):
+        enumerate_trees(3, -1)
+
+
 def test_frozen_and_hashable():
     t = parse_symbol("[1]([1])", 2)
     assert t in {t}
