@@ -1,4 +1,7 @@
-"""Shared exception types and resource-cap default."""
+"""Shared exception types, resource-cap default and the field checks of
+the JSON readers."""
+
+from typing import Hashable, Mapping
 
 DEFAULT_MAX_COUNT = 10**6
 
@@ -29,3 +32,46 @@ class NotActive(ValueError):
 
 class BranchingConditionViolation(ValueError):
     """Set-level map admits no lift because the branching condition fails."""
+
+
+# -- JSON fields -------------------------------------------------------------
+
+_KINDS = {int: "an integer", str: "a string", Mapping: "an object",
+          (list, tuple): "a list", Hashable: "hashable"}
+
+
+def _is_a(value, kind) -> bool:
+    if kind is Hashable:
+        try:
+            hash(value)
+        except TypeError:
+            return False
+        return True
+    return isinstance(value, kind) and not (kind is int
+                                            and isinstance(value, bool))
+
+
+def json_field(data, key: str, kind):
+    """`data[key]`, checked to be of `kind`, a key of `_KINDS` (a bool is
+    not an int).  Raises ValueError naming the field when `data` is not
+    an object or the field is missing or of another kind."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"expected a JSON object, got {type(data).__name__}")
+    if key not in data:
+        raise ValueError(f"missing field {key!r}")
+    value = data[key]
+    if not _is_a(value, kind):
+        raise ValueError(f"field {key!r} must be {_KINDS[kind]}, "
+                         f"got {type(value).__name__}")
+    return value
+
+
+def json_items(data, key: str, kind) -> tuple:
+    """The array `data[key]` as a tuple whose items are each of `kind`,
+    with the errors of `json_field`."""
+    items = json_field(data, key, (list, tuple))
+    for item in items:
+        if not _is_a(item, kind):
+            raise ValueError(f"items of field {key!r} must be {_KINDS[kind]}, "
+                             f"got {type(item).__name__}")
+    return tuple(items)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from typing import Hashable, Mapping, Sequence
 
-from .errors import DEFAULT_MAX_COUNT, CapExceeded
+from .errors import DEFAULT_MAX_COUNT, CapExceeded, json_field, json_items
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,8 @@ class DeltaMorphism:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "DeltaMorphism":
-        return cls(data["s"], data["t"], tuple(data["values"]))
+        return cls(json_field(data, "s", int), json_field(data, "t", int),
+                   json_items(data, "values", int))
 
 
 def delta_compose(g: DeltaMorphism, f: DeltaMorphism) -> DeltaMorphism:
@@ -127,8 +128,12 @@ class GammaMorphism:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "GammaMorphism":
-        return cls.from_map(tuple(data["source"]), tuple(data["target"]),
-                            {x: frozenset(ys) for x, ys in data["map"].items()})
+        source = json_items(data, "source", Hashable)
+        target = json_items(data, "target", Hashable)
+        given = json_field(data, "map", Mapping)
+        return cls.from_map(source, target,
+                            {x: frozenset(json_items(given, x, Hashable))
+                             for x in given})
 
 
 def gamma_compose(phi: GammaMorphism, theta: GammaMorphism) -> GammaMorphism:

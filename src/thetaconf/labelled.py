@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Mapping
 
-from .errors import LabelMismatch
+from .errors import LabelMismatch, json_field, json_items
 from .gamma import GammaMorphism
 from .nord import NOrdering, enumerate_nord, from_tree, leq, to_tree
 from .theta import ThetaMorphism, branching_condition_holds, lift_active
@@ -55,8 +55,9 @@ class LabelledTree:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "LabelledTree":
-        return cls(parse_symbol(data["tree"], data["n"]), data["n"],
-                   tuple(data["labels"]))
+        n = json_field(data, "n", int)
+        return cls(parse_symbol(json_field(data, "tree", str), n), n,
+                   json_items(data, "labels", Hashable))
 
 
 def label_bijection(source: LabelledTree, target: LabelledTree) -> GammaMorphism:

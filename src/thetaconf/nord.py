@@ -39,7 +39,8 @@ from itertools import permutations, product
 from math import factorial
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
-from .errors import DEFAULT_MAX_COUNT, CapExceeded, LabelMismatch
+from .errors import (DEFAULT_MAX_COUNT, CapExceeded, LabelMismatch,
+                     json_field, json_items)
 from .trees import PlanarLevelTree, is_healthy, level_n_leaves
 
 
@@ -99,7 +100,8 @@ class NOrdering:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "NOrdering":
-        return cls(tuple(data["labels"]), tuple(data["word"]), data["n"])
+        return cls(json_items(data, "labels", Hashable),
+                   json_items(data, "word", int), json_field(data, "n", int))
 
 
 def parse_text(text: str, n: int) -> NOrdering:

@@ -20,7 +20,8 @@ from itertools import combinations_with_replacement, product
 from typing import Mapping
 
 from .errors import (DEFAULT_MAX_COUNT, BranchingConditionViolation,
-                     CapExceeded, LabelMismatch, NotActive, UnhealthyTarget)
+                     CapExceeded, LabelMismatch, NotActive, UnhealthyTarget,
+                     json_field, json_items)
 from .gamma import (DeltaMorphism, GammaMorphism, delta_compose,
                     gamma_is_active)
 from .trees import LeafId, PlanarLevelTree, is_healthy, level_n_leaves
@@ -69,13 +70,18 @@ class ThetaMorphism:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "ThetaMorphism":
-        n = data["n"]
-        values = tuple(data["delta"])
-        delta = DeltaMorphism(len(values) - 1, data["t"], values)
+        n = json_field(data, "n", int)
+        values = json_items(data, "delta", int)
+        delta = DeltaMorphism(len(values) - 1, json_field(data, "t", int),
+                              values)
+        given = json_field(data, "parts", Mapping) if "parts" in data else {}
+        # the count is checked first: a huge f(s) - f(0) lists no keys
+        expected = values[-1] - values[0] if n > 1 else 0
+        if len(given) != expected:
+            raise ValueError(f"{len(given)} parts given, expected {expected}")
         keys = [f"{i},{j}" for i, j in _part_keys(values)] if n > 1 else []
-        given = data.get("parts", {})
         if set(given) != set(keys):
-            raise ValueError(f"parts keyed {sorted(given)}, expected {keys}")
+            raise ValueError(f"parts keyed {list(given)}, expected {keys}")
         return cls(n, delta, tuple(cls.from_json(given[k]) for k in keys))
 
 
@@ -259,11 +265,21 @@ def _lift(source, target, n, mapping) -> ThetaMorphism:
 
 
 def enumerate_hom_bruteforce(source: PlanarLevelTree, target: PlanarLevelTree,
-                             n: int, max_count: int = DEFAULT_MAX_COUNT
+                             n: int, max_count: int = DEFAULT_MAX_COUNT,
+                             active_only: bool = False
                              ) -> tuple[ThetaMorphism, ...]:
     """Every morphism source -> target at level n, by exhausting monotone
     maps and part combinations.  Deterministic order.  The cap counts
-    all morphisms built, including sub-level ones."""
+    every morphism built, sub-level ones included.
+
+    With `active_only`, only the morphisms whose shadow is active are
+    built, in the same order.  At each level a monotone map f into a
+    tree T is kept only when f(0) < j <= f(s) for every child j of T
+    of height level - 1 (the children that own leaves at this level;
+    the first and last such j decide it), and each part comes from the
+    pool pruned by the same rule.  Children without leaves constrain
+    nothing, so the rule holds for unhealthy targets too.
+    """
     budget = [max_count]
     memo: dict = {}
 
@@ -277,13 +293,20 @@ def enumerate_hom_bruteforce(source: PlanarLevelTree, target: PlanarLevelTree,
         if key in memo:
             return memo[key]
         s, t = len(src.children), len(tgt.children)
+        maps = _monotone_tuples(s, t)
+        if active_only:
+            owners = [j for j, child in enumerate(tgt.children, 1)
+                      if child.height() == level - 1]
+            if owners:
+                first, last = owners[0], owners[-1]
+                maps = [v for v in maps if v[0] < first and v[-1] >= last]
         out = []
         if level == 1:
-            for values in _monotone_tuples(s, t):
+            for values in maps:
                 charge()
                 out.append(ThetaMorphism(1, DeltaMorphism(s, t, values)))
         else:
-            for values in _monotone_tuples(s, t):
+            for values in maps:
                 delta = DeltaMorphism(s, t, values)
                 pools = [homs(src.children[i - 1], tgt.children[j - 1],
                               level - 1) for i, j in _part_keys(values)]

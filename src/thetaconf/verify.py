@@ -134,18 +134,22 @@ def _pair_jobs(n: int, max_edges: int) -> list[tuple]:
 
 
 def check_morphism_pair(job: tuple) -> tuple[bool, int, str]:
-    """One (source, target) cell of the sweep: brute-force active
-    morphisms must biject with branching-condition set maps, with
-    assembly and lift mutually inverse and assembly injective."""
+    """One (source, target) cell of the sweep: the generated active
+    morphisms must have active shadows and biject with branching-condition
+    set maps, with assembly and lift mutually inverse and assembly
+    injective.  The set maps are enumerated without pruning, as the
+    independent route."""
     n, source_symbol, target_symbol, max_morphisms = job
     source = parse_symbol(source_symbol, n)
     target = parse_symbol(target_symbol, n)
     active = []
     for f in enumerate_hom_bruteforce(source, target, n,
-                                      max_count=max_morphisms):
+                                      max_count=max_morphisms,
+                                      active_only=True):
         shadow = assemble_morphism(f, source, target, n)
-        if gamma_is_active(shadow):
-            active.append((shadow, f))
+        if not gamma_is_active(shadow):
+            return False, len(active), "generated morphism is not active"
+        active.append((shadow, f))
     by_shadow = dict(active)
     if len(by_shadow) != len(active):
         return False, len(active), "assembly not injective on active morphisms"

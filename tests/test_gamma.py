@@ -40,6 +40,16 @@ def test_delta_json_roundtrip():
     assert DeltaMorphism.from_json(f.to_json()) == f
 
 
+@pytest.mark.parametrize("data, field", [
+    ({"s": 1, "values": [0, 1]}, "'t'"),
+    ({"s": 1, "t": "2", "values": [0, 1]}, "'t'"),
+    ({"s": 1, "t": 2, "values": [0, None]}, "'values'"),
+])
+def test_delta_from_json_names_the_bad_field(data, field):
+    with pytest.raises(ValueError, match=field):
+        DeltaMorphism.from_json(data)
+
+
 def test_enumerate_delta_counts():
     # hom sets in the simplex category have size C(s+t+1, s+1)
     for s in range(5):
@@ -108,6 +118,17 @@ def test_gamma_json_roundtrip():
     g = GammaMorphism.from_map(("x", "y"), ("u", "v"),
                                {"x": {"u", "v"}, "y": set()})
     assert GammaMorphism.from_json(g.to_json()) == g
+
+
+@pytest.mark.parametrize("data, field", [
+    ({"source": ["x"], "map": {"x": []}}, "'target'"),
+    ({"source": [["x"]], "target": [], "map": {}}, "'source'"),
+    ({"source": ["x"], "target": ["u"], "map": ["x"]}, "'map'"),
+    ({"source": ["x"], "target": ["u"], "map": {"x": "u"}}, "'x'"),
+])
+def test_gamma_from_json_names_the_bad_field(data, field):
+    with pytest.raises(ValueError, match=field):
+        GammaMorphism.from_json(data)
 
 
 def test_enumerate_gamma_counts():

@@ -32,6 +32,17 @@ def test_json_roundtrip():
     assert LabelledTree.from_json(obj.to_json()) == obj
 
 
+@pytest.mark.parametrize("data, field", [
+    ({"n": 2, "labels": ["a"]}, "'tree'"),
+    ({"tree": ["[1]"], "n": 1, "labels": ["a"]}, "'tree'"),
+    ({"tree": "[1]", "n": "1", "labels": ["a"]}, "'n'"),
+    ({"tree": "[1]", "n": 1, "labels": "a"}, "'labels'"),
+])
+def test_from_json_names_the_bad_field(data, field):
+    with pytest.raises(ValueError, match=field):
+        LabelledTree.from_json(data)
+
+
 def test_label_bijection():
     a = _obj("[1]([2])", 2, "ab")
     b = _obj("[2]([1],[1])", 2, "ba")

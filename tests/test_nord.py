@@ -45,6 +45,16 @@ def test_json_roundtrip():
     assert NOrdering.from_json(s.to_json()) == s
 
 
+@pytest.mark.parametrize("data, field", [
+    ({"labels": ["a"], "n": 2}, "'word'"),
+    ({"labels": [["a"], "b"], "word": [1], "n": 2}, "'labels'"),
+    ({"labels": ["a", "b"], "word": [1], "n": True}, "'n'"),
+])
+def test_ordering_from_json_names_the_bad_field(data, field):
+    with pytest.raises(ValueError, match=field):
+        NOrdering.from_json(data)
+
+
 def test_exactly_four_two_orderings_of_a_pair():
     got = [o.text() for o in enumerate_nord(("a", "b"), 2)]
     assert got == ["a 0 b", "a 1 b", "b 0 a", "b 1 a"]

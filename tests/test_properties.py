@@ -36,7 +36,9 @@ from hypothesis import strategies as st
 
 from chain_reference import (minor_gcd, reference_homology,
                              simplicial_chain_complex)
-from thetaconf import (Configuration, LeafId, NOrdering, PlanarLevelTree,
+from thetaconf import (Configuration, DeltaMorphism, GammaMorphism,
+                       LabelledTree, LeafId, NOrdering, PlanarLevelTree,
+                       ThetaMorphism, identity_morphism,
                        cell_of, degree, embed, enumerate_nord,
                        enumerate_trees, healthify, hom_exists, homology,
                        in_cell, is_healthy, leq, level_n_leaves, midpoint,
@@ -265,6 +267,49 @@ def test_ordering_json_round_trips(data):
     ordering = data.draw(orderings(plain, data.draw(st.integers(1, 4))))
     text = json.dumps(ordering.to_json())
     assert NOrdering.from_json(json.loads(text)) == ordering
+
+
+# Documents made of the readers' own keys: free objects and arrays, and
+# valid documents with fields dropped or replaced.
+JSON_KEYS = ("n", "s", "t", "delta", "values", "parts", "labels", "word",
+             "source", "target", "map", "tree", "1,1", "1,2", "2,2")
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-2, 3), st.integers(),
+              st.floats(allow_nan=False),
+              st.sampled_from(JSON_KEYS + ("[1]", "[2]([1],[1])", "a"))),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.sampled_from(JSON_KEYS), inner, max_size=4)),
+    max_leaves=12)
+VALID_DOCUMENTS = (
+    identity_morphism(parse_symbol("[2]([1],[2])", 2), 2).to_json(),
+    NOrdering(("a", "b", "c"), (1, 0), 2).to_json(),
+    DeltaMorphism(2, 3, (0, 1, 3)).to_json(),
+    GammaMorphism.identity(("a", "b")).to_json(),
+    LabelledTree(parse_symbol("[2]([1],[1])", 2), 2, ("a", "b")).to_json(),
+)
+JSON_DOCUMENTS = st.one_of(
+    st.lists(JSON_VALUES, max_size=3),
+    st.dictionaries(st.sampled_from(JSON_KEYS), JSON_VALUES, max_size=5),
+    st.builds(lambda base, drop, extra: {
+        key: value for key, value in {**base, **extra}.items()
+        if key not in drop},
+        st.sampled_from(VALID_DOCUMENTS),
+        st.sets(st.sampled_from(JSON_KEYS), max_size=2),
+        st.dictionaries(st.sampled_from(JSON_KEYS), JSON_VALUES,
+                        max_size=2)))
+
+
+@settings(STEADY, max_examples=300)
+@given(JSON_DOCUMENTS)
+def test_json_readers_return_a_value_or_raise_value_error(document):
+    for reader in (ThetaMorphism, NOrdering, DeltaMorphism, GammaMorphism,
+                   LabelledTree):
+        try:
+            value = reader.from_json(document)
+        except ValueError:
+            continue
+        assert isinstance(value, reader)
 
 
 # Labels without whitespace, numeric-looking ones included.

@@ -147,6 +147,23 @@ def test_json_keys_are_the_pairs_the_map_fixes():
                                      parts={"1,1": part.to_json()}))
 
 
+@pytest.mark.parametrize("data, field", [
+    ({"n": 1, "delta": [0]}, "'t'"),
+    ({"n": 2, "delta": [0, 1], "t": 1, "parts": [{"n": 1}]}, "'parts'"),
+    ({"n": 2.0, "delta": [0], "t": 0}, "'n'"),
+    ({"n": 1, "delta": "01", "t": 1}, "'delta'"),
+])
+def test_from_json_names_the_bad_field(data, field):
+    with pytest.raises(ValueError, match=field):
+        ThetaMorphism.from_json(data)
+
+
+def test_from_json_checks_the_part_count_before_listing_keys():
+    with pytest.raises(ValueError, match="expected 1000000000000"):
+        ThetaMorphism.from_json({"n": 2, "delta": [0, 10 ** 12],
+                                 "t": 10 ** 12, "parts": {}})
+
+
 def test_lift_worked_example():
     u = parse_symbol("[1]([2])", 2)
     t = parse_symbol("[2]([1],[1])", 2)
@@ -235,6 +252,37 @@ def test_branching_condition_requires_healthy_target():
         {LeafId((0, 0)): {LeafId((1, 0))}})
     with pytest.raises(UnhealthyTarget):
         branching_condition_holds(u, t, 2, gbar)
+
+
+def test_active_generation_matches_the_assembly_filter():
+    """Pruning while generating keeps exactly the morphisms with an active
+    shadow, in the order of the full enumeration, unhealthy targets
+    included."""
+    pairs = 0
+    for n in (1, 2, 3):
+        trees = enumerate_trees(4, n)
+        for source in trees:
+            for target in trees:
+                generated = enumerate_hom_bruteforce(source, target, n,
+                                                     active_only=True)
+                filtered = tuple(
+                    f for f in enumerate_hom_bruteforce(source, target, n)
+                    if gamma_is_active(
+                        assemble_morphism(f, source, target, n)))
+                assert generated == filtered, (n, source, target)
+                pairs += 1
+    assert pairs == 765
+
+
+def test_active_generation_caps_only_what_it_builds():
+    # [1]([1]) -> [1]([1]) at level 2: the active route builds one part
+    # and one morphism, the full one three parts and five morphisms
+    u = parse_symbol("[1]([1])", 2)
+    assert len(enumerate_hom_bruteforce(u, u, 2, max_count=2,
+                                        active_only=True)) == 1
+    with pytest.raises(CapExceeded):
+        enumerate_hom_bruteforce(u, u, 2, max_count=7)
+    assert len(enumerate_hom_bruteforce(u, u, 2, max_count=8)) == 5
 
 
 def test_bijection_small_sweep():

@@ -3,7 +3,7 @@ from math import factorial
 
 import pytest
 
-from thetaconf import ChainComplex
+from thetaconf import ChainComplex, DeltaMorphism, ThetaMorphism, verify
 from thetaconf.verify import (DEFAULT_HOMOLOGY_CASES, _dd_zero,
                               check_morphism_pair,
                               expected_configuration_betti,
@@ -129,6 +129,17 @@ def test_check_morphism_pair():
     # two collapses onto a single leaf plus two separations (the level
     # drop is strict, so both leaf orders are allowed)
     assert count == 4
+
+
+def test_check_morphism_pair_rejects_an_inactive_morphism(monkeypatch):
+    # (0, 0) reaches neither target child: its shadow is empty
+    inactive = ThetaMorphism(2, DeltaMorphism(1, 2, (0, 0)))
+    monkeypatch.setattr(verify, "enumerate_hom_bruteforce",
+                        lambda *args, **kwargs: (inactive,))
+    ok, count, message = check_morphism_pair(
+        (2, "[1]([2])", "[2]([1],[1])", 10 ** 6))
+    assert (ok, count, message) == (False, 0,
+                                    "generated morphism is not active")
 
 
 def test_morphism_sweep_respects_thread_env(monkeypatch):
