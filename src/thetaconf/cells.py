@@ -116,22 +116,22 @@ def _parse_entry(token: str, lineno: int) -> Fraction:
             from None
 
 
-def _common_checks(config: Configuration, ordering: NOrdering):
+def in_cell(config: Configuration, ordering: NOrdering) -> bool:
+    """Exact membership test against the ordering's defining equalities
+    and weak inequalities, compared through the coordinate ranks.  Only
+    the ordering's planar neighbours are checked: a pair further apart
+    branches at the least word entry beta between them, so every link
+    of the chain of neighbours joining them agrees on the first beta
+    coordinates and weakly increases the one after, and its conditions
+    follow by transitivity."""
     if config.n != ordering.n:
         raise LabelMismatch(
             f"dimensions differ: {config.n} vs {ordering.n}")
-    if config.ranks.keys() != ordering.positions.keys():
+    ranks = config.ranks
+    if ranks.keys() != ordering.positions.keys():
         raise LabelMismatch("label sets differ")
-
-
-def in_cell(config: Configuration, ordering: NOrdering) -> bool:
-    """Exact membership test against the ordering's defining equalities
-    and weak inequalities.  Only neighbours in planar order are checked:
-    a pair further apart branches at the least word entry between them,
-    so its conditions follow from its neighbours' by transitivity."""
-    _common_checks(config, ordering)
-    points = list(map(config.ranks.__getitem__, ordering.labels))
-    for pa, pb, beta in zip(points, points[1:], ordering.word):
+    for x, y, beta in ordering.neighbours:
+        pa, pb = ranks[x], ranks[y]
         if pa[:beta] != pb[:beta] or pa[beta] > pb[beta]:
             return False
     return True

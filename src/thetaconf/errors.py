@@ -15,7 +15,19 @@ class SymbolParseError(ValueError):
 
 
 class CapExceeded(RuntimeError):
-    """An enumeration or chain build went past its configured resource cap."""
+    """An enumeration or chain build went past its configured resource cap.
+
+    `stage` names what was being counted, `count` is the count reached
+    (the exact total when it is known before building) and `cap` is the
+    cap it went past."""
+
+    def __init__(self, stage: str, count: int, cap: int):
+        super().__init__(f"{stage}: {count} exceed the cap {cap}")
+        self.stage, self.count, self.cap = stage, count, cap
+
+    def __reduce__(self):
+        # rebuilt from the attributes, so it crosses process boundaries
+        return type(self), (self.stage, self.count, self.cap)
 
 
 class LabelMismatch(ValueError):

@@ -16,6 +16,7 @@ from itertools import combinations_with_replacement, product
 from typing import Hashable, Mapping, Sequence
 
 from .errors import DEFAULT_MAX_COUNT, CapExceeded, json_field, json_items
+from .trees import LeafId
 
 
 @dataclass(frozen=True)
@@ -119,21 +120,62 @@ class GammaMorphism:
         return dict(zip(self.source, self.images))
 
     def to_json(self) -> dict:
+        """{"source": [...], "target": [...], "map": {"k": [...]}}: both
+        label lists in order, and under the key "k" (k in decimal) the
+        image of source[k], listed in target order.  A label is written
+        as itself when it is a string or an integer, and as
+        {"leaf": [path]} when it is a `LeafId`, so the shadows of
+        Theta_n morphisms round-trip.  Any other label raises
+        ValueError."""
         return {
-            "source": [str(x) for x in self.source],
-            "target": [str(y) for y in self.target],
-            "map": {str(x): sorted(str(y) for y in img)
-                    for x, img in zip(self.source, self.images)},
+            "source": [_label_json(x) for x in self.source],
+            "target": [_label_json(y) for y in self.target],
+            "map": {str(k): [_label_json(y) for y in self.target if y in img]
+                    for k, img in enumerate(self.images)},
         }
 
     @classmethod
     def from_json(cls, data: Mapping) -> "GammaMorphism":
-        source = json_items(data, "source", Hashable)
-        target = json_items(data, "target", Hashable)
+        source = _labels_from_json(data, "source")
+        target = _labels_from_json(data, "target")
         given = json_field(data, "map", Mapping)
-        return cls.from_map(source, target,
-                            {x: frozenset(json_items(given, x, Hashable))
-                             for x in given})
+        keys = {str(k): x for k, x in enumerate(source)}
+        mapping = {}
+        for key in given:
+            if key not in keys:
+                raise ValueError(f"field 'map' has key {key!r}, which is "
+                                 f"not the index of a source label")
+            mapping[keys[key]] = frozenset(_labels_from_json(given, key))
+        return cls.from_map(source, target, mapping)
+
+
+def _is_plain(label) -> bool:
+    """A string or an integer (not a bool): JSON carries it as itself."""
+    return isinstance(label, (str, int)) and not isinstance(label, bool)
+
+
+def _label_json(label):
+    if isinstance(label, LeafId):
+        return {"leaf": list(label.path)}
+    if _is_plain(label):
+        return label
+    raise ValueError(f"label {label!r} of type {type(label).__name__} has "
+                     f"no JSON form")
+
+
+def _labels_from_json(data, key: str) -> tuple:
+    """The labels of the list field `key`, as `_label_json` wrote them."""
+    labels = []
+    for item in json_field(data, key, (list, tuple)):
+        if _is_plain(item):
+            labels.append(item)
+        elif isinstance(item, Mapping) and item.keys() == {"leaf"}:
+            labels.append(LeafId(json_items(item, "leaf", int)))
+        else:
+            raise ValueError(f"items of field {key!r} must be labels: a "
+                             f"string, an integer or {{\"leaf\": [...]}}, "
+                             f"got {type(item).__name__}")
+    return tuple(labels)
 
 
 def gamma_compose(phi: GammaMorphism, theta: GammaMorphism) -> GammaMorphism:
@@ -172,8 +214,7 @@ def enumerate_delta(s: int, t: int,
     """All weakly monotone [s] -> [t], lexicographic by value tuple."""
     total = math.comb(s + t + 1, s + 1)
     if total > max_count:
-        raise CapExceeded(f"{total} monotone maps [s={s}]->[t={t}] "
-                          f"exceed the cap {max_count}")
+        raise CapExceeded(f"monotone maps [{s}]->[{t}]", total, max_count)
     return tuple(DeltaMorphism(s, t, values)
                  for values in combinations_with_replacement(range(t + 1),
                                                              s + 1))
@@ -194,7 +235,7 @@ def enumerate_gamma(source: Sequence, target: Sequence,
     owners: tuple = source if active_only else (None,) + source
     total = len(owners) ** len(target)
     if total > max_count:
-        raise CapExceeded(f"{total} set-level morphisms exceed the cap {max_count}")
+        raise CapExceeded("set-level morphisms", total, max_count)
     out = []
     for choice in product(owners, repeat=len(target)):
         images = {x: set() for x in source}

@@ -66,6 +66,8 @@ def order_complex(view: PosetView,
     layers: list[tuple[Simplex, ...]] = []
     current: list[Simplex] = [(i,) for i in range(count)]
     total = count
+    if total > max_chains:
+        raise CapExceeded("chains through degree 0", total, max_chains)
     while current:
         layers.append(tuple(current))
         nxt = []
@@ -75,7 +77,8 @@ def order_complex(view: PosetView,
                 total += 1
                 if total > max_chains:
                     raise CapExceeded(
-                        f"chain count exceeded the cap {max_chains}")
+                        f"chains through degree {len(layers)}", total,
+                        max_chains)
         current = nxt
     if not layers:
         layers = [()]

@@ -7,11 +7,14 @@ branching levels of consecutive leaves.  Branching levels of
 non-adjacent pairs are the minimum of the word entries in between,
 which is why the encoding is faithful.
 
-Every reader of pair levels goes through one table per ordering,
-computed on first use and kept with the instance: `positions` sends
-each label to its planar index, and `levels[i][j]` is the branching
-level of the leaves at positions i and j.  Comparisons therefore work
-over positions and need only hashable labels, never an order on them.
+Each ordering keeps three invariants, computed on first use:
+`positions` sends each label to its planar index, `levels[i][j]` is
+the branching level of the leaves at positions i and j, and
+`neighbours` lists each label with the next one in planar order and
+the word entry between them.  `pair_level` reads the `levels` table.
+`leq(a, b)` reads a's table only along b's neighbours, and
+`cells.in_cell` walks the ordering's neighbours.  Comparisons work over
+positions and need only hashable labels, never an order on them.
 
 There are r! * n^(r-1) such orderings for |A| = r >= 1 and exactly one
 for r = 0.  The order relation: S <= T when every pairwise branching
@@ -84,6 +87,12 @@ class NOrdering:
                 level = min(level, word[j - 1])
                 rows[i][j] = rows[j][i] = level
         return tuple(map(tuple, rows))
+
+    @cached_property
+    def neighbours(self) -> tuple[tuple[Hashable, Hashable, int], ...]:
+        """(label, next label, word entry between them) along the planar
+        order."""
+        return tuple(zip(self.labels, self.labels[1:], self.word))
 
     def text(self) -> str:
         """Alternating form "a 0 b 1 c"."""
@@ -190,7 +199,7 @@ def enumerate_nord(labels: Iterable[Hashable], n: int,
     r = len(base)
     total = factorial(r) * n ** max(r - 1, 0)
     if total > max_count:
-        raise CapExceeded(f"{total} orderings exceed the cap {max_count}")
+        raise CapExceeded("orderings", total, max_count)
     if r == 0:
         return (NOrdering((), (), n),)
     out = []
@@ -241,25 +250,34 @@ def upper_covers(ordering: NOrdering) -> tuple[NOrdering, ...]:
 def leq(a: NOrdering, b: NOrdering) -> bool:
     """Pairwise branching levels weakly drop and ties keep the pair's
     relative order.  Reflexive; the induced strict relation is a partial
-    order."""
+    order.
+
+    Only b's planar neighbours are checked: for each x then y in b with
+    the word entry beta between them, at positions i and j of a, it
+    fails when a's level of the pair is below beta, or equal to it with
+    i > j.  That suffices.  Take any x before y in b, with the chain of
+    b's neighbours between them; their level in b is the least word
+    entry m along it.  Levels in a are ultrametric: the level of two
+    leaves is at least the least level along any chain joining them.
+    Every link of the chain has a-level at least its beta >= m, so x
+    and y have a-level >= m.  When that level is exactly m, all leaves
+    of the chain lie below one depth-m vertex v of a, with x and y under
+    different children of v.  A link with a-level above m stays inside
+    one child; a link with a-level m has beta = m, so the tie rule makes
+    it move to a child further right.  So the child of v walks
+    rightward from x's to y's, and x comes before y in a.  The checks
+    are necessary, since neighbour pairs are pairs."""
     if a.n != b.n:
         raise LabelMismatch(f"height parameters differ: {a.n} vs {b.n}")
-    if a.size != b.size:
+    positions = a.positions
+    if positions.keys() != b.positions.keys():
         raise LabelMismatch("label sets differ")
-    # a's positions carried over to b: pair (i, j) of a is (p[i], p[j]) in b
-    try:
-        p = list(map(b.positions.__getitem__, a.labels))
-    except KeyError:
-        raise LabelMismatch("label sets differ") from None
-    levels_a, levels_b = a.levels, b.levels
-    r = len(p)
-    for i in range(r):
-        pi, row_a, row_b = p[i], levels_a[i], levels_b[p[i]]
-        for j in range(i + 1, r):
-            pj = p[j]
-            level_a, level_b = row_a[j], row_b[pj]
-            if level_b > level_a or (level_b == level_a and pj < pi):
-                return False
+    levels = a.levels
+    for x, y, beta in b.neighbours:
+        i, j = positions[x], positions[y]
+        level = levels[i][j]
+        if level < beta or (level == beta and i > j):
+            return False
     return True
 
 

@@ -286,7 +286,8 @@ def enumerate_hom_bruteforce(source: PlanarLevelTree, target: PlanarLevelTree,
     def charge(k=1):
         budget[0] -= k
         if budget[0] < 0:
-            raise CapExceeded(f"morphism enumeration exceeded cap {max_count}")
+            raise CapExceeded("theta morphisms", max_count - budget[0],
+                              max_count)
 
     def homs(src, tgt, level):
         key = (src, tgt, level)

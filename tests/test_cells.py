@@ -86,6 +86,15 @@ def test_in_cell_checks_labels():
         in_cell(config, parse_text("a 1 c", 2))
     with pytest.raises(ValueError):
         in_cell(config, parse_text("a 1 b", 3))
+    # the first neighbour pair (b, a, 1) of these orderings already fails
+    # for this configuration, so no early return may hide the mismatch:
+    # a foreign label, fewer labels, more labels, another dimension
+    config = _config(2, a=(0, 0), b=(0, 1), c=(1, 0))
+    assert not in_cell(config, parse_text("b 1 a 0 c", 2))
+    for text, n in (("b 1 a 0 z", 2), ("b 1 a", 2), ("b 1 a 0 c 0 d", 2),
+                    ("b 1 a 0 c", 3)):
+        with pytest.raises(LabelMismatch):
+            in_cell(config, parse_text(text, n))
 
 
 def test_witness_roundtrip():

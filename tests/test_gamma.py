@@ -1,3 +1,4 @@
+import json
 from math import comb
 
 import pytest
@@ -62,8 +63,12 @@ def test_enumerate_delta_counts():
 
 
 def test_enumerate_delta_cap():
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded) as caught:
         enumerate_delta(6, 6, max_count=10)
+    exc = caught.value
+    assert (exc.stage, exc.count, exc.cap) == ("monotone maps [6]->[6]",
+                                               comb(13, 7), 10)
+    assert str(exc) == "monotone maps [6]->[6]: 1716 exceed the cap 10"
 
 
 def test_segal_intervals():
@@ -118,6 +123,21 @@ def test_gamma_json_roundtrip():
     g = GammaMorphism.from_map(("x", "y"), ("u", "v"),
                                {"x": {"u", "v"}, "y": set()})
     assert GammaMorphism.from_json(g.to_json()) == g
+    # integer labels stay integers, apart from equal-looking strings
+    g = GammaMorphism.from_map((1, 2), (3, "3", 4), {1: {4, "3"}, 2: {3}})
+    document = g.to_json()
+    assert document == {"source": [1, 2], "target": [3, "3", 4],
+                        "map": {"0": ["3", 4], "1": [3]}}
+    assert GammaMorphism.from_json(json.loads(json.dumps(document))) == g
+    ident = GammaMorphism.identity((1, 2))
+    assert GammaMorphism.from_json(ident.to_json()) == ident
+
+
+@pytest.mark.parametrize("label", [frozenset({1}), (1, 2), 1.5, True, None])
+def test_gamma_to_json_rejects_labels_json_cannot_carry(label):
+    g = GammaMorphism.identity(("a", label))
+    with pytest.raises(ValueError, match="no JSON form"):
+        g.to_json()
 
 
 @pytest.mark.parametrize("data, field", [
@@ -125,6 +145,10 @@ def test_gamma_json_roundtrip():
     ({"source": [["x"]], "target": [], "map": {}}, "'source'"),
     ({"source": ["x"], "target": ["u"], "map": ["x"]}, "'map'"),
     ({"source": ["x"], "target": ["u"], "map": {"x": "u"}}, "'x'"),
+    ({"source": ["x"], "target": ["u"], "map": {"0": "u"}}, "'0'"),
+    ({"source": [{"leaf": [0, "1"]}], "target": [], "map": {}}, "'leaf'"),
+    ({"source": [{"path": [0]}], "target": [], "map": {}}, "'source'"),
+    ({"source": ["x"], "target": [True], "map": {}}, "'target'"),
 ])
 def test_gamma_from_json_names_the_bad_field(data, field):
     with pytest.raises(ValueError, match=field):
@@ -148,5 +172,9 @@ def test_enumerate_gamma_empty_source():
 
 
 def test_enumerate_gamma_cap():
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded) as caught:
         enumerate_gamma(tuple(range(9)), tuple(range(9)), max_count=100)
+    exc = caught.value
+    assert (exc.stage, exc.count, exc.cap) == ("set-level morphisms",
+                                               10 ** 9, 100)
+    assert str(exc) == "set-level morphisms: 1000000000 exceed the cap 100"

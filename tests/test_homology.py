@@ -52,8 +52,18 @@ def test_order_complex_counts():
 
 
 def test_order_complex_cap():
-    with pytest.raises(CapExceeded):
+    # 6 vertices, then the 15 edges of the chain: the 5th edge is chain 11
+    with pytest.raises(CapExceeded) as caught:
         order_complex(_chain_view(6), 10)
+    exc = caught.value
+    assert (exc.stage, exc.count, exc.cap) == ("chains through degree 1",
+                                               11, 10)
+    assert str(exc) == "chains through degree 1: 11 exceed the cap 10"
+    with pytest.raises(CapExceeded, match="chains through degree 3"):
+        order_complex(_chain_view(6), 6 + 15 + 20)
+    # the vertices alone go past the cap, though no edge is ever built
+    with pytest.raises(CapExceeded, match="degree 0: 3 exceed the cap 2"):
+        order_complex(PosetView((0, 1, 2), lambda a, b: a == b), 2)
 
 
 def test_boundary_of_boundary_vanishes():

@@ -1,3 +1,4 @@
+import pickle
 from math import factorial
 
 import pytest
@@ -69,8 +70,16 @@ def test_enumeration_count_formula():
 
 
 def test_enumeration_cap():
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded) as caught:
         enumerate_nord("abcdefgh", 3, max_count=100)
+    exc = caught.value
+    total = factorial(8) * 3 ** 7
+    assert (exc.stage, exc.count, exc.cap) == ("orderings", total, 100)
+    assert str(exc) == f"orderings: {total} exceed the cap 100"
+    # the attributes survive pickling, as across the sweep's worker pool
+    again = pickle.loads(pickle.dumps(exc))
+    assert (again.stage, again.count, again.cap, str(again)) == \
+        (exc.stage, exc.count, exc.cap, str(exc))
 
 
 @pytest.mark.parametrize("labels", [(), ("a",), ("a", "b"), "abcdefghijkl"])
@@ -152,6 +161,18 @@ def test_leq_requires_same_labels_and_level():
         leq(parse_text("a 0 b", 2), parse_text("a 0 c", 2))
     with pytest.raises(LabelMismatch):
         leq(parse_text("a 0 b", 2), parse_text("a 0 b", 3))
+    # the first neighbour pair (b, a, 1) of each b already fails against
+    # a, so no early return may hide the mismatch: a foreign label, fewer
+    # labels, more labels, another height
+    a = parse_text("a 1 b 1 c", 2)
+    assert not leq(a, parse_text("b 1 a 0 c", 2))
+    for text, n in (("b 1 a 0 z", 2), ("b 1 a", 2), ("b 1 a 0 c 0 d", 2),
+                    ("b 1 a 0 c", 3)):
+        b = parse_text(text, n)
+        with pytest.raises(LabelMismatch):
+            leq(a, b)
+        with pytest.raises(LabelMismatch):
+            leq(b, a)
 
 
 def test_leq_from_first_principles():

@@ -7,15 +7,17 @@ cover moves are checked to raise the order and the degree by one.
 Labels range over ints, frozensets (whose `<` is not total) and mixed
 str/int sets, so nothing may rely on an order of the labels.
 
-`in_cell`, which checks neighbouring leaves only, is checked against
-the cell's conditions on every pair.  `homology` is checked against the
-per-degree Smith normal form on random simplicial complexes.
+`leq` and `in_cell`, which check neighbouring leaves only, are checked
+against their conditions on every pair.  `homology` is checked against
+the per-degree Smith normal form on random simplicial complexes.
 
 The tree invariants a `PlanarLevelTree` caches are checked, over every
 small tree, against plain recursive walkers kept here as references;
 `witness`, which walks the word, is checked against the tree walk it
 replaced.  Random points of a cell classify to it and their midpoints
-stay in it.  The text, JSON and tree-symbol forms round-trip.
+stay in it.  The text, JSON and tree-symbol forms round-trip, and so
+does the JSON form of set-level morphisms whose labels are strings,
+integers or leaf addresses.
 
 `smith_normal_form` is checked against the determinantal divisors on
 small matrices whose entries share factors, so most pivots are not
@@ -133,6 +135,38 @@ def every_pair_in_cell(config, ordering):
                 or points[i][beta] > points[j][beta]:
             return False
     return True
+
+
+def every_pair_leq(a, b):
+    """`leq` on every pair of positions of a: the level of each pair
+    weakly drops from a to b, and a pair whose level stays keeps its
+    order."""
+    p = [b.positions[x] for x in a.labels]
+    for i, j in combinations(range(len(p)), 2):
+        level_a, level_b = a.levels[i][j], b.levels[p[i]][p[j]]
+        if level_b > level_a or (level_b == level_a and p[j] < p[i]):
+            return False
+    return True
+
+
+# Every (n, r) with n, r <= 4 and at most 700 orderings, and (1, 5).
+SMALL_POSETS = [(n, r) for n in range(1, 5) for r in range(5)
+                if factorial(r) * n ** max(r - 1, 0) <= 700] + [(1, 5)]
+
+
+def test_leq_matches_every_pair_on_small_posets():
+    for n, r in SMALL_POSETS:
+        elements = enumerate_nord("abcde"[:r], n)
+        for a in elements:
+            for b in elements:
+                assert leq(a, b) == every_pair_leq(a, b), (a.text(), b.text())
+
+
+@settings(STEADY, max_examples=300)
+@given(ordering_pairs())
+def test_leq_matches_the_conditions_on_every_pair(pair):
+    a, b = pair
+    assert leq(a, b) == every_pair_leq(a, b)
 
 
 # Grid values 0, 1, 2 sent to values whose set order is not their order.
@@ -269,10 +303,31 @@ def test_ordering_json_round_trips(data):
     assert NOrdering.from_json(json.loads(text)) == ordering
 
 
+# Labels JSON carries: strings, integers and leaf addresses.
+JSON_LABELS = st.one_of(
+    st.text(max_size=3), st.integers(),
+    st.lists(st.integers(0, 3), max_size=3).map(lambda p: LeafId(tuple(p))))
+
+
+@STEADY
+@given(st.data())
+def test_gamma_json_round_trips(data):
+    source = data.draw(st.lists(JSON_LABELS, unique=True, max_size=4))
+    target = data.draw(st.lists(JSON_LABELS, unique=True, max_size=5))
+    owners = data.draw(st.lists(st.sampled_from([None, *source]),
+                                min_size=len(target), max_size=len(target)))
+    g = GammaMorphism.from_map(source, target, {
+        x: {y for y, owner in zip(target, owners) if owner == x}
+        for x in source})
+    text = json.dumps(g.to_json())
+    assert GammaMorphism.from_json(json.loads(text)) == g
+
+
 # Documents made of the readers' own keys: free objects and arrays, and
 # valid documents with fields dropped or replaced.
 JSON_KEYS = ("n", "s", "t", "delta", "values", "parts", "labels", "word",
-             "source", "target", "map", "tree", "1,1", "1,2", "2,2")
+             "source", "target", "map", "tree", "1,1", "1,2", "2,2", "0",
+             "leaf")
 JSON_VALUES = st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(-2, 3), st.integers(),
               st.floats(allow_nan=False),

@@ -1,3 +1,4 @@
+import json
 from math import comb
 
 import pytest
@@ -107,8 +108,26 @@ def test_hom_count_level_one_is_delta():
 
 def test_enumerate_hom_cap():
     t = parse_symbol("[3]([3],[3],[3])", 2)
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded) as caught:
         enumerate_hom_bruteforce(t, t, 2, max_count=10)
+    exc = caught.value
+    assert (exc.stage, exc.count, exc.cap) == ("theta morphisms", 11, 10)
+    assert str(exc) == "theta morphisms: 11 exceed the cap 10"
+
+
+def test_shadow_json_round_trips():
+    """Shadows are labelled by leaf addresses, which the JSON form keeps."""
+    shadows = 0
+    for n in (1, 2):
+        trees = enumerate_trees(3, n)
+        for source in trees:
+            for target in trees:
+                for f in enumerate_hom_bruteforce(source, target, n):
+                    shadow = assemble_morphism(f, source, target, n)
+                    text = json.dumps(shadow.to_json())
+                    assert GammaMorphism.from_json(json.loads(text)) == shadow
+                    shadows += 1
+    assert shadows == 679
 
 
 def test_assemble_at_level_one_is_the_interval_map():
