@@ -11,7 +11,10 @@ class SymbolParseError(ValueError):
 
     def __init__(self, message, position):
         super().__init__(f"{message} (at position {position})")
-        self.position = position
+        self._message, self.position = message, position
+
+    def __reduce__(self):
+        return type(self), (self._message, self.position)
 
 
 class CapExceeded(RuntimeError):

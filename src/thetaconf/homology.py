@@ -94,15 +94,6 @@ class ChainComplex:
     dims: tuple[int, ...]
     boundaries: tuple[tuple[dict[int, int], ...], ...]
 
-    def boundary_dense(self, k: int) -> list[list[int]]:
-        """Dense copy of the degree-k boundary, rows x cols."""
-        rows, cols = self.dims[k - 1], self.dims[k]
-        out = [[0] * cols for _ in range(rows)]
-        for c, col in enumerate(self.boundaries[k - 1]):
-            for r, v in col.items():
-                out[r][c] = v
-        return out
-
 
 def boundary_matrices(cx: OrderComplex) -> ChainComplex:
     """Alternating-sign boundary matrices."""

@@ -19,7 +19,7 @@ from typing import Hashable, Mapping
 from .errors import LabelMismatch, json_field, json_items
 from .gamma import GammaMorphism
 from .nord import NOrdering, enumerate_nord, from_tree, leq, to_tree
-from .theta import ThetaMorphism, branching_condition_holds, lift_active
+from .theta import ThetaMorphism, _lift, branching_condition_holds
 from .trees import (LeafId, PlanarLevelTree, healthify, level_n_leaves,
                     parse_symbol, render_symbol)
 
@@ -81,11 +81,13 @@ def hom_exists(source: LabelledTree, target: LabelledTree) -> bool:
 
 
 def hom_morphism(source: LabelledTree, target: LabelledTree) -> ThetaMorphism | None:
-    """The morphism itself, when it exists."""
-    if not hom_exists(source, target):
+    """The morphism itself, when it exists.  The label bijection is
+    active, so once the branching condition holds it lifts unchecked."""
+    gbar = label_bijection(source, target)
+    if not branching_condition_holds(source.tree, target.tree, source.n,
+                                     gbar):
         return None
-    return lift_active(source.tree, target.tree, source.n,
-                       label_bijection(source, target))
+    return _lift(source.tree, target.tree, source.n, gbar.mapping)
 
 
 def embed(ordering: NOrdering) -> LabelledTree:

@@ -173,12 +173,17 @@ def branching_condition_holds(source: PlanarLevelTree, target: PlanarLevelTree,
         raise UnhealthyTarget(
             "branching condition contract applies to healthy targets only")
     _check_endpoints(gbar, source, target, n)
-    leaves = gbar.source
-    for idx, a in enumerate(leaves):
-        for b in leaves[idx + 1:]:          # a precedes b in planar order
+    return _branching_holds(gbar)
+
+
+def _branching_holds(gbar: GammaMorphism) -> bool:
+    """The condition itself, for a map whose contract is checked."""
+    pairs = tuple(zip(gbar.source, gbar.images))
+    for idx, (a, image_a) in enumerate(pairs):
+        for b, image_b in pairs[idx + 1:]:  # a precedes b in planar order
             level_ab = a.meet(b)
-            for c in gbar(a):
-                for d in gbar(b):
+            for c in image_a:
+                for d in image_b:
                     level_cd = c.meet(d)
                     if level_cd > level_ab:
                         return False
@@ -201,13 +206,16 @@ def lift_active(source: PlanarLevelTree, target: PlanarLevelTree, n: int,
     _check_endpoints(gbar, source, target, n)
     if not gamma_is_active(gbar):
         raise NotActive("only active set-level maps lift")
-    if not branching_condition_holds(source, target, n, gbar):
+    if not _branching_holds(gbar):
         raise BranchingConditionViolation(
             "set-level map violates the branching condition")
     return _lift(source, target, n, gbar.mapping)
 
 
 def _lift(source, target, n, mapping) -> ThetaMorphism:
+    """The lift of a map already known to go into a healthy target, be
+    active and satisfy the branching condition; `lift_active` checks
+    these first."""
     s, t = len(source.children), len(target.children)
     source_leaves = level_n_leaves(source, n)
     if n == 1:
@@ -283,8 +291,8 @@ def enumerate_hom_bruteforce(source: PlanarLevelTree, target: PlanarLevelTree,
     budget = [max_count]
     memo: dict = {}
 
-    def charge(k=1):
-        budget[0] -= k
+    def charge():
+        budget[0] -= 1
         if budget[0] < 0:
             raise CapExceeded("theta morphisms", max_count - budget[0],
                               max_count)

@@ -2,9 +2,7 @@
 
 Each suite re-derives a piece of the library's contract from scratch at
 a configurable exhaustive scale and reports one entry per check.  The
-sweeps are deterministic; the morphism sweep optionally fans out over a
-process pool of THETA_CONF_THREADS workers, capped at the CPU count and
-at the number of tree pairs.  `theorem-a` reports dd = 0 of every
+sweeps are deterministic.  `theorem-a` reports dd = 0 of every
 boundary matrix it builds as a check of its own; the library computes
 without asserting it.  `poset` decides the order a second way after its
 other checks: `leq` on every pair against the view built from cover
@@ -13,38 +11,24 @@ moves.
 
 from __future__ import annotations
 
-import os
 from itertools import permutations
-from multiprocessing import get_context
 from typing import Iterable, Sequence
 
 from .cells import (cell_of, convexity_probe, functoriality_check, in_cell,
                     sample, witness)
-from .errors import DEFAULT_MAX_COUNT
+from .errors import DEFAULT_MAX_COUNT, UnhealthyTarget
 from .gamma import enumerate_gamma, gamma_is_active
 from .homology import (ChainComplex, boundary_matrices, euler_characteristic,
                        homology, order_complex)
 from .labelled import (LabelledTree, embed, hom_exists, initiality_check,
                        retract, unit_exists)
 from .nord import PosetView, degree, enumerate_nord, leq, sigma_act
-from .theta import (assemble_morphism, branching_condition_holds,
-                    enumerate_hom_bruteforce, lift_active)
+from .theta import (_lift, assemble_morphism, branching_condition_holds,
+                    enumerate_hom_bruteforce)
 from .trees import (enumerate_trees, is_healthy, level_n_leaves, parse_symbol,
                     render_symbol)
 
 DEFAULT_LABELS = ("a", "b", "c", "d", "e", "f", "g", "h")
-
-
-def worker_count() -> int:
-    """THETA_CONF_THREADS, capped at the CPU count."""
-    raw = os.environ.get("THETA_CONF_THREADS", "1")
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ValueError(f"THETA_CONF_THREADS must be an integer, got {raw!r}")
-    if count < 1:
-        raise ValueError(f"THETA_CONF_THREADS must be >= 1, got {count}")
-    return min(count, os.cpu_count() or 1)
 
 
 def _check(name: str, passed: bool, checked: int, **extra) -> dict:
@@ -136,12 +120,15 @@ def _pair_jobs(n: int, max_edges: int) -> list[tuple]:
 def check_morphism_pair(job: tuple) -> tuple[bool, int, str]:
     """One (source, target) cell of the sweep: the generated active
     morphisms must have active shadows and biject with branching-condition
-    set maps, with assembly and lift mutually inverse and assembly
-    injective.  The set maps are enumerated without pruning, as the
-    independent route."""
+    set maps, with assembly injective and lift inverse to it.  The set
+    maps are enumerated without pruning, as the independent route.  The
+    target must be healthy, so the maps the filter keeps lift unchecked.
+    """
     n, source_symbol, target_symbol, max_morphisms = job
     source = parse_symbol(source_symbol, n)
     target = parse_symbol(target_symbol, n)
+    if not is_healthy(target, n):
+        raise UnhealthyTarget(f"sweep target {target_symbol} is unhealthy")
     active = []
     for f in enumerate_hom_bruteforce(source, target, n,
                                       max_count=max_morphisms,
@@ -161,12 +148,11 @@ def check_morphism_pair(job: tuple) -> tuple[bool, int, str]:
             if branching_condition_holds(source, target, n, g)]
     if set(by_shadow) != set(good):
         return False, len(active), "shadow image differs from branching maps"
+    # each shadow in by_shadow is its own morphism's, so a lift equal to
+    # by_shadow[g] also assembles back to g
     for g in good:
-        lifted = lift_active(source, target, n, g)
-        if lifted != by_shadow[g]:
+        if _lift(source, target, n, g.mapping) != by_shadow[g]:
             return False, len(active), "lift is not inverse to assembly"
-        if assemble_morphism(lifted, source, target, n) != g:
-            return False, len(active), "assembly is not inverse to lift"
     return True, len(active), ""
 
 
@@ -179,13 +165,7 @@ def suite_morphisms(levels: Iterable[int] = (1, 2, 3), max_edges: int = 6,
     per_level = [(n, [job + (max_morphisms,)
                       for job in _pair_jobs(n, max_edges)]) for n in levels]
     jobs = [job for _, level_jobs in per_level for job in level_jobs]
-    # one pool for all levels, never larger than the job list
-    workers = min(worker_count(), max(len(jobs), 1))
-    if workers > 1:
-        with get_context("fork").Pool(workers) as pool:
-            results = pool.map(check_morphism_pair, jobs, chunksize=16)
-    else:
-        results = [check_morphism_pair(job) for job in jobs]
+    results = [check_morphism_pair(job) for job in jobs]
     checks = []
     start = 0
     for n, level_jobs in per_level:
@@ -199,7 +179,7 @@ def suite_morphisms(levels: Iterable[int] = (1, 2, 3), max_edges: int = 6,
             morphisms=sum(r[1] for r in level_results),
             failures=bad[:5]))
     return _report("morphisms", checks, max_edges=max_edges,
-                   max_morphisms=max_morphisms, workers=workers)
+                   max_morphisms=max_morphisms)
 
 
 # -- suite: poset (order axioms, grading, symmetry) ---------------------------

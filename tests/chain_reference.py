@@ -6,6 +6,8 @@ before it reduced from the top degree down.  `simplicial_chain_complex`
 builds the simplicial chain complex of the faces of given facets, with
 no order complex in between.  `minor_gcd` gives the determinantal
 divisors of a matrix, the classical oracle of its invariant factors.
+`boundary_dense` copies one boundary of a chain complex into a dense
+matrix.
 """
 
 from itertools import combinations
@@ -49,6 +51,16 @@ def simplicial_chain_complex(facets):
                          for i in range(len(face))})
         boundaries.append(tuple(cols))
     return ChainComplex(tuple(map(len, layers)), tuple(boundaries))
+
+
+def boundary_dense(cc, k):
+    """Dense copy of the degree-k boundary of `cc`, rows x cols."""
+    rows, cols = cc.dims[k - 1], cc.dims[k]
+    out = [[0] * cols for _ in range(rows)]
+    for c, col in enumerate(cc.boundaries[k - 1]):
+        for r, v in col.items():
+            out[r][c] = v
+    return out
 
 
 def minor_gcd(matrix, k):

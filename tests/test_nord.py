@@ -4,10 +4,10 @@ from math import factorial
 import pytest
 
 from thetaconf import (CapExceeded, LabelMismatch, NOrdering, PosetView,
-                       branching_level, degree, enumerate_nord, from_tree,
-                       hasse, level_n_leaves, leq, nord, pair_level,
-                       parse_symbol, parse_text, sigma_act, to_tree,
-                       upper_covers)
+                       SymbolParseError, branching_level, degree,
+                       enumerate_nord, from_tree, hasse, level_n_leaves, leq,
+                       nord, pair_level, parse_symbol, parse_text, sigma_act,
+                       to_tree, upper_covers)
 
 LABELS = ("a", "b", "c", "d")
 
@@ -76,10 +76,16 @@ def test_enumeration_cap():
     total = factorial(8) * 3 ** 7
     assert (exc.stage, exc.count, exc.cap) == ("orderings", total, 100)
     assert str(exc) == f"orderings: {total} exceed the cap 100"
-    # the attributes survive pickling, as across the sweep's worker pool
+    # both exceptions with attributes of their own pickle with them
     again = pickle.loads(pickle.dumps(exc))
     assert (again.stage, again.count, again.cap, str(again)) == \
         (exc.stage, exc.count, exc.cap, str(exc))
+    with pytest.raises(SymbolParseError) as caught:
+        parse_symbol("[1]([0]", 2)
+    exc = caught.value
+    again = pickle.loads(pickle.dumps(exc))
+    assert (type(again), again.position, str(again)) == \
+        (SymbolParseError, exc.position, str(exc))
 
 
 @pytest.mark.parametrize("labels", [(), ("a",), ("a", "b"), "abcdefghijkl"])

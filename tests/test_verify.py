@@ -1,14 +1,14 @@
-import os
 from math import factorial
 
 import pytest
 
-from thetaconf import ChainComplex, DeltaMorphism, ThetaMorphism, verify
+from thetaconf import (ChainComplex, DeltaMorphism, ThetaMorphism,
+                       UnhealthyTarget, parse_symbol, verify)
 from thetaconf.verify import (DEFAULT_HOMOLOGY_CASES, _dd_zero,
                               check_morphism_pair,
                               expected_configuration_betti,
                               suite_cells, suite_morphisms, suite_poset,
-                              suite_theorem_a, suite_theorem_b, worker_count)
+                              suite_theorem_a, suite_theorem_b)
 
 
 def test_expected_betti_known_values():
@@ -25,25 +25,6 @@ def test_expected_betti_degenerate_cases():
         assert expected_configuration_betti(1, r) == [factorial(r)]
     assert expected_configuration_betti(4, 1) == [1]
     assert expected_configuration_betti(4, 0) == [1]
-
-
-def test_worker_count(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    monkeypatch.delenv("THETA_CONF_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("THETA_CONF_THREADS", "3")
-    assert worker_count() == 3
-    # capped at the CPU count; nothing is forked here
-    monkeypatch.setenv("THETA_CONF_THREADS", "64")
-    assert worker_count() == 4
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert worker_count() == 1
-    monkeypatch.setenv("THETA_CONF_THREADS", "zero")
-    with pytest.raises(ValueError):
-        worker_count()
-    monkeypatch.setenv("THETA_CONF_THREADS", "0")
-    with pytest.raises(ValueError):
-        worker_count()
 
 
 def _assert_report_shape(report, suite):
@@ -142,22 +123,44 @@ def test_check_morphism_pair_rejects_an_inactive_morphism(monkeypatch):
                                     "generated morphism is not active")
 
 
-def test_morphism_sweep_respects_thread_env(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setenv("THETA_CONF_THREADS", "2")
-    report = suite_morphisms(levels=(1,), max_edges=2)
-    assert report["passed"]
-    assert report["params"]["workers"] == 2
+@pytest.mark.parametrize("source", ["[0]", "[1]([0])", "[1]([1])"])
+def test_check_morphism_pair_rejects_an_unhealthy_target(source):
+    # raised up front, whether or not any set map reaches the filter
+    with pytest.raises(UnhealthyTarget):
+        check_morphism_pair((2, source, "[2]([0],[1])", 10 ** 6))
 
 
-def test_morphism_sweep_caps_workers(monkeypatch):
-    monkeypatch.setenv("THETA_CONF_THREADS", "2")
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    serial = suite_morphisms(levels=(1,), max_edges=2)
-    assert serial["params"]["workers"] == 1
-    # one tree pair (root to root) makes one job: no pool for it
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+def _rigged_pair(monkeypatch, pick):
+    """check_morphism_pair on a pair with four active morphisms, fed
+    `pick` of them in place of the generated tuple."""
+    job = (2, "[1]([2])", "[2]([1],[1])", 10 ** 6)
+    generated = verify.enumerate_hom_bruteforce(
+        parse_symbol(job[1], 2), parse_symbol(job[2], 2), 2,
+        active_only=True)
+    assert len(generated) == 4
+    monkeypatch.setattr(verify, "enumerate_hom_bruteforce",
+                        lambda *args, **kwargs: pick(generated))
+    return check_morphism_pair(job)
+
+
+def test_check_morphism_pair_rejects_a_repeated_shadow(monkeypatch):
+    assert _rigged_pair(monkeypatch, lambda fs: fs + fs[:1]) == \
+        (False, 5, "assembly not injective on active morphisms")
+
+
+def test_check_morphism_pair_rejects_a_missing_shadow(monkeypatch):
+    assert _rigged_pair(monkeypatch, lambda fs: fs[1:]) == \
+        (False, 3, "shadow image differs from branching maps")
+
+
+def test_check_morphism_pair_rejects_a_wrong_lift(monkeypatch):
+    monkeypatch.setattr(verify, "_lift", lambda *args: None)
+    assert _rigged_pair(monkeypatch, lambda fs: fs) == \
+        (False, 4, "lift is not inverse to assembly")
+
+
+def test_morphism_sweep_of_one_job():
+    # one tree pair (root to root) makes one job
     single = suite_morphisms(levels=(1,), max_edges=0)
-    assert single["params"]["workers"] == 1
+    assert single["passed"]
     assert single["checks"][0]["checked"] == 1
-    assert serial["passed"] and single["passed"]
