@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Mapping
 
-from .errors import LabelMismatch
+from .errors import LabelMismatch, bijection_values
 from .nord import NOrdering, leq
 
 _SAMPLE_SPAN = 2**40
@@ -69,12 +69,8 @@ class Configuration:
     def relabel(self, g: Mapping) -> "Configuration":
         """Transport along a bijection of the label set: the point of x
         becomes the point of g(x)."""
-        if not all(x in g for x in self.labels):
-            raise LabelMismatch("not a bijection of the label set")
-        values = tuple(g[x] for x in self.labels)
-        if set(values) != set(self.labels):
-            raise LabelMismatch("not a bijection of the label set")
-        return Configuration(values, self.coords, self.n)
+        return Configuration(bijection_values(g, self.labels), self.coords,
+                             self.n)
 
 
 def parse_point_file(text: str) -> Configuration:

@@ -49,6 +49,17 @@ class BranchingConditionViolation(ValueError):
     """Set-level map admits no lift because the branching condition fails."""
 
 
+def bijection_values(g: Mapping, labels: tuple) -> tuple:
+    """(g(x) for x in labels), checked to be a bijection of the label
+    set; raises LabelMismatch otherwise."""
+    if not all(x in g for x in labels):
+        raise LabelMismatch("not a bijection of the label set")
+    values = tuple(g[x] for x in labels)
+    if set(values) != set(labels):
+        raise LabelMismatch("not a bijection of the label set")
+    return values
+
+
 # -- JSON fields -------------------------------------------------------------
 
 _KINDS = {int: "an integer", str: "a string", Mapping: "an object",

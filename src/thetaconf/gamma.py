@@ -3,9 +3,14 @@
 Objects of the simplex category are [s] = {0 < ... < s}; morphisms are
 weakly monotone maps.  A morphism X -> Y in Segal's category sends each
 element of X to a subset of Y, with pairwise disjoint images; it is
-active when the images cover Y.  The interval functor turns a monotone
-f: [s] -> [t] into the set-level map i |-> {j : f(i-1) < j <= f(i)} on
-{1..s} -> {1..t}.
+active when the images cover Y.  Disjoint images say that each y in Y
+has at most one owner x with y in the image of x, so a morphism is the
+same thing as a pointed map Y+ -> X+ (Segal's category is Fin+^op, the
+opposite of finite pointed sets), and it is stored that way: one owner
+position per target label, None for the base point.  Composition
+composes the owner maps, and a morphism is active when no target label
+is unowned.  The interval functor turns a monotone f: [s] -> [t] into
+the set-level map i |-> {j : f(i-1) < j <= f(i)} on {1..s} -> {1..t}.
 """
 
 from __future__ import annotations
@@ -73,51 +78,71 @@ def delta_compose(g: DeltaMorphism, f: DeltaMorphism) -> DeltaMorphism:
 
 @dataclass(frozen=True)
 class GammaMorphism:
-    """Set-level morphism: each source label gets a subset of the target,
-    images pairwise disjoint.  Source and target are ordered label tuples
-    (the order carries the planar order when labels are leaf ids)."""
+    """Set-level morphism, held as its pointed map target -> source:
+    `owners[k]` is the position in `source` of the label whose image
+    holds `target[k]`, or None when no image does.  Images are disjoint
+    by construction.  Source and target are ordered label tuples (the
+    order carries the planar order when labels are leaf ids)."""
 
     source: tuple[Hashable, ...]
     target: tuple[Hashable, ...]
-    images: tuple[frozenset, ...]
+    owners: tuple[int | None, ...]
 
     def __post_init__(self):
-        if len(self.images) != len(self.source):
-            raise ValueError("one image per source label required")
+        if not isinstance(self.owners, tuple) \
+                or len(self.owners) != len(self.target):
+            raise ValueError("a tuple of one owner per target label required")
         if len(set(self.source)) != len(self.source):
             raise ValueError("duplicate source labels")
         if len(set(self.target)) != len(self.target):
             raise ValueError("duplicate target labels")
-        target_set = set(self.target)
-        seen: set = set()
-        for x, img in zip(self.source, self.images):
-            if not img <= target_set:
-                raise ValueError(f"image of {x!r} leaves the target set")
-            if img & seen:
-                raise ValueError(f"image of {x!r} overlaps an earlier image")
-            seen |= img
+        size = len(self.source)
+        for y, i in zip(self.target, self.owners):
+            if i is not None and (isinstance(i, bool) or not isinstance(i, int)
+                                  or not 0 <= i < size):
+                raise ValueError(f"owner {i!r} of {y!r} is not a position "
+                                 f"in a source of {size} labels")
 
     @classmethod
     def from_map(cls, source: Sequence, target: Sequence,
                  mapping: Mapping) -> "GammaMorphism":
+        """The morphism sending each source label x to `mapping[x]`
+        (empty when x is absent); images must be disjoint subsets of
+        the target."""
         source = tuple(source)
+        target = tuple(target)
         extra = set(mapping) - set(source)
         if extra:
             raise ValueError(f"mapping mentions unknown labels {extra}")
-        images = tuple(frozenset(mapping.get(x, ())) for x in source)
-        return cls(source, tuple(target), images)
+        position = {y: k for k, y in enumerate(target)}
+        owners: list = [None] * len(target)
+        for i, x in enumerate(source):
+            for y in set(mapping.get(x, ())):
+                k = position.get(y)
+                if k is None:
+                    raise ValueError(f"image of {x!r} leaves the target set")
+                if owners[k] is not None:
+                    raise ValueError(f"image of {x!r} overlaps an earlier "
+                                     f"image")
+                owners[k] = i
+        return cls(source, target, tuple(owners))
 
     @classmethod
     def identity(cls, labels: Sequence) -> "GammaMorphism":
         labels = tuple(labels)
-        return cls(labels, labels, tuple(frozenset([x]) for x in labels))
+        return cls(labels, labels, tuple(range(len(labels))))
 
     def __call__(self, x: Hashable) -> frozenset:
-        return self.images[self.source.index(x)]
+        i = self.source.index(x)
+        return frozenset(y for y, o in zip(self.target, self.owners) if o == i)
 
     @property
     def mapping(self) -> dict:
-        return dict(zip(self.source, self.images))
+        images: list[set] = [set() for _ in self.source]
+        for y, i in zip(self.target, self.owners):
+            if i is not None:
+                images[i].add(y)
+        return {x: frozenset(img) for x, img in zip(self.source, images)}
 
     def to_json(self) -> dict:
         """{"source": [...], "target": [...], "map": {"k": [...]}}: both
@@ -130,8 +155,9 @@ class GammaMorphism:
         return {
             "source": [_label_json(x) for x in self.source],
             "target": [_label_json(y) for y in self.target],
-            "map": {str(k): [_label_json(y) for y in self.target if y in img]
-                    for k, img in enumerate(self.images)},
+            "map": {str(k): [_label_json(y) for y, o
+                             in zip(self.target, self.owners) if o == k]
+                    for k in range(len(self.source))},
         }
 
     @classmethod
@@ -179,34 +205,27 @@ def _labels_from_json(data, key: str) -> tuple:
 
 
 def gamma_compose(phi: GammaMorphism, theta: GammaMorphism) -> GammaMorphism:
-    """phi after theta: x |-> union of phi(t) over t in theta(x)."""
+    """phi after theta: x |-> union of phi(t) over t in theta(x), that
+    is, the owner of z is theta's owner of phi's owner of z."""
     if theta.target != phi.source:
         raise ValueError("middle objects differ (order included)")
-    images = []
-    for img in theta.images:
-        acc: set = set()
-        for t in img:
-            acc |= phi(t)
-        images.append(frozenset(acc))
-    return GammaMorphism(theta.source, phi.target, tuple(images))
+    return GammaMorphism(theta.source, phi.target, tuple(
+        None if o is None else theta.owners[o] for o in phi.owners))
 
 
 def gamma_is_active(theta: GammaMorphism) -> bool:
-    covered: set = set()
-    for img in theta.images:
-        covered |= img
-    return covered == set(theta.target)
+    return None not in theta.owners
 
 
 def segal(f: DeltaMorphism) -> GammaMorphism:
     """Interval map of a monotone f: {1..s} -> {1..t},
     i |-> {f(i-1)+1, ..., f(i)}."""
-    source = tuple(range(1, f.source_rank + 1))
-    target = tuple(range(1, f.target_rank + 1))
-    images = tuple(
-        frozenset(range(f(i - 1) + 1, f(i) + 1)) for i in source
-    )
-    return GammaMorphism(source, target, images)
+    owners: list = [None] * f.target_rank
+    for i in range(f.source_rank):
+        for j in range(f.values[i], f.values[i + 1]):
+            owners[j] = i
+    return GammaMorphism(tuple(range(1, f.source_rank + 1)),
+                         tuple(range(1, f.target_rank + 1)), tuple(owners))
 
 
 def enumerate_delta(s: int, t: int,
@@ -232,16 +251,11 @@ def enumerate_gamma(source: Sequence, target: Sequence,
     """
     source = tuple(source)
     target = tuple(target)
-    owners: tuple = source if active_only else (None,) + source
-    total = len(owners) ** len(target)
+    choices: tuple = tuple(range(len(source)))
+    if not active_only:
+        choices = (None,) + choices
+    total = len(choices) ** len(target)
     if total > max_count:
         raise CapExceeded("set-level morphisms", total, max_count)
-    out = []
-    for choice in product(owners, repeat=len(target)):
-        images = {x: set() for x in source}
-        for y, owner in zip(target, choice):
-            if owner is not None:
-                images[owner].add(y)
-        out.append(GammaMorphism(
-            source, target, tuple(frozenset(images[x]) for x in source)))
-    return tuple(out)
+    return tuple(GammaMorphism(source, target, owners)
+                 for owners in product(choices, repeat=len(target)))

@@ -19,7 +19,8 @@ from typing import Hashable, Mapping
 from .errors import LabelMismatch, json_field, json_items
 from .gamma import GammaMorphism
 from .nord import NOrdering, enumerate_nord, from_tree, leq, to_tree
-from .theta import ThetaMorphism, _lift, branching_condition_holds
+from .theta import (ThetaMorphism, _lift, _owner_of,
+                    branching_condition_holds)
 from .trees import (LeafId, PlanarLevelTree, healthify, level_n_leaves,
                     parse_symbol, render_symbol)
 
@@ -67,10 +68,9 @@ def label_bijection(source: LabelledTree, target: LabelledTree) -> GammaMorphism
         raise LabelMismatch(f"height parameters differ: {source.n} vs {target.n}")
     if set(source.labels) != set(target.labels):
         raise LabelMismatch("label sets differ")
-    return GammaMorphism.from_map(
-        source.leaves, target.leaves,
-        {source.leaf_of(x): frozenset([target.leaf_of(x)])
-         for x in source.labels})
+    position = {x: i for i, x in enumerate(source.labels)}
+    return GammaMorphism(source.leaves, target.leaves,
+                         tuple(position[x] for x in target.labels))
 
 
 def hom_exists(source: LabelledTree, target: LabelledTree) -> bool:
@@ -87,7 +87,7 @@ def hom_morphism(source: LabelledTree, target: LabelledTree) -> ThetaMorphism | 
     if not branching_condition_holds(source.tree, target.tree, source.n,
                                      gbar):
         return None
-    return _lift(source.tree, target.tree, source.n, gbar.mapping)
+    return _lift(source.tree, target.tree, source.n, _owner_of(gbar))
 
 
 def embed(ordering: NOrdering) -> LabelledTree:

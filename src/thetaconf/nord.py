@@ -43,7 +43,7 @@ from math import factorial
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .errors import (DEFAULT_MAX_COUNT, CapExceeded, LabelMismatch,
-                     json_field, json_items)
+                     bijection_values, json_field, json_items)
 from .trees import PlanarLevelTree, is_healthy, level_n_leaves
 
 
@@ -284,12 +284,8 @@ def leq(a: NOrdering, b: NOrdering) -> bool:
 def sigma_act(g: Mapping, ordering: NOrdering) -> NOrdering:
     """Relabel through a bijection of the label set; the word (the tree
     shape) is untouched."""
-    if not all(x in g for x in ordering.labels):
-        raise LabelMismatch("not a bijection of the label set")
-    values = [g[x] for x in ordering.labels]
-    if set(values) != set(ordering.labels):
-        raise LabelMismatch("not a bijection of the label set")
-    return NOrdering(tuple(values), ordering.word, ordering.n)
+    return NOrdering(bijection_values(g, ordering.labels), ordering.word,
+                     ordering.n)
 
 
 def _bits(mask: int) -> list[int]:

@@ -127,27 +127,30 @@ def assemble_morphism(f: ThetaMorphism, source: PlanarLevelTree,
     """Set-level shadow of f on level-n leaves."""
     if f.n != n:
         raise ValueError(f"morphism level {f.n} does not match n={n}")
-    mapping = _assemble(f, source, target, n)
-    return GammaMorphism.from_map(level_n_leaves(source, n),
-                                  level_n_leaves(target, n), mapping)
+    owner = _assemble(f, source, target, n)
+    source_leaves = level_n_leaves(source, n)
+    target_leaves = level_n_leaves(target, n)
+    position = {a: i for i, a in enumerate(source_leaves)}
+    # an unowned target leaf has no entry, and None no position
+    return GammaMorphism(source_leaves, target_leaves, tuple(
+        position.get(owner.get(d)) for d in target_leaves))
 
 
-def _assemble(f, source, target, n) -> dict[LeafId, frozenset]:
+def _assemble(f, source, target, n) -> dict[LeafId, LeafId]:
+    """The shadow of f as target leaf -> the source leaf owning it;
+    unowned target leaves are left out."""
     _check_ranks(f, source, target)
-    mapping: dict[LeafId, set] = {
-        leaf: set() for leaf in level_n_leaves(source, n)}
     keys = _part_keys(f.delta.values)
     if n == 1:
-        # leaf i goes to the leaves j with f(i-1) < j <= f(i)
-        for i, j in keys:
-            mapping[LeafId((i - 1,))].add(LeafId((j - 1,)))
+        # leaf j is owned by the leaf i with f(i-1) < j <= f(i)
+        return {LeafId((j - 1,)): LeafId((i - 1,)) for i, j in keys}
+    owner = {}
     for (i, j), part in zip(keys, f.parts):
         sub = _assemble(part, source.children[i - 1],
                         target.children[j - 1], n - 1)
-        for a_local, image in sub.items():
-            a = LeafId((i - 1,) + a_local.path)
-            mapping[a] |= {LeafId((j - 1,) + d.path) for d in image}
-    return {a: frozenset(img) for a, img in mapping.items()}
+        for d, a in sub.items():
+            owner[LeafId((j - 1,) + d.path)] = LeafId((i - 1,) + a.path)
+    return owner
 
 
 # -- branching condition and the constructive lift --------------------------
@@ -166,8 +169,11 @@ def branching_condition_holds(source: PlanarLevelTree, target: PlanarLevelTree,
     """Deepest-common-ancestor levels may only drop, and may stay equal
     only when the planar order of the pair is preserved.
 
-    Quantified over pairs a != b of source leaves and c in gbar(a),
-    d in gbar(b); c and d are distinct because images are disjoint.
+    Quantified over pairs c before d of owned target leaves, with owners
+    a and b: the condition fails when c.meet(d) > a.meet(b), or when the
+    levels are equal and b comes before a.  A pair with one owner always
+    passes, because a.meet(a) = n exceeds the level of any two distinct
+    leaves.
     """
     if not is_healthy(target, n):
         raise UnhealthyTarget(
@@ -178,17 +184,16 @@ def branching_condition_holds(source: PlanarLevelTree, target: PlanarLevelTree,
 
 def _branching_holds(gbar: GammaMorphism) -> bool:
     """The condition itself, for a map whose contract is checked."""
-    pairs = tuple(zip(gbar.source, gbar.images))
-    for idx, (a, image_a) in enumerate(pairs):
-        for b, image_b in pairs[idx + 1:]:  # a precedes b in planar order
-            level_ab = a.meet(b)
-            for c in image_a:
-                for d in image_b:
-                    level_cd = c.meet(d)
-                    if level_cd > level_ab:
-                        return False
-                    if level_cd == level_ab and not c < d:
-                        return False
+    source = gbar.source
+    owned = [(c, i) for c, i in zip(gbar.target, gbar.owners)
+             if i is not None]
+    for k, (c, i) in enumerate(owned):
+        a = source[i]
+        for d, j in owned[k + 1:]:  # c precedes d in planar order
+            level_cd = c.meet(d)
+            level_ab = a.meet(source[j])
+            if level_cd > level_ab or (level_cd == level_ab and i > j):
+                return False
     return True
 
 
@@ -198,8 +203,9 @@ def lift_active(source: PlanarLevelTree, target: PlanarLevelTree, n: int,
 
     Requires a healthy target, an active gbar and the branching
     condition; each failure is reported distinctly.  The cut points
-    f(i) are forced because every target child owns a nonempty leaf
-    block; sub-maps are split off child by child and lifted recursively.
+    f(i) are forced because every target child has leaves, all owned
+    under one source child; sub-maps are split off child by child and
+    lifted recursively.
     """
     if not is_healthy(target, n):
         raise UnhealthyTarget("cannot lift into an unhealthy target")
@@ -209,64 +215,42 @@ def lift_active(source: PlanarLevelTree, target: PlanarLevelTree, n: int,
     if not _branching_holds(gbar):
         raise BranchingConditionViolation(
             "set-level map violates the branching condition")
-    return _lift(source, target, n, gbar.mapping)
+    return _lift(source, target, n, _owner_of(gbar))
 
 
-def _lift(source, target, n, mapping) -> ThetaMorphism:
-    """The lift of a map already known to go into a healthy target, be
-    active and satisfy the branching condition; `lift_active` checks
-    these first."""
+def _owner_of(gbar: GammaMorphism) -> dict[LeafId, LeafId]:
+    """gbar as target leaf -> the source leaf owning it."""
+    return {d: gbar.source[i] for d, i in zip(gbar.target, gbar.owners)
+            if i is not None}
+
+
+def _lift(source, target, n, owner) -> ThetaMorphism:
+    """The lift of a map, given as target leaf -> source leaf, already
+    known to go into a healthy target, be active and satisfy the
+    branching condition; `lift_active` checks these first.
+
+    Target child j's head is the source child under which all its
+    leaves are owned; f(i) is the number of heads h < i (0-based h,
+    1-based i), and part j lifts the map from the head onto child j."""
     s, t = len(source.children), len(target.children)
-    source_leaves = level_n_leaves(source, n)
+    by_child: list[dict] = [{} for _ in range(t)]
+    for d, a in owner.items():
+        by_child[d.path[0]][LeafId(d.path[1:])] = a
+    heads = []
+    for entries in by_child:
+        child_heads = {a.path[0] for a in entries.values()}
+        assert len(child_heads) == 1, \
+            "each target child must be owned under exactly one source child"
+        heads.extend(child_heads)
+    assert heads == sorted(heads), "heads must be monotone"
+    delta = DeltaMorphism(s, t, tuple(sum(1 for h in heads if h < i)
+                                      for i in range(s + 1)))
     if n == 1:
-        cuts = [0]
-        for i in range(s):
-            cuts.append(cuts[-1] + len(mapping[source_leaves[i]]))
-        delta = DeltaMorphism(s, t, tuple(cuts))
-        for i in range(s):
-            block = frozenset(LeafId((j - 1,))
-                              for j in range(cuts[i] + 1, cuts[i + 1] + 1))
-            assert mapping[source_leaves[i]] == block, \
-                "validated map stopped being interval-shaped"
         return ThetaMorphism(1, delta)
-
-    if t == 0:
-        assert all(not img for img in mapping.values())
-        return ThetaMorphism(n, DeltaMorphism(s, 0, (0,) * (s + 1)))
-
-    # Leaves grouped by the child they live under, on both sides.
-    source_groups = [[a for a in source_leaves if a.path[0] == i]
-                     for i in range(s)]
-    target_blocks = [frozenset(d for d in level_n_leaves(target, n)
-                               if d.path[0] == j)
-                     for j in range(t)]
-    unions = [frozenset().union(*(mapping[a] for a in group)) if group
-              else frozenset() for group in source_groups]
-
-    owner = []
-    for j in range(t):
-        hits = [i for i in range(s) if target_blocks[j] & unions[i]]
-        assert len(hits) == 1, "active validated map must cover each block once"
-        assert target_blocks[j] <= unions[hits[0]], \
-            "validated map must not split a child block"
-        owner.append(hits[0])
-    assert owner == sorted(owner), "block owners must be monotone"
-
-    cuts = [0]
-    for i in range(s):
-        cuts.append(sum(1 for o in owner if o <= i))
-    delta = DeltaMorphism(s, t, tuple(cuts))
-
-    # every target child has an owner, so part j lies under child j
-    parts = []
-    for j, i in enumerate(owner):
-        sub = {LeafId(a.path[1:]): frozenset(LeafId(d.path[1:])
-                                             for d in mapping[a]
-                                             if d.path[0] == j)
-               for a in source_groups[i]}
-        parts.append(_lift(source.children[i], target.children[j],
-                           n - 1, sub))
-    return ThetaMorphism(n, delta, tuple(parts))
+    return ThetaMorphism(n, delta, tuple(
+        _lift(source.children[h], target.children[j], n - 1,
+              {d: LeafId(a.path[1:]) for d, a in entries.items()})
+        for j, (h, entries) in enumerate(zip(heads, by_child))))
 
 
 # -- brute-force hom sets ----------------------------------------------------

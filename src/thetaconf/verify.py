@@ -23,8 +23,8 @@ from .homology import (ChainComplex, boundary_matrices, euler_characteristic,
 from .labelled import (LabelledTree, embed, hom_exists, initiality_check,
                        retract, unit_exists)
 from .nord import PosetView, degree, enumerate_nord, leq, sigma_act
-from .theta import (_lift, assemble_morphism, branching_condition_holds,
-                    enumerate_hom_bruteforce)
+from .theta import (_lift, _owner_of, assemble_morphism,
+                    branching_condition_holds, enumerate_hom_bruteforce)
 from .trees import (enumerate_trees, is_healthy, level_n_leaves, parse_symbol,
                     render_symbol)
 
@@ -51,8 +51,6 @@ def expected_configuration_betti(n: int, r: int) -> list[int]:
         shifted = [0] * (n - 1) + [i * c for c in poly]
         poly = [a + b for a, b in
                 zip(poly + [0] * (len(shifted) - len(poly)), shifted)]
-    while len(poly) > 1 and poly[-1] == 0:
-        poly.pop()
     return poly
 
 
@@ -151,7 +149,7 @@ def check_morphism_pair(job: tuple) -> tuple[bool, int, str]:
     # each shadow in by_shadow is its own morphism's, so a lift equal to
     # by_shadow[g] also assembles back to g
     for g in good:
-        if _lift(source, target, n, g.mapping) != by_shadow[g]:
+        if _lift(source, target, n, _owner_of(g)) != by_shadow[g]:
             return False, len(active), "lift is not inverse to assembly"
     return True, len(active), ""
 

@@ -183,5 +183,20 @@ def test_relabel():
 
 def test_relabel_rejects_map_missing_a_label():
     config = _config(2, a=(0, 0), b=(0, 1))
-    with pytest.raises(LabelMismatch):
-        config.relabel({"a": "b", "z": "a"})
+    # a label left out, and a map that is not injective
+    for g in ({"a": "b", "z": "a"}, {"a": "a", "b": "a"}):
+        with pytest.raises(LabelMismatch):
+            config.relabel(g)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: Configuration(("a", "b"), ((0,),), 1), ValueError,
+     "one coordinate vector per label"),
+    (lambda: Configuration(("a", "a"), ((0,), (1,)), 1), ValueError,
+     "duplicate labels"),
+    (lambda: midpoint(_config(1, a=(0,)), _config(1, b=(0,))), LabelMismatch,
+     "share labels"),
+])
+def test_cells_reject_bad_input(build, error, message):
+    with pytest.raises(error, match=message):
+        build()

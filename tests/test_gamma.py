@@ -94,6 +94,28 @@ def test_gamma_validates_disjoint():
         GammaMorphism.from_map(("x",), (1,), {"x": {7}})
 
 
+def test_gamma_holds_one_owner_per_target_label():
+    g = GammaMorphism(("x", "y"), ("u", "v", "w"), (1, None, 0))
+    assert g.mapping == {"x": frozenset({"w"}), "y": frozenset({"u"})}
+    # a label listed twice in an image is one element of it
+    assert GammaMorphism.from_map(("x",), ("u",), {"x": ["u", "u"]}) == \
+        GammaMorphism(("x",), ("u",), (0,))
+
+
+@pytest.mark.parametrize("owners, message", [
+    ((0,), "one owner per target label"),        # too few
+    ((0, 1, None), "one owner per target label"),  # too many
+    ([0, 1], "a tuple of one owner"),
+    ((0, 2), "not a position"),                  # out of range
+    ((-1, 0), "not a position"),
+    ((True, 0), "not a position"),               # a bool is not a position
+    ((0, "1"), "not a position"),
+])
+def test_gamma_constructor_checks_owners(owners, message):
+    with pytest.raises(ValueError, match=message):
+        GammaMorphism(("x", "y"), ("u", "v"), owners)
+
+
 def test_gamma_call_and_compose():
     theta = GammaMorphism.from_map(("x",), ("u", "v"), {"x": {"u"}})
     phi = GammaMorphism.from_map(("u", "v"), (1, 2, 3),
@@ -178,3 +200,14 @@ def test_enumerate_gamma_cap():
     assert (exc.stage, exc.count, exc.cap) == ("set-level morphisms",
                                                10 ** 9, 100)
     assert str(exc) == "set-level morphisms: 1000000000 exceed the cap 100"
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: DeltaMorphism(-1, 0, ()), "non-negative"),
+    (lambda: DeltaMorphism(0, -1, (0,)), "non-negative"),
+    (lambda: GammaMorphism.from_map(("x",), ("u",), {"z": {"u"}}),
+     "unknown labels"),
+])
+def test_gamma_rejects_bad_input(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

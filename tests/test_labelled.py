@@ -115,3 +115,17 @@ def test_hom_exists_tracks_poset_order():
         for a in orderings:
             for b in orderings:
                 assert hom_exists(embed(a), embed(b)) == leq(a, b)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: label_bijection(
+        LabelledTree(parse_symbol("[1]", 1), 1, ("a",)),
+        LabelledTree(parse_symbol("[1]([1])", 2), 2, ("a",))),
+     LabelMismatch, "height parameters differ"),
+    (lambda: initiality_check(
+        LabelledTree(parse_symbol("[2]", 1), 1, ("a", "b")), max_size=1),
+     ValueError, "larger than the bound 1"),
+])
+def test_labelled_rejects_bad_input(build, error, message):
+    with pytest.raises(error, match=message):
+        build()

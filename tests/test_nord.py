@@ -211,8 +211,10 @@ def test_sigma_act():
 
 
 def test_sigma_act_rejects_map_missing_a_label():
-    with pytest.raises(LabelMismatch):
-        sigma_act({"a": "b", "z": "a"}, parse_text("a 0 b", 2))
+    # a label left out, and a map that is not injective
+    for g in ({"a": "b", "z": "a"}, {"a": "a", "b": "a"}):
+        with pytest.raises(LabelMismatch):
+            sigma_act(g, parse_text("a 0 b", 2))
 
 
 def test_sigma_act_preserves_order():
@@ -330,3 +332,12 @@ def test_upper_covers_split_the_children_of_one_vertex():
     assert upper_covers(parse_text("a 0 b 0 c", 1)) == ()
     assert upper_covers(parse_text("a", 3)) == ()
     assert upper_covers(parse_text("", 3)) == ()
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: from_tree(parse_symbol("[2]", 1), 1, ("a",)), LabelMismatch,
+     "1 labels for 2 level-1 leaves"),
+])
+def test_nord_rejects_bad_input(build, error, message):
+    with pytest.raises(error, match=message):
+        build()

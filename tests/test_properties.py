@@ -17,7 +17,8 @@ small tree, against plain recursive walkers kept here as references;
 replaced.  Random points of a cell classify to it and their midpoints
 stay in it.  The text, JSON and tree-symbol forms round-trip, and so
 does the JSON form of set-level morphisms whose labels are strings,
-integers or leaf addresses.
+integers or leaf addresses.  Composing set-level morphisms as owner
+maps agrees with composing them by unions of images.
 
 `smith_normal_form` is checked against the determinantal divisors on
 small matrices whose entries share factors, so most pivots are not
@@ -38,11 +39,13 @@ from hypothesis import strategies as st
 
 from chain_reference import (minor_gcd, reference_homology,
                              simplicial_chain_complex)
+from gamma_reference import reference_compose
 from thetaconf import (Configuration, DeltaMorphism, GammaMorphism,
                        LabelledTree, LeafId, NOrdering, PlanarLevelTree,
                        ThetaMorphism, identity_morphism,
                        cell_of, degree, embed, enumerate_nord,
-                       enumerate_trees, healthify, hom_exists, homology,
+                       enumerate_trees, gamma_compose, healthify,
+                       hom_exists, homology,
                        in_cell, is_healthy, leq, level_n_leaves, midpoint,
                        parse_symbol, parse_text, render_symbol,
                        sample_in_cell, sigma_act, smith_normal_form, to_tree,
@@ -321,6 +324,23 @@ def test_gamma_json_round_trips(data):
         for x in source})
     text = json.dumps(g.to_json())
     assert GammaMorphism.from_json(json.loads(text)) == g
+
+
+def _set_map(data, source, target):
+    """A set map source -> target: one owner position, or None, per
+    target label."""
+    owners = st.sampled_from([None, *range(len(source))])
+    return GammaMorphism(source, target, tuple(data.draw(
+        st.lists(owners, min_size=len(target), max_size=len(target)))))
+
+
+@STEADY
+@given(st.data())
+def test_gamma_compose_unions_images(data):
+    source, middle, target = (data.draw(LABEL_SETS) for _ in range(3))
+    theta = _set_map(data, source, middle)
+    phi = _set_map(data, middle, target)
+    assert gamma_compose(phi, theta) == reference_compose(phi, theta)
 
 
 # Documents made of the readers' own keys: free objects and arrays, and

@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+from gamma_reference import reference_branching_holds
 from thetaconf import (BranchingConditionViolation, CapExceeded,
                        DeltaMorphism, GammaMorphism, LabelMismatch, LeafId,
                        NotActive, ThetaMorphism, UnhealthyTarget,
@@ -327,3 +328,40 @@ def test_bijection_small_sweep():
                 assert set(shadows) == set(good)
                 for g in good:
                     assert lift_active(source, target, n, g) == shadows[g]
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ThetaMorphism(0, _delta(0, 0, 0)), "level must be >= 1"),
+    (lambda: theta_compose(
+        identity_morphism(parse_symbol("[1]([1])", 2), 2),
+        ThetaMorphism(1, _delta(1, 1, 0, 1))), "levels differ"),
+    (lambda: assemble_morphism(ThetaMorphism(1, _delta(1, 1, 0, 1)),
+                               parse_symbol("[2]", 1), parse_symbol("[1]", 1),
+                               1), "do not match trees"),
+    (lambda: assemble_morphism(ThetaMorphism(1, _delta(1, 1, 0, 1)),
+                               parse_symbol("[1]", 1), parse_symbol("[1]", 1),
+                               2), "does not match n=2"),
+])
+def test_theta_rejects_bad_input(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_branching_condition_matches_the_image_quantifier():
+    """The owner-pair form of the condition agrees with the quantifier
+    over source pairs and their images, on every set map, active or
+    not, into each healthy tree with at most 5 edges."""
+    maps = kept = 0
+    for n in (1, 2, 3):
+        trees = enumerate_trees(5, n)
+        for source in trees:
+            for target in trees:
+                if not is_healthy(target, n):
+                    continue
+                for g in enumerate_gamma(level_n_leaves(source, n),
+                                         level_n_leaves(target, n)):
+                    holds = branching_condition_holds(source, target, n, g)
+                    assert holds == reference_branching_holds(g), g
+                    maps += 1
+                    kept += holds
+    assert (maps, kept) == (21792, 7280)

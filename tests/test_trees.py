@@ -220,3 +220,14 @@ def test_frozen_and_hashable():
     assert t in {t}
     with pytest.raises(AttributeError):
         t.children = ()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: parse_symbol("[1]", 0), "must be >= 1"),
+    (lambda: render_symbol(ROOT_ONLY, 0), "must be >= 1"),
+    (lambda: parse_symbol("[x]", 1), "expected a natural number"),
+    (lambda: tree_from_json("[]"), "expected a nested list"),
+])
+def test_trees_reject_bad_input(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

@@ -12,11 +12,11 @@ from thetaconf.verify import (DEFAULT_HOMOLOGY_CASES, _dd_zero,
 
 
 def test_expected_betti_known_values():
-    assert expected_configuration_betti(2, 2) == [1, 1]
-    assert expected_configuration_betti(2, 3) == [1, 3, 2]
-    assert expected_configuration_betti(3, 2) == [1, 0, 1]
-    assert expected_configuration_betti(2, 4) == [1, 6, 11, 6]
-    assert expected_configuration_betti(3, 3) == [1, 0, 3, 0, 2]
+    cases = [(2, 2, [1, 1]), (2, 3, [1, 3, 2]), (3, 2, [1, 0, 1]),
+             (2, 4, [1, 6, 11, 6]), (3, 3, [1, 0, 3, 0, 2]), (1, 3, [6])]
+    cases += [(n, r, [1]) for n in (1, 2, 3) for r in (0, 1)]
+    for n, r, betti in cases:
+        assert expected_configuration_betti(n, r) == betti, (n, r)
 
 
 def test_expected_betti_degenerate_cases():
