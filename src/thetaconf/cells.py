@@ -64,6 +64,9 @@ class Configuration:
                 for label, vec in zip(self.labels, self.coords)}
 
     def point(self, label: Hashable) -> tuple[Fraction, ...]:
+        if label not in self.labels:
+            raise LabelMismatch(f"{label!r} is not a label of this "
+                                f"configuration")
         return self.coords[self.labels.index(label)]
 
     def relabel(self, g: Mapping) -> "Configuration":

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from typing import Hashable, Mapping, Sequence
 
-from .errors import DEFAULT_MAX_COUNT, CapExceeded, json_field, json_items
+from .errors import (DEFAULT_MAX_COUNT, CapExceeded, LabelMismatch, json_field,
+                     json_items)
 from .trees import LeafId
 
 
@@ -133,6 +134,8 @@ class GammaMorphism:
         return cls(labels, labels, tuple(range(len(labels))))
 
     def __call__(self, x: Hashable) -> frozenset:
+        if x not in self.source:
+            raise LabelMismatch(f"{x!r} is not a source label of this map")
         i = self.source.index(x)
         return frozenset(y for y, o in zip(self.target, self.owners) if o == i)
 

@@ -19,8 +19,7 @@ from typing import Hashable, Mapping
 from .errors import LabelMismatch, json_field, json_items
 from .gamma import GammaMorphism
 from .nord import NOrdering, enumerate_nord, from_tree, leq, to_tree
-from .theta import (ThetaMorphism, _lift, _owner_of,
-                    branching_condition_holds)
+from .theta import ThetaMorphism, _lift, branching_condition_holds
 from .trees import (LeafId, PlanarLevelTree, healthify, level_n_leaves,
                     parse_symbol, render_symbol)
 
@@ -87,7 +86,7 @@ def hom_morphism(source: LabelledTree, target: LabelledTree) -> ThetaMorphism | 
     if not branching_condition_holds(source.tree, target.tree, source.n,
                                      gbar):
         return None
-    return _lift(source.tree, target.tree, source.n, _owner_of(gbar))
+    return _lift(source.tree, target.tree, source.n, gbar.owners)
 
 
 def embed(ordering: NOrdering) -> LabelledTree:

@@ -10,11 +10,14 @@ the source child i of each.  Level 1 is the simplex category.
 Assembly sends a morphism to its set-level shadow on level-n leaves.
 For a healthy target this shadow is a bijection onto the active
 set-level maps satisfying the branching condition; `lift_active`
-inverts it constructively.
+inverts it constructively.  Both work on owner positions: each child
+owns a contiguous run of its parent's level-n leaves, and part (i, j)
+fills target child j's run, shifted by the start of source child i's.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from typing import Mapping
@@ -24,7 +27,7 @@ from .errors import (DEFAULT_MAX_COUNT, BranchingConditionViolation,
                      json_field, json_items)
 from .gamma import (DeltaMorphism, GammaMorphism, delta_compose,
                     gamma_is_active)
-from .trees import LeafId, PlanarLevelTree, is_healthy, level_n_leaves
+from .trees import PlanarLevelTree, is_healthy, level_n_leaves
 
 
 def _part_keys(values: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -127,30 +130,32 @@ def assemble_morphism(f: ThetaMorphism, source: PlanarLevelTree,
     """Set-level shadow of f on level-n leaves."""
     if f.n != n:
         raise ValueError(f"morphism level {f.n} does not match n={n}")
-    owner = _assemble(f, source, target, n)
-    source_leaves = level_n_leaves(source, n)
-    target_leaves = level_n_leaves(target, n)
-    position = {a: i for i, a in enumerate(source_leaves)}
-    # an unowned target leaf has no entry, and None no position
-    return GammaMorphism(source_leaves, target_leaves, tuple(
-        position.get(owner.get(d)) for d in target_leaves))
+    return GammaMorphism(level_n_leaves(source, n), level_n_leaves(target, n),
+                         tuple(_assemble(f, source, target, n)))
 
 
-def _assemble(f, source, target, n) -> dict[LeafId, LeafId]:
-    """The shadow of f as target leaf -> the source leaf owning it;
-    unowned target leaves are left out."""
+def _runs(tree: PlanarLevelTree, n: int) -> list[int]:
+    """Where each child's run of level-n leaves starts, then the total:
+    child c owns positions runs[c] to runs[c + 1] - 1."""
+    runs = [0]
+    for child in tree.children:
+        runs.append(runs[-1] + len(level_n_leaves(child, n - 1)))
+    return runs
+
+
+def _assemble(f, source, target, n) -> list[int | None]:
+    """The owner positions of f's shadow.  Part (i, j) fills target
+    child j's run with its owners shifted to source child i's run; at
+    level 1 each run is one leaf, owned by the part's source leaf."""
     _check_ranks(f, source, target)
-    keys = _part_keys(f.delta.values)
-    if n == 1:
-        # leaf j is owned by the leaf i with f(i-1) < j <= f(i)
-        return {LeafId((j - 1,)): LeafId((i - 1,)) for i, j in keys}
-    owner = {}
-    for (i, j), part in zip(keys, f.parts):
-        sub = _assemble(part, source.children[i - 1],
-                        target.children[j - 1], n - 1)
-        for d, a in sub.items():
-            owner[LeafId((j - 1,) + d.path)] = LeafId((i - 1,) + a.path)
-    return owner
+    s_runs, t_runs = _runs(source, n), _runs(target, n)
+    owners: list = [None] * t_runs[-1]
+    for k, (i, j) in enumerate(_part_keys(f.delta.values)):
+        sub = [0] if n == 1 else _assemble(
+            f.parts[k], source.children[i - 1], target.children[j - 1], n - 1)
+        owners[t_runs[j - 1]:t_runs[j]] = [
+            None if o is None else o + s_runs[i - 1] for o in sub]
+    return owners
 
 
 # -- branching condition and the constructive lift --------------------------
@@ -215,42 +220,35 @@ def lift_active(source: PlanarLevelTree, target: PlanarLevelTree, n: int,
     if not _branching_holds(gbar):
         raise BranchingConditionViolation(
             "set-level map violates the branching condition")
-    return _lift(source, target, n, _owner_of(gbar))
+    return _lift(source, target, n, gbar.owners)
 
 
-def _owner_of(gbar: GammaMorphism) -> dict[LeafId, LeafId]:
-    """gbar as target leaf -> the source leaf owning it."""
-    return {d: gbar.source[i] for d, i in zip(gbar.target, gbar.owners)
-            if i is not None}
+def _lift(source, target, n, owners) -> ThetaMorphism:
+    """The lift of a map, given as its owner positions, already known to
+    go into a healthy target, be active and satisfy the branching
+    condition; `lift_active` checks these first.
 
-
-def _lift(source, target, n, owner) -> ThetaMorphism:
-    """The lift of a map, given as target leaf -> source leaf, already
-    known to go into a healthy target, be active and satisfy the
-    branching condition; `lift_active` checks these first.
-
-    Target child j's head is the source child under which all its
-    leaves are owned; f(i) is the number of heads h < i (0-based h,
-    1-based i), and part j lifts the map from the head onto child j."""
-    s, t = len(source.children), len(target.children)
-    by_child: list[dict] = [{} for _ in range(t)]
-    for d, a in owner.items():
-        by_child[d.path[0]][LeafId(d.path[1:])] = a
+    Target child j's head is the source child whose run holds every
+    owner in j's run; f(i) is the number of heads h < i (0-based h,
+    1-based i), and part j lifts j's run, shifted to the head's run."""
+    s_runs, t_runs = _runs(source, n), _runs(target, n)
+    by_child = [owners[a:b] for a, b in zip(t_runs, t_runs[1:])]
     heads = []
-    for entries in by_child:
-        child_heads = {a.path[0] for a in entries.values()}
+    for run in by_child:
+        child_heads = {bisect_right(s_runs, o) - 1 for o in run}
         assert len(child_heads) == 1, \
             "each target child must be owned under exactly one source child"
         heads.extend(child_heads)
     assert heads == sorted(heads), "heads must be monotone"
-    delta = DeltaMorphism(s, t, tuple(sum(1 for h in heads if h < i)
+    s, t = len(source.children), len(target.children)
+    delta = DeltaMorphism(s, t, tuple(bisect_left(heads, i)
                                       for i in range(s + 1)))
     if n == 1:
         return ThetaMorphism(1, delta)
     return ThetaMorphism(n, delta, tuple(
         _lift(source.children[h], target.children[j], n - 1,
-              {d: LeafId(a.path[1:]) for d, a in entries.items()})
-        for j, (h, entries) in enumerate(zip(heads, by_child))))
+              [o - s_runs[h] for o in run])
+        for j, (h, run) in enumerate(zip(heads, by_child))))
 
 
 # -- brute-force hom sets ----------------------------------------------------

@@ -23,8 +23,8 @@ from .homology import (ChainComplex, boundary_matrices, euler_characteristic,
 from .labelled import (LabelledTree, embed, hom_exists, initiality_check,
                        retract, unit_exists)
 from .nord import PosetView, degree, enumerate_nord, leq, sigma_act
-from .theta import (_lift, _owner_of, assemble_morphism,
-                    branching_condition_holds, enumerate_hom_bruteforce)
+from .theta import (_lift, assemble_morphism, branching_condition_holds,
+                    enumerate_hom_bruteforce)
 from .trees import (enumerate_trees, is_healthy, level_n_leaves, parse_symbol,
                     render_symbol)
 
@@ -149,7 +149,7 @@ def check_morphism_pair(job: tuple) -> tuple[bool, int, str]:
     # each shadow in by_shadow is its own morphism's, so a lift equal to
     # by_shadow[g] also assembles back to g
     for g in good:
-        if _lift(source, target, n, _owner_of(g)) != by_shadow[g]:
+        if _lift(source, target, n, g.owners) != by_shadow[g]:
             return False, len(active), "lift is not inverse to assembly"
     return True, len(active), ""
 
@@ -160,22 +160,17 @@ def suite_morphisms(levels: Iterable[int] = (1, 2, 3), max_edges: int = 6,
     for n in levels:
         if n < 1:
             raise ValueError(f"height parameter must be >= 1, got {n}")
-    per_level = [(n, [job + (max_morphisms,)
-                      for job in _pair_jobs(n, max_edges)]) for n in levels]
-    jobs = [job for _, level_jobs in per_level for job in level_jobs]
-    results = [check_morphism_pair(job) for job in jobs]
+    if max_edges < 0:
+        raise ValueError(f"max_edges must be >= 0, got {max_edges}")
     checks = []
-    start = 0
-    for n, level_jobs in per_level:
-        level_results = results[start:start + len(level_jobs)]
-        start += len(level_jobs)
+    for n in levels:
+        jobs = [job + (max_morphisms,) for job in _pair_jobs(n, max_edges)]
+        results = [check_morphism_pair(job) for job in jobs]
         bad = [(job[1], job[2], message)
-               for job, (ok, _, message) in zip(level_jobs, level_results)
-               if not ok]
+               for job, (ok, _, message) in zip(jobs, results) if not ok]
         checks.append(_check(
-            f"active-bijection(n={n})", not bad, len(level_jobs),
-            morphisms=sum(r[1] for r in level_results),
-            failures=bad[:5]))
+            f"active-bijection(n={n})", not bad, len(jobs),
+            morphisms=sum(r[1] for r in results), failures=bad[:5]))
     return _report("morphisms", checks, max_edges=max_edges,
                    max_morphisms=max_morphisms)
 
@@ -299,6 +294,8 @@ def suite_theorem_b(max_retract_size: int = 4,
 def suite_cells(max_size: int = 3, levels: Iterable[int] = (1, 2, 3),
                 samples: int = 1000, seed: int = 0,
                 label_pool: Sequence = DEFAULT_LABELS) -> dict:
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
     levels = tuple(levels)
     pool = tuple(label_pool)
     checks = []

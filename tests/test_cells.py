@@ -196,6 +196,8 @@ def test_relabel_rejects_map_missing_a_label():
      "duplicate labels"),
     (lambda: midpoint(_config(1, a=(0,)), _config(1, b=(0,))), LabelMismatch,
      "share labels"),
+    (lambda: _config(1, a=(0,)).point("z"), LabelMismatch,
+     "'z' is not a label"),
 ])
 def test_cells_reject_bad_input(build, error, message):
     with pytest.raises(error, match=message):

@@ -239,6 +239,18 @@ def test_negative_height_is_an_error(capsys, argv):
     assert "height parameter must be >= 1, got -2" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "cells", "--samples", "-3"), "samples must be >= 0, got -3"),
+    (("verify", "morphisms", "--max-edges", "-1"),
+     "max_edges must be >= 0, got -1"),
+])
+def test_negative_sweep_size_is_an_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"error: {message}" in err
+
+
 def test_classify_height_zero_is_an_error(tmp_path, capsys):
     points = tmp_path / "points.txt"
     points.write_text("a 0 0\nb 0 1\n")

@@ -4,8 +4,8 @@ from math import comb
 import pytest
 
 from thetaconf import (CapExceeded, DeltaMorphism, GammaMorphism,
-                       delta_compose, enumerate_delta, enumerate_gamma,
-                       gamma_compose, gamma_is_active, segal)
+                       LabelMismatch, delta_compose, enumerate_delta,
+                       enumerate_gamma, gamma_compose, gamma_is_active, segal)
 
 
 def test_delta_validates_monotone():
@@ -123,6 +123,8 @@ def test_gamma_call_and_compose():
     composed = gamma_compose(phi, theta)
     assert composed.mapping == {"x": frozenset({1, 3})}
     assert theta("x") == frozenset({"u"})
+    with pytest.raises(LabelMismatch, match="'z' is not a source label"):
+        theta("z")
     with pytest.raises(ValueError):
         gamma_compose(theta, phi)
 

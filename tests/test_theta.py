@@ -142,6 +142,23 @@ def test_assemble_at_level_one_is_the_interval_map():
     }
 
 
+def test_assemble_owner_runs_worked_example():
+    # source leaves (0,0) | none | (2,0) (2,1): the middle run is empty
+    # target leaves (0,0) (0,1) | (1,0) (1,1) (1,2)
+    src = parse_symbol("[3]([1],[0],[2])", 2)
+    tgt = parse_symbol("[2]([2],[3])", 2)
+    tail = ThetaMorphism(1, _delta(2, 3, 0, 1, 3))
+    f = ThetaMorphism(2, _delta(3, 2, 0, 1, 1, 2),
+                      (ThetaMorphism(1, _delta(1, 2, 0, 1)), tail))
+    # (0,1) is unowned; the second part is shifted past the empty run
+    assert assemble_morphism(f, src, tgt, 2).owners == (0, None, 1, 2, 2)
+    onto = ThetaMorphism(2, f.delta,
+                         (ThetaMorphism(1, _delta(1, 2, 0, 2)), tail))
+    shadow = assemble_morphism(onto, src, tgt, 2)
+    assert shadow.owners == (0, 0, 1, 2, 2)
+    assert lift_active(src, tgt, 2, shadow) == onto
+
+
 def test_json_roundtrip_keeps_codomain():
     for n in (1, 2, 3):
         trees = enumerate_trees(3, n)
