@@ -8,6 +8,12 @@ configuration lies in the cell of exactly one classifier: sort the
 points lexicographically and count leading coordinate agreements of
 neighbours.  Membership in any other cell is governed by the poset
 order on classifiers, which `verify cells` checks rather than assumes.
+A configuration keeps the same tables as an ordering, read straight
+from its coordinates: `positions`, `label_set` and the flat pair
+`keys`, where keys[i*r + j] is twice the number of leading coordinates
+that points i and j share, plus 1 when point i comes first in the
+lexicographic order.  `in_cell` then runs the test of `nord.leq` on
+them.
 Points inside a given cell, the integer witness and seeded random
 samples, come from one walk over the word, leaf by leaf.  All
 arithmetic is exact (fractions), so ties are honest ties.
@@ -22,7 +28,7 @@ from functools import cached_property
 from typing import Callable, Hashable, Iterable, Mapping
 
 from .errors import LabelMismatch, bijection_values
-from .nord import NOrdering, leq
+from .nord import NOrdering, _intern, _neighbours_hold, leq
 
 _SAMPLE_SPAN = 2**40
 
@@ -54,14 +60,30 @@ class Configuration:
         return cls(labels, coords, n)
 
     @cached_property
-    def ranks(self) -> dict[Hashable, tuple[int, ...]]:
-        """Each label's point with every coordinate replaced by its dense
-        rank among the distinct values on that axis; ties and order are
-        kept, so every comparison of coordinates reads the same."""
-        axes = [{v: k for k, v in enumerate(sorted(set(axis)))}
-                for axis in zip(*self.coords)]
-        return {label: tuple(rank[x] for rank, x in zip(axes, vec))
-                for label, vec in zip(self.labels, self.coords)}
+    def positions(self) -> dict[Hashable, int]:
+        """Index of each label in `labels`."""
+        return {label: i for i, label in enumerate(self.labels)}
+
+    @cached_property
+    def keys(self) -> tuple[int, ...]:
+        """Flat r x r table of pair keys by index: keys[i*r + j] is
+        2 * agree + (1 if point i comes first lexicographically), where
+        agree is the number of leading coordinates the two points share;
+        2n on the diagonal.  Each pair is compared once and mirrored."""
+        coords, r = self.coords, len(self.coords)
+        keys = [2 * self.n] * (r * r)
+        for i, u in enumerate(coords):
+            for j in range(i + 1, r):
+                v = coords[j]
+                agree = _agree(u, v)
+                first = u[agree] < v[agree]
+                keys[i * r + j] = 2 * agree + first
+                keys[j * r + i] = 2 * agree + (not first)
+        return tuple(keys)
+
+    @cached_property
+    def label_set(self) -> frozenset:
+        return _intern(frozenset(self.labels))
 
     def point(self, label: Hashable) -> tuple[Fraction, ...]:
         if label not in self.labels:
@@ -117,23 +139,28 @@ def _parse_entry(token: str, lineno: int) -> Fraction:
 
 def in_cell(config: Configuration, ordering: NOrdering) -> bool:
     """Exact membership test against the ordering's defining equalities
-    and weak inequalities, compared through the coordinate ranks.  Only
-    the ordering's planar neighbours are checked: a pair further apart
-    branches at the least word entry beta between them, so every link
-    of the chain of neighbours joining them agrees on the first beta
-    coordinates and weakly increases the one after, and its conditions
-    follow by transitivity."""
+    and weak inequalities: for x before y in the ordering with branching
+    level beta, the points agree on the first beta coordinates and the
+    next one weakly increases, so the points agree on more than beta
+    coordinates, or on exactly beta with x first.  That is a pair key
+    above 2 * beta.  Only the ordering's planar neighbours are checked:
+    a pair further apart branches at the least word entry beta between
+    them, so every link of the chain of neighbours joining them agrees
+    on the first beta coordinates and weakly increases the one after,
+    and its conditions follow by transitivity."""
     if config.n != ordering.n:
         raise LabelMismatch(
             f"dimensions differ: {config.n} vs {ordering.n}")
-    ranks = config.ranks
-    if ranks.keys() != ordering.positions.keys():
-        raise LabelMismatch("label sets differ")
-    for x, y, beta in ordering.neighbours:
-        pa, pb = ranks[x], ranks[y]
-        if pa[:beta] != pb[:beta] or pa[beta] > pb[beta]:
-            return False
-    return True
+    return _neighbours_hold(config, ordering)
+
+
+def _agree(u: tuple, v: tuple) -> int:
+    """Number of leading coordinates two distinct points share; below
+    their length, since they differ somewhere."""
+    agree = 0
+    while u[agree] == v[agree]:
+        agree += 1
+    return agree
 
 
 def cell_of(config: Configuration) -> NOrdering:
@@ -142,13 +169,8 @@ def cell_of(config: Configuration) -> NOrdering:
     leading equal coordinates.  Injectivity bounds that count by n-1."""
     order = sorted(zip(config.coords, config.labels))
     labels = tuple(label for _, label in order)
-    word = []
-    for (u, _), (v, _) in zip(order, order[1:]):
-        agree = 0
-        while u[agree] == v[agree]:
-            agree += 1
-        word.append(agree)
-    return NOrdering(labels, tuple(word), config.n)
+    word = tuple(_agree(u, v) for (u, _), (v, _) in zip(order, order[1:]))
+    return NOrdering(labels, word, config.n)
 
 
 def _walk(ordering: NOrdering,

@@ -49,6 +49,13 @@ class BranchingConditionViolation(ValueError):
     """Set-level map admits no lift because the branching condition fails."""
 
 
+def check_cap(cap: int, name: str = "max_count") -> None:
+    """Reject a negative resource cap before anything is counted; such a
+    cap is an input error, not a cap that the work goes past."""
+    if cap < 0:
+        raise ValueError(f"{name} must be >= 0, got {cap}")
+
+
 def bijection_values(g: Mapping, labels: tuple) -> tuple:
     """(g(x) for x in labels), checked to be a bijection of the label
     set; raises LabelMismatch otherwise."""

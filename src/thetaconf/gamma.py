@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from typing import Hashable, Mapping, Sequence
 
-from .errors import (DEFAULT_MAX_COUNT, CapExceeded, LabelMismatch, json_field,
-                     json_items)
+from .errors import (DEFAULT_MAX_COUNT, CapExceeded, LabelMismatch, check_cap,
+                     json_field, json_items)
 from .trees import LeafId
 
 
@@ -234,6 +234,7 @@ def segal(f: DeltaMorphism) -> GammaMorphism:
 def enumerate_delta(s: int, t: int,
                     max_count: int = DEFAULT_MAX_COUNT) -> tuple[DeltaMorphism, ...]:
     """All weakly monotone [s] -> [t], lexicographic by value tuple."""
+    check_cap(max_count)
     total = math.comb(s + t + 1, s + 1)
     if total > max_count:
         raise CapExceeded(f"monotone maps [{s}]->[{t}]", total, max_count)
@@ -252,6 +253,7 @@ def enumerate_gamma(source: Sequence, target: Sequence,
     label owning it (or of no owner when inactive morphisms are allowed),
     which makes the count (|X| + 1)^|Y|, or |X|^|Y| active.
     """
+    check_cap(max_count)
     source = tuple(source)
     target = tuple(target)
     choices: tuple = tuple(range(len(source)))

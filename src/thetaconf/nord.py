@@ -7,14 +7,21 @@ branching levels of consecutive leaves.  Branching levels of
 non-adjacent pairs are the minimum of the word entries in between,
 which is why the encoding is faithful.
 
-Each ordering keeps three invariants, computed on first use:
-`positions` sends each label to its planar index, `levels[i][j]` is
-the branching level of the leaves at positions i and j, and
+Each ordering keeps four invariants, computed on first use:
+`positions` sends each label to its planar index; `keys` is the flat
+r x r table of pair keys, where keys[i*r + j] is twice the branching
+level of the leaves at positions i and j, plus 1 when i < j;
 `neighbours` lists each label with the next one in planar order and
-the word entry between them.  `pair_level` reads the `levels` table.
-`leq(a, b)` reads a's table only along b's neighbours, and
-`cells.in_cell` walks the ordering's neighbours.  Comparisons work over
-positions and need only hashable labels, never an order on them.
+the word entry between them; and `label_set` is the frozenset of the
+labels, shared by every object with an equal label set while the
+intern cache holds it, so the label check of a comparison is usually
+an identity test.  `pair_level` halves a key.  `leq(a, b)` and
+`cells.in_cell` run one test: along the planar neighbours of b, the
+key of each pair in a (or in the configuration's table of the same
+form) must exceed twice the word entry between them.  Comparisons work
+over positions and need only hashable labels, never an order on them.
+`to_tree` builds the tree of each (word, n) once and hands out the
+same object afterwards.
 
 There are r! * n^(r-1) such orderings for |A| = r >= 1 and exactly one
 for r = 0.  The order relation: S <= T when every pairwise branching
@@ -37,13 +44,13 @@ from the top degree down, so it never calls `leq`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import permutations, product
 from math import factorial
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .errors import (DEFAULT_MAX_COUNT, CapExceeded, LabelMismatch,
-                     bijection_values, json_field, json_items)
+                     bijection_values, check_cap, json_field, json_items)
 from .trees import PlanarLevelTree, is_healthy, level_n_leaves
 
 
@@ -75,18 +82,23 @@ class NOrdering:
         return {label: i for i, label in enumerate(self.labels)}
 
     @cached_property
-    def levels(self) -> tuple[tuple[int, ...], ...]:
-        """Symmetric r x r table of branching levels by position: the
-        minimum of the word between positions i and j, and n on the
-        diagonal."""
-        r, word = self.size, self.word
-        rows = [[self.n] * r for _ in range(r)]
+    def keys(self) -> tuple[int, ...]:
+        """Flat r x r table of pair keys by position: keys[i*r + j] is
+        2 * level + (1 if i < j), where level is the minimum of the word
+        between positions i and j; 2n on the diagonal."""
+        r, word, n = self.size, self.word, self.n
+        keys = [2 * n] * (r * r)
         for i in range(r):
-            level = self.n
+            level = n
             for j in range(i + 1, r):
                 level = min(level, word[j - 1])
-                rows[i][j] = rows[j][i] = level
-        return tuple(map(tuple, rows))
+                keys[i * r + j] = 2 * level + 1
+                keys[j * r + i] = 2 * level
+        return tuple(keys)
+
+    @cached_property
+    def label_set(self) -> frozenset:
+        return _intern(frozenset(self.labels))
 
     @cached_property
     def neighbours(self) -> tuple[tuple[Hashable, Hashable, int], ...]:
@@ -126,6 +138,14 @@ def parse_text(text: str, n: int) -> NOrdering:
     return NOrdering(labels, word, n)
 
 
+@lru_cache(maxsize=256)
+def _intern(labels: frozenset) -> frozenset:
+    """The first label set equal to `labels` that the cache still holds,
+    else `labels` itself.  Orderings and configurations keep their
+    `label_set` through it."""
+    return labels
+
+
 def pair_level(ordering: NOrdering, a: Hashable, b: Hashable) -> int:
     """Branching level of an arbitrary pair: min of the word between."""
     try:
@@ -135,22 +155,29 @@ def pair_level(ordering: NOrdering, a: Hashable, b: Hashable) -> int:
             f"{exc.args[0]!r} is not a label of the ordering") from None
     if i == j:
         raise ValueError(f"distinct labels required, got {a!r} twice")
-    return ordering.levels[i][j]
+    return ordering.keys[i * ordering.size + j] >> 1
 
 
 def to_tree(ordering: NOrdering) -> PlanarLevelTree:
     """Healthy height-n tree realizing the ordering; leaf k in planar
-    order carries labels[k]."""
+    order carries labels[k].  Orderings with the same word and n share
+    one tree object, so its cached invariants are computed once."""
     if ordering.size == 0:
         return PlanarLevelTree()
-    n = ordering.n
+    return _word_tree(ordering.word, ordering.n)
+
+
+@lru_cache(maxsize=4096)
+def _word_tree(word: tuple[int, ...], n: int) -> PlanarLevelTree:
+    """The tree of a nonempty ordering; its shape depends on the word
+    alone."""
     root: list = []
     spine = [root]
     for _ in range(n):
         node: list = []
         spine[-1].append(node)
         spine.append(node)
-    for b in ordering.word:
+    for b in word:
         del spine[b + 1:]
         for _ in range(b, n):
             node = []
@@ -192,6 +219,7 @@ def enumerate_nord(labels: Iterable[Hashable], n: int,
     lexicographic order, then words in lexicographic order."""
     if n < 1:
         raise ValueError(f"height parameter must be >= 1, got {n}")
+    check_cap(max_count)
     try:
         base = tuple(sorted(set(labels)))
     except TypeError:       # mixed label types: any fixed order will do
@@ -266,17 +294,28 @@ def leq(a: NOrdering, b: NOrdering) -> bool:
     one child; a link with a-level m has beta = m, so the tie rule makes
     it move to a child further right.  So the child of v walks
     rightward from x's to y's, and x comes before y in a.  The checks
-    are necessary, since neighbour pairs are pairs."""
+    are necessary, since neighbour pairs are pairs.  A pair fails
+    exactly when its key in a is at most 2 * beta."""
     if a.n != b.n:
         raise LabelMismatch(f"height parameters differ: {a.n} vs {b.n}")
-    positions = a.positions
-    if positions.keys() != b.positions.keys():
+    return _neighbours_hold(a, b)
+
+
+def _neighbours_hold(table, ordering: NOrdering) -> bool:
+    """The test of `leq` and `cells.in_cell`.  `table` is an ordering or
+    a configuration: it has `labels`, `label_set`, `positions` and the
+    flat pair `keys`, whose key is 2 * level + 1 for a pair in order and
+    2 * level for one out of order.  For each planar neighbour pair x, y
+    of `ordering` with word entry beta between them, the key of (x, y)
+    in `table` must exceed 2 * beta: the pair's level is above beta, or
+    equal to it with x first.  Raises LabelMismatch, before any pair is
+    read, when the label sets differ."""
+    if table.label_set is not ordering.label_set \
+            and table.label_set != ordering.label_set:
         raise LabelMismatch("label sets differ")
-    levels = a.levels
-    for x, y, beta in b.neighbours:
-        i, j = positions[x], positions[y]
-        level = levels[i][j]
-        if level < beta or (level == beta and i > j):
+    keys, positions, r = table.keys, table.positions, len(table.labels)
+    for x, y, beta in ordering.neighbours:
+        if keys[positions[x] * r + positions[y]] <= 2 * beta:
             return False
     return True
 

@@ -24,7 +24,7 @@ from typing import Mapping
 
 from .errors import (DEFAULT_MAX_COUNT, BranchingConditionViolation,
                      CapExceeded, LabelMismatch, NotActive, UnhealthyTarget,
-                     json_field, json_items)
+                     check_cap, json_field, json_items)
 from .gamma import (DeltaMorphism, GammaMorphism, delta_compose,
                     gamma_is_active)
 from .trees import PlanarLevelTree, is_healthy, level_n_leaves
@@ -270,6 +270,7 @@ def enumerate_hom_bruteforce(source: PlanarLevelTree, target: PlanarLevelTree,
     pool pruned by the same rule.  Children without leaves constrain
     nothing, so the rule holds for unhealthy targets too.
     """
+    check_cap(max_count)
     budget = [max_count]
     memo: dict = {}
 

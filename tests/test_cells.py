@@ -95,6 +95,15 @@ def test_in_cell_checks_labels():
                     ("b 1 a 0 c", 3)):
         with pytest.raises(LabelMismatch):
             in_cell(config, parse_text(text, n))
+    # no neighbour pair to read at all: no points against one label, and
+    # one point against a foreign label
+    for config, text in ((Configuration((), (), 2), "z"),
+                         (_config(2, a=(0, 0)), "z"),
+                         (_config(2, a=(0, 0)), "")):
+        with pytest.raises(LabelMismatch, match="label sets differ"):
+            in_cell(config, parse_text(text, 2))
+    assert _config(2, a=(0, 0), b=(0, 1)).label_set \
+        is parse_text("b 0 a", 2).label_set
 
 
 def test_witness_roundtrip():

@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -249,6 +253,33 @@ def test_negative_sweep_size_is_an_error(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert f"error: {message}" in err
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("verify", "morphisms", "--n", "1", "--max-morphisms", "-1"),
+     "max_count"),
+    (("verify", "theorem-a", "--max-chains", "-1"), "max_chains"),
+    (("enumerate", "--n", "2", "--labels", "a,b", "--max-morphisms", "-1"),
+     "max_count"),
+    (("homology", "--n", "1", "--labels", "a,b", "--max-chains", "-1"),
+     "max_chains"),
+])
+def test_negative_cap_is_an_error(capsys, argv, name):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {name} must be >= 0, got -1\n"
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+    done = subprocess.run(
+        [sys.executable, "-m", "thetaconf", "enumerate", "--n", "1",
+         "--labels", "a"], capture_output=True, text=True, env=env,
+        timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "a\t1\n", "")
 
 
 def test_classify_height_zero_is_an_error(tmp_path, capsys):

@@ -3,11 +3,13 @@ from math import factorial
 
 import pytest
 
-from thetaconf import (CapExceeded, LabelMismatch, NOrdering, PosetView,
-                       SymbolParseError, branching_level, degree,
-                       enumerate_nord, from_tree, hasse, level_n_leaves, leq,
-                       nord, pair_level, parse_symbol, parse_text, sigma_act,
-                       to_tree, upper_covers)
+from thetaconf import (ROOT_ONLY, CapExceeded, LabelMismatch, NOrdering,
+                       PosetView, SymbolParseError, branching_level, degree,
+                       enumerate_delta, enumerate_gamma,
+                       enumerate_hom_bruteforce, enumerate_nord, from_tree,
+                       hasse, level_n_leaves, leq, nord, order_complex,
+                       pair_level, parse_symbol, parse_text, poset_homology,
+                       sigma_act, to_tree, upper_covers)
 
 LABELS = ("a", "b", "c", "d")
 
@@ -86,6 +88,28 @@ def test_enumeration_cap():
     again = pickle.loads(pickle.dumps(exc))
     assert (type(again), again.position, str(again)) == \
         (SymbolParseError, exc.position, str(exc))
+
+
+@pytest.mark.parametrize("count, name", [
+    (lambda cap: enumerate_nord("ab", 2, max_count=cap), "max_count"),
+    (lambda cap: PosetView.of_orderings("ab", 2, max_count=cap), "max_count"),
+    (lambda cap: order_complex(PosetView.of_orderings("ab", 2), cap),
+     "max_chains"),
+    (lambda cap: poset_homology(PosetView.of_orderings("ab", 2), cap),
+     "max_chains"),
+    (lambda cap: enumerate_hom_bruteforce(ROOT_ONLY, ROOT_ONLY, 1,
+                                          max_count=cap), "max_count"),
+    (lambda cap: enumerate_delta(1, 1, max_count=cap), "max_count"),
+    (lambda cap: enumerate_gamma("a", "b", max_count=cap), "max_count"),
+])
+def test_negative_caps_are_rejected_before_counting(count, name):
+    for cap in (-1, -10**9):
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be >= 0, got {cap}$"):
+            count(cap)
+    # a zero cap is a cap: the work goes past it
+    with pytest.raises(CapExceeded):
+        count(0)
 
 
 @pytest.mark.parametrize("labels", [(), ("a",), ("a", "b"), "abcdefghijkl"])
@@ -179,6 +203,30 @@ def test_leq_requires_same_labels_and_level():
             leq(a, b)
         with pytest.raises(LabelMismatch):
             leq(b, a)
+    # no neighbour pair to read at all: the empty ordering against one
+    # label, and one label against a foreign one
+    for a, b in ((parse_text("", 2), parse_text("z", 2)),
+                 (parse_text("a", 2), parse_text("z", 2))):
+        with pytest.raises(LabelMismatch, match="label sets differ"):
+            leq(a, b)
+        with pytest.raises(LabelMismatch, match="label sets differ"):
+            leq(b, a)
+
+
+def test_equal_label_sets_share_one_frozenset():
+    a, b = parse_text("a 0 b 1 c", 2), parse_text("c 1 b 0 a", 3)
+    assert a.label_set is b.label_set == frozenset("abc")
+    assert a.label_set is not parse_text("a 0 b", 2).label_set
+    assert nord._intern.cache_info().maxsize == 256
+
+
+def test_to_tree_builds_each_word_once():
+    a, b = parse_text("a 0 b 1 c", 2), parse_text("c 0 a 1 b", 2)
+    assert to_tree(a) is to_tree(b)
+    assert to_tree(a) is not to_tree(parse_text("a 0 b 1 c", 3))
+    # one label and none have the same empty word and different trees
+    assert to_tree(parse_text("a", 2)) != to_tree(parse_text("", 2))
+    assert nord._word_tree.cache_info().maxsize == 4096
 
 
 def test_leq_from_first_principles():

@@ -8,8 +8,11 @@ Labels range over ints, frozensets (whose `<` is not total) and mixed
 str/int sets, so nothing may rely on an order of the labels.
 
 `leq` and `in_cell`, which check neighbouring leaves only, are checked
-against their conditions on every pair.  `homology` is checked against
-the per-degree Smith normal form on random simplicial complexes.
+against their conditions on every pair, with each pair's level read
+from the word, and against the nested-table route they replaced
+(`order_reference`).  The flat pair-key tables are checked against
+their definitions.  `homology` is checked against the per-degree Smith
+normal form on random simplicial complexes.
 
 The tree invariants a `PlanarLevelTree` caches are checked, over every
 small tree, against plain recursive walkers kept here as references;
@@ -30,6 +33,7 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import factorial
 from unittest import mock
@@ -40,6 +44,8 @@ from hypothesis import strategies as st
 from chain_reference import (minor_gcd, reference_homology,
                              simplicial_chain_complex)
 from gamma_reference import reference_compose
+from order_reference import (reference_in_cell, reference_leq,
+                             reference_levels)
 from thetaconf import (Configuration, DeltaMorphism, GammaMorphism,
                        LabelledTree, LeafId, NOrdering, PlanarLevelTree,
                        ThetaMorphism, identity_morphism,
@@ -47,8 +53,9 @@ from thetaconf import (Configuration, DeltaMorphism, GammaMorphism,
                        enumerate_trees, gamma_compose, healthify,
                        hom_exists, homology,
                        in_cell, is_healthy, leq, level_n_leaves, midpoint,
-                       parse_symbol, parse_text, render_symbol,
-                       sample_in_cell, sigma_act, smith_normal_form, to_tree,
+                       pair_level, parse_symbol, parse_text, render_symbol,
+                       sample, sample_in_cell, sigma_act, smith_normal_form,
+                       to_tree,
                        tree_from_json, tree_to_json, upper_covers, witness)
 from thetaconf.cli import main
 
@@ -129,25 +136,41 @@ def test_tied_configuration_lies_in_cells_above_its_classifier(config):
         assert in_cell(config, other) == leq(classifier, other)
 
 
+def word_level(ordering, i, j):
+    """Branching level of the leaves at positions i < j: the least word
+    entry between them."""
+    return min(ordering.word[i:j])
+
+
 def every_pair_in_cell(config, ordering):
     """The cell's conditions on every pair, read off the coordinates."""
     points = [config.point(a) for a in ordering.labels]
     for i, j in combinations(range(len(points)), 2):
-        beta = ordering.levels[i][j]
+        beta = word_level(ordering, i, j)
         if points[i][:beta] != points[j][:beta] \
                 or points[i][beta] > points[j][beta]:
             return False
     return True
 
 
+@lru_cache(maxsize=4096)
+def word_levels(ordering):
+    """{(x, y): level} for each pair of labels x before y, the level
+    read from the word."""
+    labels = ordering.labels
+    return {(labels[i], labels[j]): word_level(ordering, i, j)
+            for i, j in combinations(range(len(labels)), 2)}
+
+
 def every_pair_leq(a, b):
-    """`leq` on every pair of positions of a: the level of each pair
-    weakly drops from a to b, and a pair whose level stays keeps its
-    order."""
-    p = [b.positions[x] for x in a.labels]
-    for i, j in combinations(range(len(p)), 2):
-        level_a, level_b = a.levels[i][j], b.levels[p[i]][p[j]]
-        if level_b > level_a or (level_b == level_a and p[j] < p[i]):
+    """`leq` on every pair of labels x before y in a: the level of each
+    pair weakly drops from a to b, and a pair whose level stays keeps
+    its order."""
+    in_b = word_levels(b)
+    for (x, y), level_a in word_levels(a).items():
+        kept = (x, y) in in_b
+        level_b = in_b[(x, y) if kept else (y, x)]
+        if level_b > level_a or (level_b == level_a and not kept):
             return False
     return True
 
@@ -162,14 +185,59 @@ def test_leq_matches_every_pair_on_small_posets():
         elements = enumerate_nord("abcde"[:r], n)
         for a in elements:
             for b in elements:
-                assert leq(a, b) == every_pair_leq(a, b), (a.text(), b.text())
+                assert leq(a, b) == every_pair_leq(a, b) \
+                    == reference_leq(a, b), (a.text(), b.text())
+
+
+def test_in_cell_and_pair_level_match_the_nested_table_route():
+    for n, r in SMALL_POSETS:
+        labels = "abcde"[:r]
+        elements = enumerate_nord(labels, n)
+        # an interior point of every cell, and tied grid points
+        configs = [witness(a) for a in elements] \
+            + [sample(labels, n, seed) for seed in range(8) if r]
+        for config in configs:
+            for b in elements:
+                assert in_cell(config, b) == reference_in_cell(config, b), \
+                    (config, b.text())
+        for a in elements:
+            levels = reference_levels(a)
+            for i, j in combinations(range(r), 2):
+                x, y = a.labels[i], a.labels[j]
+                assert pair_level(a, x, y) == pair_level(a, y, x) \
+                    == levels[i][j]
 
 
 @settings(STEADY, max_examples=300)
 @given(ordering_pairs())
 def test_leq_matches_the_conditions_on_every_pair(pair):
     a, b = pair
-    assert leq(a, b) == every_pair_leq(a, b)
+    assert leq(a, b) == every_pair_leq(a, b) == reference_leq(a, b)
+
+
+@STEADY
+@given(st.data())
+def test_ordering_pair_keys_match_their_definition(data):
+    labels = data.draw(LABEL_SETS)
+    ordering = data.draw(orderings(labels, data.draw(st.integers(1, 4))))
+    r = ordering.size
+    assert ordering.keys == tuple(
+        2 * ordering.n if i == j else
+        2 * word_level(ordering, *sorted((i, j))) + (i < j)
+        for i in range(r) for j in range(r))
+
+
+@STEADY
+@given(tied_configurations())
+def test_configuration_pair_keys_match_their_definition(config):
+    r, coords = len(config.labels), config.coords
+
+    def agree(u, v):
+        return max(k for k in range(config.n + 1) if u[:k] == v[:k])
+
+    assert config.keys == tuple(
+        2 * agree(coords[i], coords[j]) + (coords[i] < coords[j])
+        for i in range(r) for j in range(r))
 
 
 # Grid values 0, 1, 2 sent to values whose set order is not their order.
@@ -184,7 +252,8 @@ def test_in_cell_matches_the_conditions_on_every_pair(config):
         config.n)
     for ordering in enumerate_nord(config.labels, config.n):
         for c in (config, spread):
-            assert in_cell(c, ordering) == every_pair_in_cell(c, ordering)
+            assert in_cell(c, ordering) == every_pair_in_cell(c, ordering) \
+                == reference_in_cell(c, ordering)
 
 
 # Facets of two to four of seven vertices: about a quarter of the draws
