@@ -9,14 +9,16 @@ points lexicographically and count leading coordinate agreements of
 neighbours.  Membership in any other cell is governed by the poset
 order on classifiers, which `verify cells` checks rather than assumes.
 A configuration keeps the same tables as an ordering, read straight
-from its coordinates: `positions`, `label_set` and the flat pair
-`keys`, where keys[i*r + j] is twice the number of leading coordinates
-that points i and j share, plus 1 when point i comes first in the
-lexicographic order.  `in_cell` then runs the test of `nord.leq` on
-them.
+from its coordinates: the shared `alphabet` of its label set and the
+flat pair `keys` by alphabet index, where the entry of labels x and y
+is twice the number of leading coordinates that their points share,
+plus 1 when the point of x comes first in the lexicographic order.
+`in_cell` then runs the test of `nord.leq` on them.
 Points inside a given cell, the integer witness and seeded random
 samples, come from one walk over the word, leaf by leaf.  All
-arithmetic is exact (fractions), so ties are honest ties.
+arithmetic is exact, so ties are honest ties: the constructor holds
+each coordinate as an int when it is integral and as a Fraction
+otherwise, so integer points compare and hash at C speed.
 """
 
 from __future__ import annotations
@@ -28,64 +30,99 @@ from functools import cached_property
 from typing import Callable, Hashable, Iterable, Mapping
 
 from .errors import LabelMismatch, bijection_values
-from .nord import NOrdering, _intern, _neighbours_hold, leq
+from .nord import NOrdering, _alphabet, _neighbours_hold, leq
 
 _SAMPLE_SPAN = 2**40
 
 
+def _exact(x) -> int | Fraction:
+    """A coordinate as an exact number: an int stays as it is; anything
+    else goes through Fraction, and an integral result becomes its
+    numerator."""
+    if type(x) is int:
+        return x
+    value = Fraction(x)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _point(label: Hashable, vec, n: int) -> tuple[int | Fraction, ...]:
+    """The vector of one label as a tuple of n exact coordinates; raises
+    ValueError naming the label and the first bad coordinate."""
+    try:
+        vec = tuple(vec)
+    except TypeError:
+        raise ValueError(f"point of {label!r} is not a vector: "
+                         f"{vec!r}") from None
+    if len(vec) != n:
+        raise ValueError(f"point of {label!r}, {vec}, is not "
+                         f"{n}-dimensional")
+    point = []
+    for x in vec:
+        try:
+            point.append(_exact(x))
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+            raise ValueError(f"coordinate {x!r} of {label!r} is not a "
+                             f"rational number") from None
+    return tuple(point)
+
+
 @dataclass(frozen=True)
 class Configuration:
-    """Injective map from labels to rational n-vectors."""
+    """Injective map from labels to rational n-vectors.  The constructor
+    turns each vector into a tuple of coordinates through `_exact`."""
 
     labels: tuple[Hashable, ...]
-    coords: tuple[tuple[Fraction, ...], ...]
+    coords: tuple[tuple[int | Fraction, ...], ...]
     n: int
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"height parameter must be >= 1, got {self.n}")
         if len(self.labels) != len(self.coords):
             raise ValueError("one coordinate vector per label required")
-        if len(set(self.labels)) != len(self.labels):
+        try:
+            distinct = len(set(self.labels))
+        except TypeError as exc:
+            raise ValueError(f"labels must be hashable: {exc}") from None
+        if distinct != len(self.labels):
             raise ValueError("duplicate labels")
-        for vec in self.coords:
-            if len(vec) != self.n:
-                raise ValueError(f"vector {vec} is not {self.n}-dimensional")
-        if len(set(self.coords)) != len(self.coords):
+        coords = tuple(_point(label, vec, self.n)
+                       for label, vec in zip(self.labels, self.coords))
+        if len(set(coords)) != len(coords):
             raise ValueError("configuration points must be pairwise distinct")
+        object.__setattr__(self, "coords", coords)
 
     @classmethod
     def from_points(cls, points: Mapping, n: int) -> "Configuration":
         labels = tuple(points)
-        coords = tuple(tuple(Fraction(x) for x in points[label])
-                       for label in labels)
-        return cls(labels, coords, n)
+        return cls(labels, tuple(points[label] for label in labels), n)
 
     @cached_property
-    def positions(self) -> dict[Hashable, int]:
-        """Index of each label in `labels`."""
-        return {label: i for i, label in enumerate(self.labels)}
+    def alphabet(self) -> dict[Hashable, int]:
+        """Index of each label, shared by equal label sets."""
+        return _alphabet(frozenset(self.labels))
 
     @cached_property
     def keys(self) -> tuple[int, ...]:
-        """Flat r x r table of pair keys by index: keys[i*r + j] is
-        2 * agree + (1 if point i comes first lexicographically), where
-        agree is the number of leading coordinates the two points share;
-        2n on the diagonal.  Each pair is compared once and mirrored."""
+        """Flat r x r table of pair keys by alphabet index: the entry of
+        labels x and y is 2 * agree + (1 if the point of x comes first
+        lexicographically), where agree is the number of leading
+        coordinates the two points share; 2n on the diagonal.  Each pair
+        is compared once and mirrored."""
         coords, r = self.coords, len(self.coords)
+        cols = [self.alphabet[x] for x in self.labels]
+        rows = [c * r for c in cols]
         keys = [2 * self.n] * (r * r)
         for i, u in enumerate(coords):
             for j in range(i + 1, r):
                 v = coords[j]
                 agree = _agree(u, v)
                 first = u[agree] < v[agree]
-                keys[i * r + j] = 2 * agree + first
-                keys[j * r + i] = 2 * agree + (not first)
+                keys[rows[i] + cols[j]] = 2 * agree + first
+                keys[rows[j] + cols[i]] = 2 * agree + (not first)
         return tuple(keys)
 
-    @cached_property
-    def label_set(self) -> frozenset:
-        return _intern(frozenset(self.labels))
-
-    def point(self, label: Hashable) -> tuple[Fraction, ...]:
+    def point(self, label: Hashable) -> tuple[int | Fraction, ...]:
         if label not in self.labels:
             raise LabelMismatch(f"{label!r} is not a label of this "
                                 f"configuration")
@@ -181,7 +218,7 @@ def _walk(ordering: NOrdering,
     A positive step on axis b puts leaf k after leaf k-1 in the
     lexicographic order, agreeing on exactly b leading coordinates, so
     the configuration classifies to the ordering itself."""
-    point = [Fraction(0)] * ordering.n
+    point = [0] * ordering.n
     coords = [tuple(point)] if ordering.size else []
     for b in ordering.word:
         for axis in range(b, ordering.n):
@@ -204,6 +241,8 @@ def sample(labels: Iterable[Hashable], n: int, seed: int) -> Configuration:
     """Seeded random configuration on a grid of side max(2, r): r
     distinct grid cells, so coordinates tie often and every cell shape
     is reachable."""
+    if n < 1:
+        raise ValueError(f"height parameter must be >= 1, got {n}")
     labels = tuple(labels)
     side = max(2, len(labels))
     rng = random.Random(seed)
@@ -212,7 +251,7 @@ def sample(labels: Iterable[Hashable], n: int, seed: int) -> Configuration:
         digits = []
         for _ in range(n):
             code, digit = divmod(code, side)
-            digits.append(Fraction(digit))
+            digits.append(digit)
         coords.append(tuple(digits))
     return Configuration(labels, tuple(coords), n)
 
@@ -232,13 +271,19 @@ def sample_in_cell(ordering: NOrdering, rng: random.Random) -> Configuration:
 def midpoint(a: Configuration, b: Configuration) -> Configuration:
     if a.labels != b.labels or a.n != b.n:
         raise LabelMismatch("configurations must share labels and dimension")
-    coords = tuple(tuple((x + y) / 2 for x, y in zip(u, v))
+    coords = tuple(tuple(Fraction(x + y, 2) for x, y in zip(u, v))
                    for u, v in zip(a.coords, b.coords))
     return Configuration(a.labels, coords, a.n)
 
 
+def _check_samples(samples: int) -> None:
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
+
+
 def convexity_probe(ordering: NOrdering, samples: int, seed: int) -> bool:
     """Midpoints of sampled cell-point pairs stay in the cell."""
+    _check_samples(samples)
     rng = random.Random(seed)
     for _ in range(samples):
         first = sample_in_cell(ordering, rng)
@@ -256,6 +301,7 @@ def functoriality_check(lower: NOrdering, upper: NOrdering,
                         samples: int, seed: int) -> bool:
     """Cells nest along the poset order: sampled points of the lower
     cell lie in the upper cell."""
+    _check_samples(samples)
     if not leq(lower, upper):
         raise ValueError("orderings are not related; nothing to check")
     rng = random.Random(seed)

@@ -7,21 +7,21 @@ branching levels of consecutive leaves.  Branching levels of
 non-adjacent pairs are the minimum of the word entries in between,
 which is why the encoding is faithful.
 
-Each ordering keeps four invariants, computed on first use:
-`positions` sends each label to its planar index; `keys` is the flat
-r x r table of pair keys, where keys[i*r + j] is twice the branching
-level of the leaves at positions i and j, plus 1 when i < j;
-`neighbours` lists each label with the next one in planar order and
-the word entry between them; and `label_set` is the frozenset of the
-labels, shared by every object with an equal label set while the
-intern cache holds it, so the label check of a comparison is usually
-an identity test.  `pair_level` halves a key.  `leq(a, b)` and
-`cells.in_cell` run one test: along the planar neighbours of b, the
-key of each pair in a (or in the configuration's table of the same
-form) must exceed twice the word entry between them.  Comparisons work
-over positions and need only hashable labels, never an order on them.
-`to_tree` builds the tree of each (word, n) once and hands out the
-same object afterwards.
+Each ordering keeps three invariants, computed on first use.
+`alphabet` numbers the labels: it is the dict that `_alphabet` gives
+for the label set, so every ordering and configuration with an equal
+label set shares one alphabet while the cache holds it.  `keys` is the
+flat r x r table of pair keys by alphabet index: keys[ix * r + iy],
+for labels x and y with indices ix and iy, is twice the branching level
+of their leaves, plus 1 when x comes first.  `checks` lists, for each
+planar neighbour pair x then y, the index ix * r + iy of its key and
+twice the word entry between them.  `pair_level` halves a key.
+`leq(a, b)` and `cells.in_cell` run one test: the key of each of b's
+checks in a (or in the configuration's table of the same form) must
+exceed the check's bound.  Comparisons work over alphabet indices and
+need only hashable labels, never an order on them.  `to_tree` builds
+the tree of each (word, n) once and hands out the same object
+afterwards.
 
 There are r! * n^(r-1) such orderings for |A| = r >= 1 and exactly one
 for r = 0.  The order relation: S <= T when every pairwise branching
@@ -77,34 +77,32 @@ class NOrdering:
         return len(self.labels)
 
     @cached_property
-    def positions(self) -> dict[Hashable, int]:
-        """Planar index of each label."""
-        return {label: i for i, label in enumerate(self.labels)}
+    def alphabet(self) -> dict[Hashable, int]:
+        """Index of each label, shared by equal label sets."""
+        return _alphabet(frozenset(self.labels))
 
     @cached_property
     def keys(self) -> tuple[int, ...]:
-        """Flat r x r table of pair keys by position: keys[i*r + j] is
-        2 * level + (1 if i < j), where level is the minimum of the word
-        between positions i and j; 2n on the diagonal."""
+        """Flat r x r table of pair keys by alphabet index: the entry of
+        labels x and y is 2 * level + (1 if x comes first), where level
+        is the minimum of the word between them; 2n on the diagonal."""
         r, word, n = self.size, self.word, self.n
+        cols = [self.alphabet[x] for x in self.labels]
+        rows = [c * r for c in cols]
         keys = [2 * n] * (r * r)
         for i in range(r):
             level = n
             for j in range(i + 1, r):
                 level = min(level, word[j - 1])
-                keys[i * r + j] = 2 * level + 1
-                keys[j * r + i] = 2 * level
+                keys[rows[i] + cols[j]] = 2 * level + 1
+                keys[rows[j] + cols[i]] = 2 * level
         return tuple(keys)
 
     @cached_property
-    def label_set(self) -> frozenset:
-        return _intern(frozenset(self.labels))
-
-    @cached_property
-    def neighbours(self) -> tuple[tuple[Hashable, Hashable, int], ...]:
-        """(label, next label, word entry between them) along the planar
-        order."""
-        return tuple(zip(self.labels, self.labels[1:], self.word))
+    def checks(self) -> tuple[tuple[int, int], ...]:
+        """(key index, bound) of each planar neighbour pair, over this
+        ordering's own alphabet."""
+        return _checks(self, self.alphabet)
 
     def text(self) -> str:
         """Alternating form "a 0 b 1 c"."""
@@ -139,17 +137,28 @@ def parse_text(text: str, n: int) -> NOrdering:
 
 
 @lru_cache(maxsize=256)
-def _intern(labels: frozenset) -> frozenset:
-    """The first label set equal to `labels` that the cache still holds,
-    else `labels` itself.  Orderings and configurations keep their
-    `label_set` through it."""
-    return labels
+def _alphabet(labels: frozenset) -> dict[Hashable, int]:
+    """Index of each label of the set, in the set's iteration order.
+    Equal label sets get the same dict while the cache holds it, so the
+    label check of a comparison is usually an identity test."""
+    return {label: i for i, label in enumerate(labels)}
+
+
+def _checks(ordering: NOrdering,
+            alphabet: Mapping[Hashable, int]) -> tuple[tuple[int, int], ...]:
+    """(ix * r + iy, 2 * beta) for each planar neighbour pair x then y of
+    the ordering with word entry beta between them, where ix and iy are
+    the indices of x and y in `alphabet`, an alphabet of its labels."""
+    r = len(alphabet)
+    labels = ordering.labels
+    return tuple((alphabet[x] * r + alphabet[y], 2 * beta)
+                 for x, y, beta in zip(labels, labels[1:], ordering.word))
 
 
 def pair_level(ordering: NOrdering, a: Hashable, b: Hashable) -> int:
     """Branching level of an arbitrary pair: min of the word between."""
     try:
-        i, j = ordering.positions[a], ordering.positions[b]
+        i, j = ordering.alphabet[a], ordering.alphabet[b]
     except KeyError as exc:
         raise LabelMismatch(
             f"{exc.args[0]!r} is not a label of the ordering") from None
@@ -303,19 +312,26 @@ def leq(a: NOrdering, b: NOrdering) -> bool:
 
 def _neighbours_hold(table, ordering: NOrdering) -> bool:
     """The test of `leq` and `cells.in_cell`.  `table` is an ordering or
-    a configuration: it has `labels`, `label_set`, `positions` and the
-    flat pair `keys`, whose key is 2 * level + 1 for a pair in order and
-    2 * level for one out of order.  For each planar neighbour pair x, y
-    of `ordering` with word entry beta between them, the key of (x, y)
-    in `table` must exceed 2 * beta: the pair's level is above beta, or
-    equal to it with x first.  Raises LabelMismatch, before any pair is
-    read, when the label sets differ."""
-    if table.label_set is not ordering.label_set \
-            and table.label_set != ordering.label_set:
+    a configuration: it has an `alphabet` of its labels and the flat
+    pair `keys` by alphabet index, whose key is 2 * level + 1 for a
+    pair in order and 2 * level for one out of order.  For each planar
+    neighbour pair x, y of `ordering` with word entry beta between
+    them, the key of (x, y) in `table` must exceed 2 * beta: the pair's
+    level is above beta, or equal to it with x first.  The checks are
+    the ordering's own when both share one alphabet, as equal label
+    sets do while the cache holds it; otherwise they are read again
+    over the table's alphabet, which a pickled or copied object may
+    number differently.  Raises LabelMismatch, before any pair is read,
+    when the label sets differ."""
+    if table.alphabet is ordering.alphabet:
+        checks = ordering.checks
+    elif table.alphabet.keys() != ordering.alphabet.keys():
         raise LabelMismatch("label sets differ")
-    keys, positions, r = table.keys, table.positions, len(table.labels)
-    for x, y, beta in ordering.neighbours:
-        if keys[positions[x] * r + positions[y]] <= 2 * beta:
+    else:
+        checks = _checks(ordering, table.alphabet)
+    keys = table.keys
+    for k, bound in checks:
+        if keys[k] <= bound:
             return False
     return True
 

@@ -102,8 +102,8 @@ def test_in_cell_checks_labels():
                          (_config(2, a=(0, 0)), "")):
         with pytest.raises(LabelMismatch, match="label sets differ"):
             in_cell(config, parse_text(text, 2))
-    assert _config(2, a=(0, 0), b=(0, 1)).label_set \
-        is parse_text("b 0 a", 2).label_set
+    assert _config(2, a=(0, 0), b=(0, 1)).alphabet \
+        is parse_text("b 0 a", 2).alphabet
 
 
 def test_witness_roundtrip():
@@ -147,6 +147,47 @@ def test_midpoint():
     b = _config(2, a=(1, 0), b=(1, 3))
     mid = midpoint(a, b)
     assert mid.point("b") == (Fraction(1, 2), Fraction(2))
+
+
+def test_midpoint_of_large_integers_is_exact():
+    # a float quotient would round 10**20 + 1 to an even number
+    mid = midpoint(Configuration(("a",), ((0,),), 1),
+                   Configuration(("a",), ((10**20 + 1,),), 1))
+    assert mid.coords == ((Fraction(10**20 + 1, 2),),)
+
+
+def test_integral_coordinates_are_held_as_int():
+    config = Configuration.from_points(
+        {"a": (1, Fraction(4, 2), 2.0, True),
+         "b": (Fraction(1, 3), "5/2", 0.5, -7)}, 4)
+    assert config.coords == ((1, 2, 2, 1),
+                             (Fraction(1, 3), Fraction(5, 2), Fraction(1, 2),
+                              -7))
+    assert [type(x) for x in config.coords[0]] == [int] * 4
+    assert [type(x) for x in config.coords[1]] == [Fraction] * 3 + [int]
+    # vectors of any sequence type are held as tuples
+    assert Configuration(("a",), ([1],), 1).coords == ((1,),)
+    for config in (witness(parse_text("a 1 b 0 c", 2)),
+                   sample("abc", 2, seed=1),
+                   sample_in_cell(parse_text("a 1 b 0 c", 2),
+                                  random.Random(1)),
+                   parse_point_file("a 1 3/3\nb 2 0.5\n")):
+        assert {type(x) for point in config.coords for x in point} \
+            <= {int, Fraction}
+        assert all(type(x) is int for point in config.coords
+                   for x in point if x == int(x))
+
+
+def test_sample_counts_and_heights_are_checked():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=f"must be >= 1, got {n}"):
+            sample("ab", n, 1)
+    with pytest.raises(ValueError, match="samples must be >= 0, got -1"):
+        convexity_probe(parse_text("a 0 b", 2), -1, 0)
+    with pytest.raises(ValueError, match="samples must be >= 0, got -1"):
+        functoriality_check(parse_text("a 1 b", 2), parse_text("a 0 b", 2),
+                            samples=-1, seed=0)
+    assert convexity_probe(parse_text("a 0 b", 2), 0, 0)
 
 
 def test_convexity_probe():
@@ -203,6 +244,24 @@ def test_relabel_rejects_map_missing_a_label():
      "one coordinate vector per label"),
     (lambda: Configuration(("a", "a"), ((0,), (1,)), 1), ValueError,
      "duplicate labels"),
+    (lambda: Configuration(("a",), ((0,),), 0), ValueError,
+     "height parameter must be >= 1, got 0"),
+    (lambda: Configuration(([1],), ((0,),), 1), ValueError,
+     "labels must be hashable"),
+    (lambda: Configuration(("a",), (5,), 1), ValueError,
+     "point of 'a' is not a vector"),
+    (lambda: Configuration(("a",), ((0, 1),), 1), ValueError,
+     r"point of 'a', \(0, 1\), is not 1-dimensional"),
+    (lambda: Configuration.from_points({"a": (None,)}, 1), ValueError,
+     "coordinate None of 'a' is not a rational number"),
+    (lambda: Configuration.from_points({"a": (0,), "b": (float("inf"),)}, 1),
+     ValueError, "coordinate inf of 'b' is not a rational number"),
+    (lambda: Configuration.from_points({"a": (float("nan"),)}, 1),
+     ValueError, "coordinate nan of 'a' is not a rational number"),
+    (lambda: Configuration.from_points({"a": ("1/0",)}, 1), ValueError,
+     "coordinate '1/0' of 'a' is not a rational number"),
+    (lambda: Configuration.from_points({"a": (1,), "b": (1.0,)}, 1),
+     ValueError, "pairwise distinct"),
     (lambda: midpoint(_config(1, a=(0,)), _config(1, b=(0,))), LabelMismatch,
      "share labels"),
     (lambda: _config(1, a=(0,)).point("z"), LabelMismatch,

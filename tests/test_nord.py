@@ -213,11 +213,13 @@ def test_leq_requires_same_labels_and_level():
             leq(b, a)
 
 
-def test_equal_label_sets_share_one_frozenset():
+def test_equal_label_sets_share_one_alphabet():
     a, b = parse_text("a 0 b 1 c", 2), parse_text("c 1 b 0 a", 3)
-    assert a.label_set is b.label_set == frozenset("abc")
-    assert a.label_set is not parse_text("a 0 b", 2).label_set
-    assert nord._intern.cache_info().maxsize == 256
+    assert a.alphabet is b.alphabet
+    assert a.alphabet.keys() == set("abc")
+    assert sorted(a.alphabet.values()) == [0, 1, 2]
+    assert a.alphabet is not parse_text("a 0 b", 2).alphabet
+    assert nord._alphabet.cache_info().maxsize == 256
 
 
 def test_to_tree_builds_each_word_once():

@@ -11,7 +11,10 @@ str/int sets, so nothing may rely on an order of the labels.
 against their conditions on every pair, with each pair's level read
 from the word, and against the nested-table route they replaced
 (`order_reference`).  The flat pair-key tables are checked against
-their definitions.  `homology` is checked against the per-degree Smith
+their definitions over alphabet indices, and both tests against that
+route on pickled, deep-copied and renumbered copies, whose alphabets
+are not the shared one.  Points held as ints and as Fractions classify
+alike.  `homology` is checked against the per-degree Smith
 normal form on random simplicial complexes.
 
 The tree invariants a `PlanarLevelTree` caches are checked, over every
@@ -29,15 +32,19 @@ units.  Malformed command-line input ends in an exit code and an
 `error:` line, never in a traceback.
 """
 
+import copy
 import io
 import json
+import pickle
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import factorial
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -47,7 +54,8 @@ from gamma_reference import reference_compose
 from order_reference import (reference_in_cell, reference_leq,
                              reference_levels)
 from thetaconf import (Configuration, DeltaMorphism, GammaMorphism,
-                       LabelledTree, LeafId, NOrdering, PlanarLevelTree,
+                       LabelMismatch, LabelledTree, LeafId, NOrdering,
+                       PlanarLevelTree,
                        ThetaMorphism, identity_morphism,
                        cell_of, degree, embed, enumerate_nord,
                        enumerate_trees, gamma_compose, healthify,
@@ -58,6 +66,7 @@ from thetaconf import (Configuration, DeltaMorphism, GammaMorphism,
                        to_tree,
                        tree_from_json, tree_to_json, upper_covers, witness)
 from thetaconf.cli import main
+from thetaconf.nord import _alphabet
 
 # Deterministic draws and no deadline keep the suite steady on a busy host.
 STEADY = settings(deadline=None, derandomize=True)
@@ -215,29 +224,117 @@ def test_leq_matches_the_conditions_on_every_pair(pair):
     assert leq(a, b) == every_pair_leq(a, b) == reference_leq(a, b)
 
 
+def by_alphabet(table, key):
+    """The flat r x r table with key(i, j), for the labels at indices i
+    and j of `table.labels`, at the alphabet indices of those labels."""
+    alphabet, r = table.alphabet, len(table.labels)
+    assert alphabet.keys() == set(table.labels)
+    assert sorted(alphabet.values()) == list(range(r))
+    keys = [None] * (r * r)
+    for i, x in enumerate(table.labels):
+        for j, y in enumerate(table.labels):
+            keys[alphabet[x] * r + alphabet[y]] = key(i, j)
+    return tuple(keys)
+
+
 @STEADY
 @given(st.data())
 def test_ordering_pair_keys_match_their_definition(data):
     labels = data.draw(LABEL_SETS)
     ordering = data.draw(orderings(labels, data.draw(st.integers(1, 4))))
-    r = ordering.size
-    assert ordering.keys == tuple(
+    assert ordering.keys == by_alphabet(ordering, lambda i, j: (
         2 * ordering.n if i == j else
-        2 * word_level(ordering, *sorted((i, j))) + (i < j)
-        for i in range(r) for j in range(r))
+        2 * word_level(ordering, *sorted((i, j))) + (i < j)))
 
 
 @STEADY
 @given(tied_configurations())
 def test_configuration_pair_keys_match_their_definition(config):
-    r, coords = len(config.labels), config.coords
+    coords = config.coords
 
     def agree(u, v):
         return max(k for k in range(config.n + 1) if u[:k] == v[:k])
 
-    assert config.keys == tuple(
-        2 * agree(coords[i], coords[j]) + (coords[i] < coords[j])
-        for i in range(r) for j in range(r))
+    assert config.keys == by_alphabet(config, lambda i, j: (
+        2 * agree(coords[i], coords[j]) + (coords[i] < coords[j])))
+
+
+def renumbered(table):
+    """A fresh copy of an ordering or configuration whose alphabet
+    numbers its labels in the reverse of the shared alphabet's order,
+    set before any table is read."""
+    fresh = replace(table)
+    shared = list(_alphabet(frozenset(table.labels)))
+    fresh.__dict__["alphabet"] = {x: i for i, x
+                                  in enumerate(reversed(shared))}
+    return fresh
+
+
+def copies(table):
+    """The table itself, and copies of it that hold their own alphabet:
+    pickled and deep-copied after its keys were read, renumbered, and
+    renumbered then pickled."""
+    table.keys      # cached, so the copies carry it
+    return [table, pickle.loads(pickle.dumps(table)), copy.deepcopy(table),
+            renumbered(table), pickle.loads(pickle.dumps(renumbered(table)))]
+
+
+def test_copies_hold_their_own_alphabet():
+    a = parse_text("a 1 b 0 c", 2)
+    config = witness(a)
+    for table in (a, config):
+        shared, *others = copies(table)
+        for other in others:
+            assert other == table and other.alphabet is not shared.alphabet
+            assert other.alphabet.keys() == shared.alphabet.keys()
+        assert others[2].alphabet != shared.alphabet
+        assert others[2].keys != shared.keys
+
+
+def test_leq_and_in_cell_read_every_alphabet_alike():
+    for n, r in SMALL_POSETS:
+        if factorial(r) * n ** max(r - 1, 0) > 60:
+            continue
+        labels = "abcde"[:r]
+        elements = enumerate_nord(labels, n)
+        configs = [witness(a) for a in elements] \
+            + [sample(labels, n, seed) for seed in range(4) if r]
+        copied = {x: copies(x) for x in elements + tuple(configs)}
+        for a in elements:
+            for b in elements:
+                expected = reference_leq(a, b)
+                assert all(leq(x, y) == expected for x in copied[a]
+                           for y in copied[b]), (a.text(), b.text())
+        for config in configs:
+            for b in elements:
+                expected = reference_in_cell(config, b)
+                assert all(in_cell(x, y) == expected for x in copied[config]
+                           for y in copied[b]), (config, b.text())
+    # the label check still runs when both alphabets are foreign
+    with pytest.raises(LabelMismatch, match="label sets differ"):
+        leq(renumbered(parse_text("a 0 b", 2)),
+            renumbered(parse_text("a 0 c", 2)))
+
+
+@STEADY
+@given(tied_configurations(), st.fractions(min_value=-3, max_value=3))
+def test_int_and_fraction_points_agree(config, shift):
+    """The same points held as ints, built from Fractions, held raw as
+    Fractions past the constructor, and shifted by a common rational
+    give the same classifier, cells and keys."""
+    raw = tuple(tuple(map(Fraction, point)) for point in config.coords)
+    built = Configuration(config.labels, raw, config.n)
+    forced = Configuration(config.labels, config.coords, config.n)
+    object.__setattr__(forced, "coords", raw)
+    shifted = Configuration(config.labels, tuple(
+        tuple(x + shift for x in point) for point in raw), config.n)
+    assert all(type(x) is int for point in config.coords for x in point)
+    assert built.coords == config.coords
+    for other in (built, forced, shifted):
+        assert cell_of(other) == cell_of(config)
+        assert other.keys == config.keys
+        for ordering in enumerate_nord(config.labels, config.n):
+            assert in_cell(other, ordering) == in_cell(config, ordering)
 
 
 # Grid values 0, 1, 2 sent to values whose set order is not their order.
