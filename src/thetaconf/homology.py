@@ -123,11 +123,19 @@ def boundary_matrices(cx: OrderComplex) -> ChainComplex:
 
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], int]:
     """Invariant factors (nonzero diagonal of the Smith form, ones
-    included, divisibility order) and the rank."""
-    columns: list[dict[int, int]] = [{} for _ in range(
-        max(map(len, matrix), default=0))]
+    included, divisibility order) and the rank.  Raises ValueError for
+    rows of unequal length and for an entry that is not an int (a bool
+    is not one), so the arithmetic stays exact."""
+    width = len(matrix[0]) if matrix else 0
+    columns: list[dict[int, int]] = [{} for _ in range(width)]
     for r, row in enumerate(matrix):
+        if len(row) != width:
+            raise ValueError(
+                f"row {r} has {len(row)} entries, row 0 has {width}")
         for c, v in enumerate(row):
+            if type(v) is not int:
+                raise ValueError(
+                    f"entry ({r}, {c}) must be an integer, got {v!r}")
             if v:
                 columns[c][r] = v
     factors, _ = _smith_sparse(columns)
@@ -144,49 +152,65 @@ def _smith_sparse(columns: Sequence[dict[int, int]],
     for c, col in enumerate(columns):
         if c in skip:
             continue
+        members = set()
         for r, v in col.items():
             if v:
-                rows.setdefault(r, {})[c] = v
-                col_rows.setdefault(c, set()).add(r)
+                row = rows.get(r)
+                if row is None:
+                    rows[r] = {c: v}
+                else:
+                    row[c] = v
+                members.add(r)
+        if members:
+            col_rows[c] = members
 
     pivot_rows = []
     # Rounds of unit-pivot elimination, shortest rows first; within a
-    # row the unit entry with the emptiest column wins.  Unit pivots
-    # are smallest-magnitude pivots, so this refines the documented
-    # smallest-nonzero-magnitude rule with a fill heuristic.
+    # row the unit entry with the emptiest column wins, ties to the
+    # lower column.  Unit pivots are smallest-magnitude pivots, so this
+    # refines the documented smallest-nonzero-magnitude rule with a fill
+    # heuristic.
     progressed = True
     while progressed:
         progressed = False
         for r0 in sorted(rows, key=lambda r: len(rows[r])):
-            row = rows.get(r0)
-            if row is None:
+            pivot_row = rows.get(r0)
+            if pivot_row is None:
                 continue
-            unit_cols = [c for c, v in row.items() if v in (1, -1)]
-            if not unit_cols:
+            c0, least = -1, 0
+            for c, v in pivot_row.items():
+                if v == 1 or v == -1:
+                    size = len(col_rows[c])
+                    if c0 < 0 or size < least or size == least and c < c0:
+                        c0, least = c, size
+            if c0 < 0:
                 continue
-            c0 = min(unit_cols, key=lambda c: (len(col_rows[c]), c))
-            pivot_row = rows.pop(r0)
-            eps = pivot_row[c0]
+            del rows[r0]
+            eps = pivot_row.pop(c0)
             for c in pivot_row:
                 col_rows[c].discard(r0)
+            targets = col_rows.pop(c0)
+            targets.discard(r0)
             # Row-eliminate the pivot column; with eps = +-1, dropping
-            # the pivot row and column afterwards leaves the exact
-            # Schur complement and an invariant factor 1.
-            for r in list(col_rows.get(c0, ())):
+            # the pivot row and column leaves the exact Schur complement
+            # and an invariant factor 1.  Each target loses its pivot
+            # column entry up front, so the update never visits it.
+            for r in targets:
                 other = rows[r]
-                factor = other[c0] * eps
+                factor = other.pop(c0) * eps
                 for c, v in pivot_row.items():
-                    new = other.get(c, 0) - factor * v
-                    if new:
-                        if c not in other:
-                            col_rows.setdefault(c, set()).add(r)
-                        other[c] = new
-                    elif c in other:
+                    step = factor * v
+                    old = other.get(c)
+                    if old is None:
+                        other[c] = -step
+                        col_rows[c].add(r)
+                    elif old == step:
                         del other[c]
                         col_rows[c].discard(r)
+                    else:
+                        other[c] = old - step
                 if not other:
                     del rows[r]
-            col_rows.pop(c0, None)
             pivot_rows.append(r0)
             progressed = True
 

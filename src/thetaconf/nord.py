@@ -35,10 +35,16 @@ its children into two nonempty subsequences A and B that keep their
 order, and hang A then B under two adjacent siblings at depth d.  In
 the word, the boundary between A and B becomes d - 1 and every other
 boundary between the children stays d; the degree rises by one.  These
-are the codimension-one incidences of the Fox-Neuwirth cells.
-`PosetView.of_orderings` builds the poset from these moves alone: the
-strictly-above set of S is the union of its covers and theirs, filled
-from the top degree down, so it never calls `leq`.
+are the codimension-one incidences of the Fox-Neuwirth cells.  A move
+depends on the word alone: `_cover_moves(word, n)` lists each as the
+new word and the positions its labels come from, once per word in a
+bounded cache, and `upper_covers` reads the labels through them.
+`PosetView.of_orderings` builds the poset from these moves alone.
+Element p * W + q, with W = n^(r-1), is the p-th label permutation
+over the q-th word, so a cover's address is the rank of the permuted
+labels times W plus the rank of the new word.  The strictly-above set
+of S is the union of its covers and theirs, filled from the top degree
+down, so the build never calls `leq`.
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import permutations, product
 from math import factorial
+from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .errors import (DEFAULT_MAX_COUNT, CapExceeded, LabelMismatch,
@@ -61,14 +68,24 @@ class NOrdering:
     n: int
 
     def __post_init__(self):
+        # type checks, not isinstance: a bool is not an integer here
+        if type(self.n) is not int:
+            raise ValueError(f"height parameter n must be an integer, "
+                             f"got {self.n!r}")
         if self.n < 1:
             raise ValueError(f"height parameter must be >= 1, got {self.n}")
-        if len(set(self.labels)) != len(self.labels):
+        try:
+            distinct = len(set(self.labels))
+        except TypeError as exc:
+            raise ValueError(f"labels must be hashable: {exc}") from None
+        if distinct != len(self.labels):
             raise ValueError("duplicate labels")
         expected = max(len(self.labels) - 1, 0)
         if len(self.word) != expected:
             raise ValueError(f"word length {len(self.word)}, expected {expected}")
         for b in self.word:
+            if type(b) is not int:
+                raise ValueError(f"word entries must be integers, got {b!r}")
             if not 0 <= b <= self.n - 1:
                 raise ValueError(f"word entry {b} outside 0..{self.n - 1}")
 
@@ -246,10 +263,15 @@ def enumerate_nord(labels: Iterable[Hashable], n: int,
     return tuple(out)
 
 
-def _cover_moves(labels: tuple, word: tuple, n: int):
-    """(labels, word) of each ordering that covers (labels, word), one
-    per split of the children of a vertex at depth 1..n-1."""
-    r = len(labels)
+@lru_cache(maxsize=4096)
+def _cover_moves(word: tuple[int, ...],
+                 n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """(new_word, positions) of each ordering that covers an ordering
+    with this word, one per split of the children of a vertex at depth
+    1..n-1: label i of the covering ordering is the label at
+    positions[i] of the covered one.  A move depends on the word alone."""
+    r = len(word) + 1
+    moves = []
     for d in range(1, n):
         start = 0
         for end in range(1, r + 1):
@@ -260,7 +282,7 @@ def _cover_moves(labels: tuple, word: tuple, n: int):
             cuts = [k for k in range(start + 1, end) if word[k - 1] == d]
             if cuts:
                 bounds = [start, *cuts, end]
-                blocks = [(labels[a:b], word[a:b - 1])
+                blocks = [(tuple(range(a, b)), word[a:b - 1])
                           for a, b in zip(bounds, bounds[1:])]
                 for split in range(1, (1 << len(blocks)) - 1):
                     # the blocks of A (bits set in split), then those of B
@@ -268,20 +290,25 @@ def _cover_moves(labels: tuple, word: tuple, n: int):
                     moved += [b for k, b in enumerate(blocks)
                               if not split >> k & 1]
                     joint = split.bit_count()
-                    new_labels, new_word = labels[:start], word[:start]
-                    for k, (block_labels, block_word) in enumerate(moved):
+                    new_positions, new_word = tuple(range(start)), word[:start]
+                    for k, (block_positions, block_word) in enumerate(moved):
                         if k:
                             new_word += (d - 1 if k == joint else d,)
-                        new_labels += block_labels
+                        new_positions += block_positions
                         new_word += block_word
-                    yield new_labels + labels[end:], new_word + word[end - 1:]
+                    moves.append((new_word + word[end - 1:],
+                                  new_positions + tuple(range(end, r))))
             start = end
+    return tuple(moves)
 
 
 def upper_covers(ordering: NOrdering) -> tuple[NOrdering, ...]:
     """The orderings that cover this one, each one degree higher."""
-    return tuple(NOrdering(labels, word, ordering.n) for labels, word
-                 in _cover_moves(ordering.labels, ordering.word, ordering.n))
+    labels = ordering.labels
+    return tuple(NOrdering(tuple(labels[i] for i in positions), word,
+                           ordering.n)
+                 for word, positions in _cover_moves(ordering.word,
+                                                     ordering.n))
 
 
 def leq(a: NOrdering, b: NOrdering) -> bool:
@@ -384,22 +411,36 @@ class PosetView:
     def of_orderings(cls, labels: Iterable[Hashable], n: int,
                      max_count: int = DEFAULT_MAX_COUNT) -> "PosetView":
         """The poset of n-orderings in `enumerate_nord` order, built from
-        cover moves without calling `leq`."""
+        word moves without calling `leq`.  With W = n^(r-1) words per
+        permutation, element p * W + q is the p-th label permutation
+        over the q-th word.  Each word's moves are walked once, and a
+        move (new_word, positions) takes element p * W + q to the one
+        whose permutation reads the p-th at `positions` and whose word
+        is new_word."""
         elements = enumerate_nord(labels, n, max_count)
-        index = {(e.labels, e.word): k for k, e in enumerate(elements)}
-        count = len(elements)
-        ups: list[list[int]] = [[] for _ in range(count)]
-        above = [0] * count
+        width = n ** max(elements[0].size - 1, 0)
+        perms = [e.labels for e in elements[::width]]
+        words = [e.word for e in elements[:width]]
+        prank = {perm: p for p, perm in enumerate(perms)}
+        wrank = {word: q for q, word in enumerate(words)}
+        ups: list[list[int]] = [[] for _ in elements]
+        above = [0] * len(elements)
+        # one int object per address, shared by every `ups` entry
+        ids = list(range(len(elements)))
         # descending degree: each element's covers come before it
-        for k in sorted(range(count), key=lambda k: sum(elements[k].word)):
-            e = elements[k]
-            mask = 0
-            for key in _cover_moves(e.labels, e.word, n):
-                j = index[key]
-                ups[k].append(j)
-                mask |= above[j] | 1 << j
-            above[k] = mask
-            ups[k].sort()
+        for q in sorted(range(width), key=lambda q: sum(words[q])):
+            # a move exists only for r >= 2, so each getter gives a tuple
+            moves = [(wrank[word], itemgetter(*positions))
+                     for word, positions in _cover_moves(words[q], n)]
+            for p, perm in enumerate(perms):
+                row = [ids[prank[pick(perm)] * width + cover_q]
+                       for cover_q, pick in moves]
+                mask = 0
+                for j in row:
+                    mask |= above[j] | 1 << j
+                row.sort()
+                k = p * width + q
+                ups[k], above[k] = row, mask
         view = cls.__new__(cls)
         view.elements, view.leq = elements, leq
         view.above, view.ups = above, ups

@@ -7,7 +7,8 @@ builds the simplicial chain complex of the faces of given facets, with
 no order complex in between.  `minor_gcd` gives the determinantal
 divisors of a matrix, the classical oracle of its invariant factors.
 `boundary_dense` copies one boundary of a chain complex into a dense
-matrix.
+matrix.  `rank_mod` is a rank route that shares no code with the
+library: column reduction over the integers mod a prime.
 """
 
 from itertools import combinations
@@ -83,3 +84,28 @@ def minor_gcd(matrix, k):
         for cs in combinations(range(cols), k):
             g = gcd(g, det([[matrix[i][j] for j in cs] for i in rs]))
     return g
+
+
+def rank_mod(columns, p):
+    """Rank mod the prime p of the matrix given by its column dicts
+    {row: value}.  Each column is reduced against the kept columns by
+    its largest row until it is zero or its largest row is new; a kept
+    column is scaled to 1 at its largest row."""
+    kept = {}
+    for col in columns:
+        v = {r: x % p for r, x in col.items() if x % p}
+        while v:
+            low = max(v)
+            pivot = kept.get(low)
+            if pivot is None:
+                inverse = pow(v[low], -1, p)
+                kept[low] = {r: x * inverse % p for r, x in v.items()}
+                break
+            factor = v[low]
+            for r, x in pivot.items():
+                y = (v.get(r, 0) - factor * x) % p
+                if y:
+                    v[r] = y
+                else:
+                    v.pop(r, None)
+    return len(kept)

@@ -6,12 +6,14 @@ it with two position lookups per planar neighbour pair of b, and
 `reference_in_cell` compares the coordinate slices of each planar
 neighbour pair of the ordering.  Neither reads the flat `keys` tables
 nor the interned `label_set`, and both raise LabelMismatch as the
-library does.
+library does.  `reference_upper_covers` walks the cover moves of one
+labelled ordering, carrying its labels through every split, as the
+library did before it walked each word once.
 """
 
 from functools import lru_cache
 
-from thetaconf import LabelMismatch
+from thetaconf import LabelMismatch, NOrdering
 
 
 def reference_levels(ordering):
@@ -62,3 +64,36 @@ def reference_in_cell(config, ordering):
         if pa[:beta] != pb[:beta] or pa[beta] > pb[beta]:
             return False
     return True
+
+
+def reference_upper_covers(ordering):
+    """The covers of the ordering in the library's order, one per split
+    of the children of a vertex at depth 1..n-1."""
+    labels, word, n = ordering.labels, ordering.word, ordering.n
+    r = len(labels)
+    out = []
+    for d in range(1, n):
+        start = 0
+        for end in range(1, r + 1):
+            if end < r and word[end - 1] >= d:
+                continue
+            cuts = [k for k in range(start + 1, end) if word[k - 1] == d]
+            if cuts:
+                bounds = [start, *cuts, end]
+                blocks = [(labels[a:b], word[a:b - 1])
+                          for a, b in zip(bounds, bounds[1:])]
+                for split in range(1, (1 << len(blocks)) - 1):
+                    moved = [b for k, b in enumerate(blocks) if split >> k & 1]
+                    moved += [b for k, b in enumerate(blocks)
+                              if not split >> k & 1]
+                    joint = split.bit_count()
+                    new_labels, new_word = labels[:start], word[:start]
+                    for k, (block_labels, block_word) in enumerate(moved):
+                        if k:
+                            new_word += (d - 1 if k == joint else d,)
+                        new_labels += block_labels
+                        new_word += block_word
+                    out.append(NOrdering(new_labels + labels[end:],
+                                         new_word + word[end - 1:], n))
+            start = end
+    return tuple(out)

@@ -3,8 +3,8 @@ from itertools import combinations
 
 import pytest
 
-from chain_reference import (boundary_dense, minor_gcd, reference_homology,
-                             simplicial_chain_complex)
+from chain_reference import (boundary_dense, minor_gcd, rank_mod,
+                             reference_homology, simplicial_chain_complex)
 from thetaconf import (CapExceeded, ChainComplex, PosetView,
                        boundary_matrices, euler_characteristic, homology,
                        order_complex, poset_homology, smith_normal_form)
@@ -17,6 +17,18 @@ def test_smith_basics():
     assert smith_normal_form([[1, 0], [0, 1]]) == ((1, 1), 2)
     assert smith_normal_form([[2, 4], [4, 2]]) == ((2, 6), 2)
     assert smith_normal_form([[0, 1], [1, 0]]) == ((1, 1), 2)
+
+
+@pytest.mark.parametrize("matrix, message", [
+    ([[1.5]], r"entry \(0, 0\) must be an integer, got 1.5"),
+    ([[1, 0], [0, 2.0]], r"entry \(1, 1\) must be an integer, got 2.0"),
+    ([[True]], r"entry \(0, 0\) must be an integer, got True"),
+    ([[1, 2], [3]], "row 1 has 1 entries, row 0 has 2"),
+    ([[1], [2, 3]], "row 1 has 2 entries, row 0 has 1"),
+])
+def test_smith_rejects_inexact_and_ragged_input(matrix, message):
+    with pytest.raises(ValueError, match=message):
+        smith_normal_form(matrix)
 
 
 def test_smith_against_minor_gcds():
@@ -191,6 +203,32 @@ def test_clearing_matches_the_per_degree_reference(n, r):
     cc = boundary_matrices(order_complex(view, 10 ** 6))
     result = homology(cc)
     assert (result.betti, result.torsion) == reference_homology(cc)
+
+
+BIG_PRIME = 1_000_003
+
+
+@pytest.mark.parametrize("n,r", NERVE_CASES)
+def test_betti_numbers_match_ranks_mod_primes(n, r):
+    view = PosetView.of_orderings("abcd"[:r], n)
+    cc = boundary_matrices(order_complex(view, 10 ** 6))
+    ranks = {p: [0] + [rank_mod(b, p) for b in cc.boundaries] + [0]
+             for p in (BIG_PRIME, 2, 3)}
+    big = ranks[BIG_PRIME]
+    result = homology(cc)
+    assert result.betti == tuple(d - big[k] - big[k + 1]
+                                 for k, d in enumerate(cc.dims))
+    # equal ranks mod 2, 3 and a large prime: no 2- or 3-torsion
+    assert ranks[2] == ranks[3] == big
+    assert not any(f % 2 == 0 or f % 3 == 0
+                   for t in result.torsion for f in t)
+
+
+def test_ranks_mod_primes_see_torsion():
+    cc = simplicial_chain_complex(RP2_FACES)
+    assert [rank_mod(b, BIG_PRIME) for b in cc.boundaries] == [5, 10]
+    assert [rank_mod(b, 3) for b in cc.boundaries] == [5, 10]
+    assert [rank_mod(b, 2) for b in cc.boundaries] == [5, 9]
 
 
 def test_projective_plane_simplicial_complex():

@@ -3,6 +3,8 @@ from math import factorial
 
 import pytest
 
+from order_reference import reference_upper_covers
+
 from thetaconf import (ROOT_ONLY, CapExceeded, LabelMismatch, NOrdering,
                        PosetView, SymbolParseError, branching_level, degree,
                        enumerate_delta, enumerate_gamma,
@@ -12,6 +14,19 @@ from thetaconf import (ROOT_ONLY, CapExceeded, LabelMismatch, NOrdering,
                        sigma_act, to_tree, upper_covers)
 
 LABELS = ("a", "b", "c", "d")
+
+
+@pytest.mark.parametrize("args, message", [
+    ((("a", "b"), (0.5,), 2), "word entries must be integers, got 0.5"),
+    ((("a", "b"), (True,), 2), "word entries must be integers, got True"),
+    ((("a", "b"), (1,), 2.0), "height parameter n must be an integer"),
+    ((("a",), (), True), "height parameter n must be an integer"),
+    ((("a",), (), "2"), "height parameter n must be an integer"),
+    ((([1],), (), 1), "labels must be hashable"),
+])
+def test_ordering_rejects_bad_field_types(args, message):
+    with pytest.raises(ValueError, match=message):
+        NOrdering(*args)
 
 
 def test_ordering_validation():
@@ -370,6 +385,39 @@ def test_structural_build_makes_no_leq_call(monkeypatch):
 def test_pinned_poset_sizes():
     assert _counts(PosetView.of_orderings("abcde", 2)) == (1920, 13440, 99840)
     assert _counts(PosetView.of_orderings("abcd", 4)) == (1536, 8496, 205056)
+
+
+def _small_cases():
+    """Every (n, r) with at most 2000 orderings."""
+    return [(n, r) for n in (1, 2, 3, 4, 5) for r in range(7)
+            if (factorial(r) * n ** (r - 1) if r else 1) <= 2000]
+
+
+def test_word_moves_relabel_to_the_labelled_covers():
+    cases = _small_cases()
+    assert (2, 5) in cases and (3, 4) in cases and (2, 6) not in cases
+    for n, r in cases:
+        for ordering in enumerate_nord("abcdef"[:r], n):
+            moves = nord._cover_moves(ordering.word, n)
+            relabelled = tuple(
+                NOrdering(tuple(ordering.labels[i] for i in positions),
+                          word, n) for word, positions in moves)
+            assert relabelled == upper_covers(ordering) \
+                == reference_upper_covers(ordering), ordering
+
+
+def test_every_word_move_raises_the_degree_by_one():
+    for n, r in _small_cases():
+        for word in {o.word for o in enumerate_nord("abcdef"[:r], n)}:
+            low = NOrdering(tuple(range(r)), word, n)
+            for new_word, positions in nord._cover_moves(word, n):
+                assert sorted(positions) == list(range(r))
+                high = NOrdering(positions, new_word, n)
+                assert degree(high) == degree(low) + 1
+
+
+def test_word_move_cache_is_bounded():
+    assert nord._cover_moves.cache_info().maxsize == 4096
 
 
 def test_upper_covers_split_the_children_of_one_vertex():

@@ -45,7 +45,7 @@ from math import factorial
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chain_reference import (minor_gcd, reference_homology,
@@ -543,6 +543,12 @@ JSON_DOCUMENTS = st.one_of(
 
 @settings(STEADY, max_examples=300)
 @given(JSON_DOCUMENTS)
+# orderings whose fields have the wrong types
+@example({"labels": ["a", "b"], "word": [0.5], "n": 2})
+@example({"labels": ["a", "b"], "word": [True], "n": 2})
+@example({"labels": ["a", "b"], "word": [1], "n": 2.0})
+@example({"labels": [[1]], "word": [], "n": 1})
+@example({"labels": ["a"], "word": [], "n": "2"})
 def test_json_readers_return_a_value_or_raise_value_error(document):
     for reader in (ThetaMorphism, NOrdering, DeltaMorphism, GammaMorphism,
                    LabelledTree):
