@@ -11,8 +11,8 @@ from .gamma import (DeltaMorphism, GammaMorphism, delta_compose,
                     enumerate_delta, enumerate_gamma, gamma_compose,
                     gamma_is_active, segal)
 from .homology import (ChainComplex, HomologyResult, OrderComplex,
-                       boundary_matrices, euler_characteristic, homology,
-                       order_complex, poset_homology, smith_normal_form)
+                       boundary_matrices, homology, order_complex,
+                       poset_homology, smith_normal_form)
 from .labelled import (LabelledTree, embed, hom_exists, hom_morphism,
                        initiality_check, label_bijection, retract,
                        unit_exists)

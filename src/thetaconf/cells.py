@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Mapping
 
-from .errors import LabelMismatch, bijection_values
+from .errors import LabelMismatch, bijection_values, check_height
 from .nord import NOrdering, _alphabet, _neighbours_hold, leq
 
 _SAMPLE_SPAN = 2**40
@@ -76,8 +76,7 @@ class Configuration:
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"height parameter must be >= 1, got {self.n}")
+        check_height(self.n)
         if len(self.labels) != len(self.coords):
             raise ValueError("one coordinate vector per label required")
         try:
@@ -241,8 +240,7 @@ def sample(labels: Iterable[Hashable], n: int, seed: int) -> Configuration:
     """Seeded random configuration on a grid of side max(2, r): r
     distinct grid cells, so coordinates tie often and every cell shape
     is reachable."""
-    if n < 1:
-        raise ValueError(f"height parameter must be >= 1, got {n}")
+    check_height(n)
     labels = tuple(labels)
     side = max(2, len(labels))
     rng = random.Random(seed)

@@ -56,6 +56,15 @@ def check_cap(cap: int, name: str = "max_count") -> None:
         raise ValueError(f"{name} must be >= 0, got {cap}")
 
 
+def check_height(n: int) -> None:
+    """Reject a height parameter that is not an int (a bool is not one)
+    or is below 1."""
+    if type(n) is not int:
+        raise ValueError(f"height parameter n must be an integer, got {n!r}")
+    if n < 1:
+        raise ValueError(f"height parameter must be >= 1, got {n}")
+
+
 def bijection_values(g: Mapping, labels: tuple) -> tuple:
     """(g(x) for x in labels), checked to be a bijection of the label
     set; raises LabelMismatch otherwise."""

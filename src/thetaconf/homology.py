@@ -6,35 +6,42 @@ degree by degree from ranks and invariant factors of the boundary
 matrices; arithmetic is plain Python integers throughout, so nothing
 can overflow.
 
-The Smith normal form runs in two phases: a sparse pass that peels off
-+-1 pivots (boundary matrices are full of them) choosing the pivot of
-least fill, then a dense textbook pass with smallest-magnitude pivoting
-on whatever small core is left.  Eliminating a unit pivot with row
-operations splits off an invariant factor 1 and leaves the Schur
-complement, so the phases compose exactly.  The rows of a boundary
+The Smith normal form is one sparse elimination.  Rounds of +-1 pivots
+(boundary matrices are full of them) choose the pivot of least fill;
+eliminating a unit pivot with row operations splits off an invariant
+factor 1 and leaves the Schur complement.  The rows of a boundary
 matrix stay its faces and the shortest rows go first: a face with one
 coface is a free face, and its pivot is an elementary collapse with no
-fill.
+fill.  When no unit is left, one step works on the entry p of least
+magnitude: it reduces the other entries of p's column to their
+remainders mod p by row operations, or, once that column is clear, the
+other entries of p's row by column operations, or, once both are
+clear, retires |p| as a diagonal entry.  A nonzero remainder is a
+smaller entry, so the loop ends, and a remainder +-1 goes to the next
+unit round.  The retired entries are put in divisibility order by
+replacing pairs with their gcd and lcm.
 
 `homology` reduces the boundaries from the top degree down and clears
 (Chen-Kerber, "Persistent homology computation with a twist", 2011):
-the reduction of d_(k+1) reports the row of each unit pivot, a
-k-simplex, and those columns are dropped from d_k before its Smith
-form.  This is exact over the integers.  Let R be the unit-pivot rows
-of d_(k+1) and C their columns.  The elimination factors d_(k+1)[R, C]
+the reduction of d_(k+1) reports the row of each unit pivot taken
+before its first non-unit step, a k-simplex, and those columns are
+dropped from d_k before its Smith form.  This is exact over the
+integers.  Let R be those rows of d_(k+1) and C their columns; up to
+then the elimination did row operations only.  It factors d_(k+1)[R, C]
 as a unit lower triangular matrix times a triangular one with +-1 on
 the diagonal, so it is invertible over Z; for each s in R some integral
 v has d_(k+1) v equal to 1 at s and 0 elsewhere on R.  That boundary z
 is a cycle, and replacing each e_s by its z is a unimodular change of
 basis of C_k that makes the columns of d_k at R zero and leaves the
 others alone.  So d_k and d_k without the columns R have the same
-invariant factors.  Pivots of the dense phase need not be units and
-are never cleared.
+invariant factors.  Unit pivots after a non-unit step follow column
+operations as well, and are never cleared.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Container, Sequence
 
 from .errors import DEFAULT_MAX_COUNT, CapExceeded, check_cap
@@ -124,8 +131,12 @@ def boundary_matrices(cx: OrderComplex) -> ChainComplex:
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], int]:
     """Invariant factors (nonzero diagonal of the Smith form, ones
     included, divisibility order) and the rank.  Raises ValueError for
-    rows of unequal length and for an entry that is not an int (a bool
-    is not one), so the arithmetic stays exact."""
+    a row that is not a sequence, rows of unequal length and an entry
+    that is not an int (a bool is not one), so the arithmetic stays
+    exact."""
+    for r, row in enumerate(matrix):
+        if not isinstance(row, Sequence):
+            raise ValueError(f"row {r} must be a sequence, got {row!r}")
     width = len(matrix[0]) if matrix else 0
     columns: list[dict[int, int]] = [{} for _ in range(width)]
     for r, row in enumerate(matrix):
@@ -146,7 +157,8 @@ def _smith_sparse(columns: Sequence[dict[int, int]],
                   skip: Container[int] = ()) -> tuple[tuple[int, ...], list[int]]:
     """Invariant factors of the matrix given by its column dicts
     {row: value}, without the columns in `skip`, and the original row
-    of each unit pivot.  The column dicts are read, never changed."""
+    of each unit pivot taken before the first non-unit step.  The
+    column dicts are read, never changed."""
     rows: dict[int, dict[int, int]] = {}
     col_rows: dict[int, set[int]] = {}
     for c, col in enumerate(columns):
@@ -164,14 +176,30 @@ def _smith_sparse(columns: Sequence[dict[int, int]],
         if members:
             col_rows[c] = members
 
-    pivot_rows = []
-    # Rounds of unit-pivot elimination, shortest rows first; within a
-    # row the unit entry with the emptiest column wins, ties to the
-    # lower column.  Unit pivots are smallest-magnitude pivots, so this
-    # refines the documented smallest-nonzero-magnitude rule with a fill
-    # heuristic.
-    progressed = True
-    while progressed:
+    def subtract(r: int, factor: int, pivot_row: dict[int, int]) -> None:
+        # row r -= factor * pivot_row; an emptied row is dropped
+        other = rows[r]
+        for c, v in pivot_row.items():
+            step = factor * v
+            old = other.get(c)
+            if old is None:
+                other[c] = -step
+                col_rows[c].add(r)
+            elif old == step:
+                del other[c]
+                col_rows[c].discard(r)
+            else:
+                other[c] = old - step
+        if not other:
+            del rows[r]
+
+    pivot_rows: list[int] = []
+    prefix = None           # unit pivots before the first non-unit step
+    core: list[int] = []
+    while rows:
+        # A round of unit pivots, shortest rows first; within a row the
+        # unit entry with the emptiest column wins, ties to the lower
+        # column.
         progressed = False
         for r0 in sorted(rows, key=lambda r: len(rows[r])):
             pivot_row = rows.get(r0)
@@ -191,116 +219,52 @@ def _smith_sparse(columns: Sequence[dict[int, int]],
                 col_rows[c].discard(r0)
             targets = col_rows.pop(c0)
             targets.discard(r0)
-            # Row-eliminate the pivot column; with eps = +-1, dropping
-            # the pivot row and column leaves the exact Schur complement
-            # and an invariant factor 1.  Each target loses its pivot
-            # column entry up front, so the update never visits it.
+            # With eps = +-1, clearing the pivot column by row operations
+            # and dropping the pivot row and column leaves the exact
+            # Schur complement and an invariant factor 1.  Each target
+            # loses its pivot column entry up front.
             for r in targets:
-                other = rows[r]
-                factor = other.pop(c0) * eps
-                for c, v in pivot_row.items():
-                    step = factor * v
-                    old = other.get(c)
-                    if old is None:
-                        other[c] = -step
-                        col_rows[c].add(r)
-                    elif old == step:
-                        del other[c]
-                        col_rows[c].discard(r)
-                    else:
-                        other[c] = old - step
-                if not other:
-                    del rows[r]
+                subtract(r, rows[r].pop(c0) * eps, pivot_row)
             pivot_rows.append(r0)
             progressed = True
+        if progressed:
+            continue
+        # No unit left: one step on the entry p of least magnitude.
+        r0, c0 = min(((r, c) for r, row in rows.items() for c in row),
+                     key=lambda rc: (abs(rows[rc[0]][rc[1]]), rc))
+        if prefix is None:
+            prefix = len(pivot_rows)
+        pivot_row = rows[r0]
+        p = pivot_row[c0]
+        targets = col_rows[c0] - {r0}
+        if targets:
+            # Row step: the remainders v % p stay in the column.
+            for r in targets:
+                subtract(r, rows[r][c0] // p, pivot_row)
+        elif len(pivot_row) > 1:
+            # Column step: the column of p is clear, so subtracting
+            # multiples of it from the other columns touches this row
+            # only and leaves the remainders v % p.
+            for c in [c for c in pivot_row if c != c0]:
+                v = pivot_row[c] % p
+                if v:
+                    pivot_row[c] = v
+                else:
+                    del pivot_row[c]
+                    col_rows[c].discard(r0)
+        else:
+            del rows[r0]
+            del col_rows[c0]
+            core.append(abs(p))
 
-    # Dense residue: no unit entries left anywhere.
-    if rows:
-        row_ids = sorted(rows)
-        col_ids = sorted({c for row in rows.values() for c in row})
-        col_pos = {c: k for k, c in enumerate(col_ids)}
-        dense = [[0] * len(col_ids) for _ in row_ids]
-        for k, r in enumerate(row_ids):
-            for c, v in rows[r].items():
-                dense[k][col_pos[c]] = v
-        core = tuple(_smith_dense(dense))
-    else:
-        core = ()
-
+    # diag(a, b) ~ diag(gcd, lcm): for each prime a selection sort of
+    # its exponents, which leaves the core in divisibility order
+    for i in range(len(core)):
+        for j in range(i + 1, len(core)):
+            g = gcd(core[i], core[j])
+            core[i], core[j] = g, core[i] // g * core[j]
     # 1 divides everything: still a chain
-    return (1,) * len(pivot_rows) + core, pivot_rows
-
-
-def _smith_dense(m: list[list[int]]) -> list[int]:
-    """Textbook Smith reduction with smallest-nonzero-magnitude pivoting.
-    Returns the nonzero diagonal in divisibility order: before a pivot
-    is retired, the offender step makes it divide the rest of the live
-    block, so every later pivot is a multiple of it."""
-    factors = []
-    top = 0
-    nrows, ncols = len(m), len(m[0]) if m else 0
-    while True:
-        pivot = None
-        for r in range(top, nrows):
-            for c in range(ncols):
-                v = m[r][c]
-                if v and (pivot is None or abs(v) < abs(m[pivot[0]][pivot[1]])):
-                    pivot = (r, c)
-        if pivot is None:
-            break
-        r0, c0 = pivot
-        m[top], m[r0] = m[r0], m[top]
-        for row in m:
-            row[c0], row[0] = row[0], row[c0]
-        # Columns are swapped logically by always working at column 0 of
-        # the live block; physical swap keeps indexing simple.
-        while True:
-            p = m[top][0]
-            dirty = False
-            for r in range(top + 1, nrows):
-                if m[r][0]:
-                    q = m[r][0] // p
-                    if q:
-                        m[r] = [a - q * b for a, b in zip(m[r], m[top])]
-                    if m[r][0]:
-                        m[top], m[r] = m[r], m[top]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            for c in range(1, ncols):
-                if m[top][c]:
-                    q = m[top][c] // p
-                    if q:
-                        for r in range(top, nrows):
-                            m[r][c] -= q * m[r][0]
-                    if m[top][c]:
-                        for r in range(top, nrows):
-                            m[r][0], m[r][c] = m[r][c], m[r][0]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            offender = None
-            for r in range(top + 1, nrows):
-                for c in range(1, ncols):
-                    if m[r][c] % p:
-                        offender = r
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            m[top] = [a + b for a, b in zip(m[top], m[offender])]
-        factors.append(abs(m[top][0]))
-        # Retire row `top` and column 0 of the live block.
-        for r in range(nrows):
-            m[r] = m[r][1:]
-        ncols -= 1
-        top += 1
-        if ncols == 0:
-            break
-    return factors
+    return (1,) * len(pivot_rows) + tuple(core), pivot_rows[:prefix]
 
 
 # -- homology ----------------------------------------------------------------
@@ -339,11 +303,6 @@ def homology(cc: ChainComplex) -> HomologyResult:
                     for k in range(dim))
     euler = sum((-1) ** k * d for k, d in enumerate(cc.dims))
     return HomologyResult(betti, torsion, euler, tuple(cc.dims))
-
-
-def euler_characteristic(cx: OrderComplex) -> int:
-    """Alternating simplex-count sum, independent of any rank computation."""
-    return sum((-1) ** k * c for k, c in enumerate(cx.counts()))
 
 
 def poset_homology(view: PosetView,

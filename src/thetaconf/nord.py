@@ -57,7 +57,8 @@ from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .errors import (DEFAULT_MAX_COUNT, CapExceeded, LabelMismatch,
-                     bijection_values, check_cap, json_field, json_items)
+                     bijection_values, check_cap, check_height, json_field,
+                     json_items)
 from .trees import PlanarLevelTree, is_healthy, level_n_leaves
 
 
@@ -68,12 +69,7 @@ class NOrdering:
     n: int
 
     def __post_init__(self):
-        # type checks, not isinstance: a bool is not an integer here
-        if type(self.n) is not int:
-            raise ValueError(f"height parameter n must be an integer, "
-                             f"got {self.n!r}")
-        if self.n < 1:
-            raise ValueError(f"height parameter must be >= 1, got {self.n}")
+        check_height(self.n)
         try:
             distinct = len(set(self.labels))
         except TypeError as exc:
@@ -84,6 +80,7 @@ class NOrdering:
         if len(self.word) != expected:
             raise ValueError(f"word length {len(self.word)}, expected {expected}")
         for b in self.word:
+            # a type check, not isinstance: a bool is not an integer here
             if type(b) is not int:
                 raise ValueError(f"word entries must be integers, got {b!r}")
             if not 0 <= b <= self.n - 1:
@@ -243,8 +240,7 @@ def enumerate_nord(labels: Iterable[Hashable], n: int,
                    max_count: int = DEFAULT_MAX_COUNT) -> tuple[NOrdering, ...]:
     """All n-orderings of the label set: label permutations in
     lexicographic order, then words in lexicographic order."""
-    if n < 1:
-        raise ValueError(f"height parameter must be >= 1, got {n}")
+    check_height(n)
     check_cap(max_count)
     try:
         base = tuple(sorted(set(labels)))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import NamedTuple
 
-from .errors import SymbolParseError
+from .errors import SymbolParseError, check_height
 
 
 class LeafId(NamedTuple):
@@ -118,8 +118,7 @@ def tree(*children: PlanarLevelTree) -> PlanarLevelTree:
 
 def parse_symbol(text: str, n: int) -> PlanarLevelTree:
     """Parse a tree symbol as an object of height n (n >= 1)."""
-    if n < 1:
-        raise ValueError(f"height parameter must be >= 1, got {n}")
+    check_height(n)
     parser = _SymbolParser(text)
     result = parser.parse_tree(n)
     parser.skip_ws()
@@ -195,8 +194,7 @@ def render_symbol(t: PlanarLevelTree, n: int) -> str:
     at height 1 renders bare "[s]"; otherwise children render at
     height n-1.  parse_symbol(render_symbol(t, n), n) == t.
     """
-    if n < 1:
-        raise ValueError(f"height parameter must be >= 1, got {n}")
+    check_height(n)
     _check_fits(t, n)
     s = len(t.children)
     if s == 0:

@@ -7,8 +7,10 @@ builds the simplicial chain complex of the faces of given facets, with
 no order complex in between.  `minor_gcd` gives the determinantal
 divisors of a matrix, the classical oracle of its invariant factors.
 `boundary_dense` copies one boundary of a chain complex into a dense
-matrix.  `rank_mod` is a rank route that shares no code with the
-library: column reduction over the integers mod a prime.
+matrix and `column_dicts` a dense matrix into column dicts.  `rank_mod` is a rank route that shares no code with the
+library: column reduction over the integers mod a prime.  `det_bareiss`
+is the determinant by fraction-free elimination, which stays
+polynomial where `minor_gcd` does not.
 """
 
 from itertools import combinations
@@ -64,6 +66,12 @@ def boundary_dense(cc, k):
     return out
 
 
+def column_dicts(matrix):
+    """The columns of a dense matrix as dicts {row: nonzero value}."""
+    return [{r: row[c] for r, row in enumerate(matrix) if row[c]}
+            for c in range(len(matrix[0]))]
+
+
 def minor_gcd(matrix, k):
     """gcd of all k x k minors; the k-th invariant factor is
     minor_gcd(matrix, k) // minor_gcd(matrix, k - 1)."""
@@ -109,3 +117,24 @@ def rank_mod(columns, p):
                 else:
                     v.pop(r, None)
     return len(kept)
+
+
+def det_bareiss(matrix):
+    """Determinant of a square integer matrix by Bareiss's fraction-free
+    elimination: after step k every entry of the live block is a
+    (k + 1) x (k + 1) minor, so each division is exact."""
+    m = [list(row) for row in matrix]
+    size = len(m)
+    sign, previous = 1, 1
+    for k in range(size - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, size) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // previous
+        previous = m[k][k]
+    return sign * m[-1][-1] if size else 1

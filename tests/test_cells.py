@@ -246,6 +246,12 @@ def test_relabel_rejects_map_missing_a_label():
      "duplicate labels"),
     (lambda: Configuration(("a",), ((0,),), 0), ValueError,
      "height parameter must be >= 1, got 0"),
+    (lambda: Configuration(("a",), ((0,),), True), ValueError,
+     "height parameter n must be an integer, got True"),
+    (lambda: Configuration(("a",), ((0,),), 1.0), ValueError,
+     "height parameter n must be an integer, got 1.0"),
+    (lambda: sample("ab", "2", 0), ValueError,
+     "height parameter n must be an integer, got '2'"),
     (lambda: Configuration(([1],), ((0,),), 1), ValueError,
      "labels must be hashable"),
     (lambda: Configuration(("a",), (5,), 1), ValueError,

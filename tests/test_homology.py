@@ -1,13 +1,15 @@
 import random
 from itertools import combinations
+from math import prod
 
 import pytest
 
-from chain_reference import (boundary_dense, minor_gcd, rank_mod,
-                             reference_homology, simplicial_chain_complex)
+from chain_reference import (boundary_dense, column_dicts, det_bareiss,
+                             minor_gcd, rank_mod, reference_homology,
+                             simplicial_chain_complex)
 from thetaconf import (CapExceeded, ChainComplex, PosetView,
-                       boundary_matrices, euler_characteristic, homology,
-                       order_complex, poset_homology, smith_normal_form)
+                       boundary_matrices, homology, order_complex,
+                       poset_homology, smith_normal_form)
 
 
 def test_smith_basics():
@@ -25,6 +27,8 @@ def test_smith_basics():
     ([[True]], r"entry \(0, 0\) must be an integer, got True"),
     ([[1, 2], [3]], "row 1 has 1 entries, row 0 has 2"),
     ([[1], [2, 3]], "row 1 has 2 entries, row 0 has 1"),
+    ([3], "row 0 must be a sequence, got 3"),
+    ([[1], 3], "row 1 must be a sequence, got 3"),
 ])
 def test_smith_rejects_inexact_and_ragged_input(matrix, message):
     with pytest.raises(ValueError, match=message):
@@ -169,11 +173,6 @@ def test_projective_plane_torsion():
     assert result.simplex_counts == (31, 90, 60)
 
 
-def test_euler_characteristic_matches_counts():
-    cx = order_complex(_rp2_view(), 10 ** 5)
-    assert euler_characteristic(cx) == 31 - 90 + 60
-
-
 def test_homology_result_json():
     result = poset_homology(_chain_view(2), 100)
     data = result.to_json()
@@ -224,6 +223,26 @@ def test_betti_numbers_match_ranks_mod_primes(n, r):
                    for t in result.torsion for f in t)
 
 
+# Square matrices with no unit entry, too large for `minor_gcd`: every
+# step of their Smith form starts as a non-unit step.
+@pytest.mark.parametrize("size, density, seed",
+                         [(36, 0.15, 3), (48, 0.2, 5), (60, 0.1, 3)])
+def test_smith_of_medium_non_unit_cores(size, density, seed):
+    rng = random.Random(seed)
+    matrix = [[rng.choice([2, -2, 4, 6, 3, -3, 9])
+               if rng.random() < density else 0 for _ in range(size)]
+              for _ in range(size)]
+    factors, rank = smith_normal_form(matrix)
+    assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+    columns = column_dicts(matrix)
+    assert rank == rank_mod(columns, BIG_PRIME)
+    # the rank mod p counts the invariant factors that p does not divide
+    for p in (2, 3, 5, 7):
+        assert sum(f % p == 0 for f in factors) == rank - rank_mod(columns, p)
+    det = abs(det_bareiss(matrix))
+    assert det == (prod(factors) if rank == size else 0)
+
+
 def test_ranks_mod_primes_see_torsion():
     cc = simplicial_chain_complex(RP2_FACES)
     assert [rank_mod(b, BIG_PRIME) for b in cc.boundaries] == [5, 10]
@@ -241,9 +260,10 @@ def test_projective_plane_simplicial_complex():
 
 
 def test_dense_pivots_are_not_cleared():
-    # d2(t) = 2 s1 + 3 s2 has no unit entry, so its pivot comes from the
-    # dense phase; d1(s1) = 3 v and d1(s2) = -2 v.  Dropping either
-    # column of d1 would leave the factor 2 or 3 instead of 1.
+    # d2(t) = 2 s1 + 3 s2 has no unit entry, so its unit pivot appears
+    # only after a non-unit step leaves the remainder 3 - 2 = 1;
+    # d1(s1) = 3 v and d1(s2) = -2 v.  Dropping either column of d1
+    # would leave the factor 2 or 3 instead of 1.
     cc = ChainComplex((1, 2, 1), (({0: 3}, {0: -2}), ({0: 2, 1: 3},)))
     result = homology(cc)
     assert result.betti == (0, 0, 0)

@@ -133,6 +133,11 @@ def test_enumeration_rejects_height_below_one(labels):
     for n in (0, -2):
         with pytest.raises(ValueError, match="height parameter must be >= 1"):
             enumerate_nord(labels, n, max_count=1)
+    for n in ("2", 2.0, True):
+        for build in (enumerate_nord, PosetView.of_orderings):
+            with pytest.raises(ValueError,
+                               match="height parameter n must be an integer"):
+                build(labels, n, max_count=1)
 
 
 def test_pair_level():

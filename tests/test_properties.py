@@ -28,7 +28,8 @@ maps agrees with composing them by unions of images.
 
 `smith_normal_form` is checked against the determinantal divisors on
 small matrices whose entries share factors, so most pivots are not
-units.  Malformed command-line input ends in an exit code and an
+units, and against ranks mod small primes on matrices up to 10 x 10
+whose entries are multiples of 2 or 3.  Malformed command-line input ends in an exit code and an
 `error:` line, never in a traceback.
 """
 
@@ -48,8 +49,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chain_reference import (minor_gcd, reference_homology,
-                             simplicial_chain_complex)
+from chain_reference import (column_dicts, minor_gcd, rank_mod,
+                             reference_homology, simplicial_chain_complex)
 from gamma_reference import reference_compose
 from order_reference import (reference_in_cell, reference_leq,
                              reference_levels)
@@ -387,6 +388,26 @@ def test_smith_normal_form_matches_determinantal_divisors(matrix):
         divisors.append(d)
     factors = tuple(b // a for a, b in zip(divisors, divisors[1:]))
     assert smith_normal_form(matrix) == (factors, len(factors))
+
+
+@st.composite
+def non_unit_matrices(draw):
+    """Up to 10 x 10, every entry a multiple of 2 or 3."""
+    rows, cols = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    entry = st.one_of(st.just(0), st.integers(-6, 6).map(lambda k: 2 * k),
+                      st.integers(-6, 6).map(lambda k: 3 * k))
+    return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+
+
+@settings(STEADY, max_examples=200)
+@given(non_unit_matrices())
+def test_smith_factors_count_the_rank_drops_mod_primes(matrix):
+    # the rank mod p counts the invariant factors that p does not divide
+    factors, rank = smith_normal_form(matrix)
+    columns = column_dicts(matrix)
+    assert rank == rank_mod(columns, 1_000_003)
+    for p in (2, 3, 5, 7):
+        assert sum(f % p == 0 for f in factors) == rank - rank_mod(columns, p)
 
 
 @STEADY

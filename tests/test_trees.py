@@ -225,6 +225,8 @@ def test_frozen_and_hashable():
 @pytest.mark.parametrize("build, message", [
     (lambda: parse_symbol("[1]", 0), "must be >= 1"),
     (lambda: render_symbol(ROOT_ONLY, 0), "must be >= 1"),
+    (lambda: parse_symbol("[0]", "2"), "n must be an integer, got '2'"),
+    (lambda: render_symbol(ROOT_ONLY, 2.0), "n must be an integer, got 2.0"),
     (lambda: parse_symbol("[x]", 1), "expected a natural number"),
     (lambda: tree_from_json("[]"), "expected a nested list"),
 ])

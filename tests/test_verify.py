@@ -159,6 +159,13 @@ def test_check_morphism_pair_rejects_a_wrong_lift(monkeypatch):
         (False, 4, "lift is not inverse to assembly")
 
 
+def test_morphism_sweep_rejects_bad_heights():
+    for levels, message in (((1, 0), "must be >= 1, got 0"),
+                            ((True,), "n must be an integer, got True")):
+        with pytest.raises(ValueError, match=message):
+            suite_morphisms(levels=levels, max_edges=0)
+
+
 def test_morphism_sweep_of_one_job():
     # one tree pair (root to root) makes one job
     single = suite_morphisms(levels=(1,), max_edges=0)
