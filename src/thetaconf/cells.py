@@ -29,7 +29,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Mapping
 
-from .errors import LabelMismatch, bijection_values, check_height
+from .errors import (LabelMismatch, bijection_values, check_count,
+                     check_height, check_labels)
 from .nord import NOrdering, _alphabet, _neighbours_hold, leq
 
 _SAMPLE_SPAN = 2**40
@@ -79,12 +80,7 @@ class Configuration:
         check_height(self.n)
         if len(self.labels) != len(self.coords):
             raise ValueError("one coordinate vector per label required")
-        try:
-            distinct = len(set(self.labels))
-        except TypeError as exc:
-            raise ValueError(f"labels must be hashable: {exc}") from None
-        if distinct != len(self.labels):
-            raise ValueError("duplicate labels")
+        check_labels(self.labels)
         coords = tuple(_point(label, vec, self.n)
                        for label, vec in zip(self.labels, self.coords))
         if len(set(coords)) != len(coords):
@@ -274,14 +270,9 @@ def midpoint(a: Configuration, b: Configuration) -> Configuration:
     return Configuration(a.labels, coords, a.n)
 
 
-def _check_samples(samples: int) -> None:
-    if samples < 0:
-        raise ValueError(f"samples must be >= 0, got {samples}")
-
-
 def convexity_probe(ordering: NOrdering, samples: int, seed: int) -> bool:
     """Midpoints of sampled cell-point pairs stay in the cell."""
-    _check_samples(samples)
+    check_count(samples, "samples")
     rng = random.Random(seed)
     for _ in range(samples):
         first = sample_in_cell(ordering, rng)
@@ -299,7 +290,7 @@ def functoriality_check(lower: NOrdering, upper: NOrdering,
                         samples: int, seed: int) -> bool:
     """Cells nest along the poset order: sampled points of the lower
     cell lie in the upper cell."""
-    _check_samples(samples)
+    check_count(samples, "samples")
     if not leq(lower, upper):
         raise ValueError("orderings are not related; nothing to check")
     rng = random.Random(seed)

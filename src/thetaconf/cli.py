@@ -13,7 +13,7 @@ import json
 import sys
 
 from .cells import cell_of, parse_point_file
-from .errors import CapExceeded, DEFAULT_MAX_COUNT, SymbolParseError
+from .errors import CapExceeded, DEFAULT_MAX_COUNT, check_labels
 from .homology import boundary_matrices, order_complex, poset_homology
 from .nord import PosetView, degree, enumerate_nord, hasse
 from .verify import (DEFAULT_HOMOLOGY_CASES, DEFAULT_LABELS, SUITES,
@@ -25,8 +25,7 @@ def _parse_labels(raw: str) -> tuple[str, ...]:
     labels = tuple(part.strip() for part in raw.split(","))
     if any(not part for part in labels):
         raise ValueError(f"empty label in {raw!r}")
-    if len(set(labels)) != len(labels):
-        raise ValueError(f"duplicate label in {raw!r}")
+    check_labels(labels)
     return labels
 
 
@@ -188,25 +187,25 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=formats, default=default_format)
         p.add_argument("--output", default=None, metavar="FILE")
 
+    def orderings_of(p, cap, counted):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--labels", required=True, metavar="a,b,c")
+        p.add_argument(cap, type=int, default=DEFAULT_MAX_COUNT,
+                       help=f"cap on the number of {counted}")
+
     p = sub.add_parser("enumerate", help="list all n-orderings of a label set")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--labels", required=True, metavar="a,b,c")
-    p.add_argument("--max-morphisms", type=int, default=DEFAULT_MAX_COUNT)
+    orderings_of(p, "--max-morphisms", "orderings")
     common(p, ["text", "json", "csv"])
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("hasse", help="cover relation of the n-ordering poset")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--labels", required=True, metavar="a,b,c")
-    p.add_argument("--max-morphisms", type=int, default=DEFAULT_MAX_COUNT)
+    orderings_of(p, "--max-morphisms", "orderings")
     common(p, ["text", "json", "dot"], default_format="dot")
     p.set_defaults(func=cmd_hasse)
 
     p = sub.add_parser("homology",
                        help="integral homology of the order complex")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--labels", required=True, metavar="a,b,c")
-    p.add_argument("--max-chains", type=int, default=DEFAULT_MAX_COUNT)
+    orderings_of(p, "--max-chains", "chains in the order complex")
     common(p, ["text", "json", "csv"])
     p.set_defaults(func=cmd_homology)
 
@@ -223,10 +222,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=sorted(SUITES))
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--labels", default=None, metavar="a,b,c")
-    p.add_argument("--max-edges", type=int, default=6)
-    p.add_argument("--max-morphisms", type=int, default=DEFAULT_MAX_COUNT)
-    p.add_argument("--max-chains", type=int, default=DEFAULT_MAX_COUNT)
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--max-edges", type=int, default=6,
+                   help="morphisms: largest edge count of the trees swept")
+    p.add_argument("--max-morphisms", type=int, default=DEFAULT_MAX_COUNT,
+                   help="morphisms: cap on the morphisms built per tree pair")
+    p.add_argument("--max-chains", type=int, default=DEFAULT_MAX_COUNT,
+                   help="theorem-a: cap on the chains of each order complex")
+    p.add_argument("--samples", type=int, default=1000,
+                   help="cells: random configurations per (n, r) case")
     p.add_argument("--seed", type=int, default=0)
     common(p, ["text", "json"])
     p.set_defaults(func=cmd_verify)
@@ -237,7 +240,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, SymbolParseError, CapExceeded, OSError) as exc:
+    except (ValueError, CapExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

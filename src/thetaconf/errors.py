@@ -1,7 +1,8 @@
-"""Shared exception types, resource-cap default and the field checks of
-the JSON readers."""
+"""Shared exception types, the resource-cap default, the argument rules
+(labels, heights and counts) and the field checks of the JSON readers."""
 
-from typing import Hashable, Mapping
+from contextlib import suppress
+from typing import Hashable, Mapping, Sequence
 
 DEFAULT_MAX_COUNT = 10**6
 
@@ -49,11 +50,14 @@ class BranchingConditionViolation(ValueError):
     """Set-level map admits no lift because the branching condition fails."""
 
 
-def check_cap(cap: int, name: str = "max_count") -> None:
-    """Reject a negative resource cap before anything is counted; such a
-    cap is an input error, not a cap that the work goes past."""
-    if cap < 0:
-        raise ValueError(f"{name} must be >= 0, got {cap}")
+def check_labels(labels: Sequence) -> None:
+    """Reject labels that are not all hashable, or not distinct."""
+    try:
+        distinct = len(set(labels))
+    except TypeError as exc:
+        raise ValueError(f"labels must be hashable: {exc}") from None
+    if distinct != len(labels):
+        raise ValueError("duplicate labels")
 
 
 def check_height(n: int) -> None:
@@ -65,15 +69,23 @@ def check_height(n: int) -> None:
         raise ValueError(f"height parameter must be >= 1, got {n}")
 
 
+def check_count(value: int, name: str) -> None:
+    """Reject a count, size or resource cap that is not an int (a bool is
+    not one) or is negative: an input error, not a cap the work goes past."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+
+
 def bijection_values(g: Mapping, labels: tuple) -> tuple:
     """(g(x) for x in labels), checked to be a bijection of the label
     set; raises LabelMismatch otherwise."""
-    if not all(x in g for x in labels):
-        raise LabelMismatch("not a bijection of the label set")
-    values = tuple(g[x] for x in labels)
-    if set(values) != set(labels):
-        raise LabelMismatch("not a bijection of the label set")
-    return values
+    with suppress(TypeError):   # g is no mapping, or a value is unhashable
+        values = tuple(g[x] for x in labels if x in g)
+        if len(values) == len(labels) and set(values) == set(labels):
+            return values
+    raise LabelMismatch("not a bijection of the label set")
 
 
 # -- JSON fields -------------------------------------------------------------

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from typing import Hashable, Mapping, Sequence
 
-from .errors import (DEFAULT_MAX_COUNT, CapExceeded, LabelMismatch, check_cap,
-                     json_field, json_items)
+from .errors import (DEFAULT_MAX_COUNT, CapExceeded, LabelMismatch,
+                     check_count, check_labels, json_field, json_items)
 from .trees import LeafId
 
 
@@ -35,8 +35,8 @@ class DeltaMorphism:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        if self.source_rank < 0 or self.target_rank < 0:
-            raise ValueError("ranks must be non-negative")
+        check_count(self.source_rank, "source_rank")
+        check_count(self.target_rank, "target_rank")
         if len(self.values) != self.source_rank + 1:
             raise ValueError(
                 f"[{self.source_rank}] needs {self.source_rank + 1} values, "
@@ -93,14 +93,11 @@ class GammaMorphism:
         if not isinstance(self.owners, tuple) \
                 or len(self.owners) != len(self.target):
             raise ValueError("a tuple of one owner per target label required")
-        if len(set(self.source)) != len(self.source):
-            raise ValueError("duplicate source labels")
-        if len(set(self.target)) != len(self.target):
-            raise ValueError("duplicate target labels")
+        check_labels(self.source)
+        check_labels(self.target)
         size = len(self.source)
         for y, i in zip(self.target, self.owners):
-            if i is not None and (isinstance(i, bool) or not isinstance(i, int)
-                                  or not 0 <= i < size):
+            if i is not None and (type(i) is not int or not 0 <= i < size):
                 raise ValueError(f"owner {i!r} of {y!r} is not a position "
                                  f"in a source of {size} labels")
 
@@ -234,7 +231,9 @@ def segal(f: DeltaMorphism) -> GammaMorphism:
 def enumerate_delta(s: int, t: int,
                     max_count: int = DEFAULT_MAX_COUNT) -> tuple[DeltaMorphism, ...]:
     """All weakly monotone [s] -> [t], lexicographic by value tuple."""
-    check_cap(max_count)
+    check_count(s, "s")
+    check_count(t, "t")
+    check_count(max_count, "max_count")
     total = math.comb(s + t + 1, s + 1)
     if total > max_count:
         raise CapExceeded(f"monotone maps [{s}]->[{t}]", total, max_count)
@@ -253,7 +252,7 @@ def enumerate_gamma(source: Sequence, target: Sequence,
     label owning it (or of no owner when inactive morphisms are allowed),
     which makes the count (|X| + 1)^|Y|, or |X|^|Y| active.
     """
-    check_cap(max_count)
+    check_count(max_count, "max_count")
     source = tuple(source)
     target = tuple(target)
     choices: tuple = tuple(range(len(source)))

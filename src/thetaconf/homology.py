@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Container, Sequence
 
-from .errors import DEFAULT_MAX_COUNT, CapExceeded, check_cap
+from .errors import DEFAULT_MAX_COUNT, CapExceeded, check_count
 from .nord import PosetView, _bits
 
 Simplex = tuple[int, ...]
@@ -67,7 +67,7 @@ def order_complex(view: PosetView,
                   max_chains: int = DEFAULT_MAX_COUNT) -> OrderComplex:
     """All strict chains of the poset.  Consecutive-successor extension
     is enough because the relation is transitive."""
-    check_cap(max_chains, "max_chains")
+    check_count(max_chains, "max_chains")
     count = len(view.elements)
     succ = [_bits(mask) for mask in view.above]
 

@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Mapping
 
-from .errors import LabelMismatch, json_field, json_items
+from .errors import (LabelMismatch, check_count, check_height, check_labels,
+                     json_field, json_items)
 from .gamma import GammaMorphism
 from .nord import NOrdering, enumerate_nord, from_tree, leq, to_tree
 from .theta import ThetaMorphism, _lift, branching_condition_holds
@@ -33,12 +34,12 @@ class LabelledTree:
     labels: tuple[Hashable, ...]
 
     def __post_init__(self):
+        check_height(self.n)
+        check_labels(self.labels)
         leaves = level_n_leaves(self.tree, self.n)
         if len(self.labels) != len(leaves):
             raise LabelMismatch(
                 f"{len(self.labels)} labels for {len(leaves)} leaves")
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("duplicate labels")
 
     @property
     def leaves(self) -> tuple[LeafId, ...]:
@@ -112,6 +113,7 @@ def initiality_check(obj: LabelledTree, max_size: int = 8) -> bool:
     """Maps out of obj into embedded orderings are exactly maps out of
     its retract: hom_exists(obj, embed(T)) == leq(retract(obj), T) for
     every ordering T of the same labels."""
+    check_count(max_size, "max_size")
     if len(obj.labels) > max_size:
         raise ValueError(f"label set larger than the bound {max_size}")
     retracted = retract(obj)

@@ -57,8 +57,8 @@ from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .errors import (DEFAULT_MAX_COUNT, CapExceeded, LabelMismatch,
-                     bijection_values, check_cap, check_height, json_field,
-                     json_items)
+                     bijection_values, check_count, check_height, check_labels,
+                     json_field, json_items)
 from .trees import PlanarLevelTree, is_healthy, level_n_leaves
 
 
@@ -70,12 +70,7 @@ class NOrdering:
 
     def __post_init__(self):
         check_height(self.n)
-        try:
-            distinct = len(set(self.labels))
-        except TypeError as exc:
-            raise ValueError(f"labels must be hashable: {exc}") from None
-        if distinct != len(self.labels):
-            raise ValueError("duplicate labels")
+        check_labels(self.labels)
         expected = max(len(self.labels) - 1, 0)
         if len(self.word) != expected:
             raise ValueError(f"word length {len(self.word)}, expected {expected}")
@@ -171,11 +166,10 @@ def _checks(ordering: NOrdering,
 
 def pair_level(ordering: NOrdering, a: Hashable, b: Hashable) -> int:
     """Branching level of an arbitrary pair: min of the word between."""
-    try:
-        i, j = ordering.alphabet[a], ordering.alphabet[b]
-    except KeyError as exc:
-        raise LabelMismatch(
-            f"{exc.args[0]!r} is not a label of the ordering") from None
+    for x in (a, b):
+        if x not in ordering.labels:
+            raise LabelMismatch(f"{x!r} is not a label of the ordering")
+    i, j = ordering.alphabet[a], ordering.alphabet[b]
     if i == j:
         raise ValueError(f"distinct labels required, got {a!r} twice")
     return ordering.keys[i * ordering.size + j] >> 1
@@ -238,14 +232,16 @@ def degree(ordering: NOrdering) -> int:
 
 def enumerate_nord(labels: Iterable[Hashable], n: int,
                    max_count: int = DEFAULT_MAX_COUNT) -> tuple[NOrdering, ...]:
-    """All n-orderings of the label set: label permutations in
+    """All n-orderings of the distinct labels: label permutations in
     lexicographic order, then words in lexicographic order."""
     check_height(n)
-    check_cap(max_count)
+    labels = tuple(labels)
+    check_labels(labels)
+    check_count(max_count, "max_count")
     try:
-        base = tuple(sorted(set(labels)))
+        base = tuple(sorted(labels))
     except TypeError:       # mixed label types: any fixed order will do
-        base = tuple(sorted(set(labels), key=repr))
+        base = tuple(sorted(labels, key=repr))
     r = len(base)
     total = factorial(r) * n ** max(r - 1, 0)
     if total > max_count:

@@ -24,7 +24,7 @@ from typing import Mapping
 
 from .errors import (DEFAULT_MAX_COUNT, BranchingConditionViolation,
                      CapExceeded, LabelMismatch, NotActive, UnhealthyTarget,
-                     check_cap, json_field, json_items)
+                     check_count, check_height, json_field, json_items)
 from .gamma import (DeltaMorphism, GammaMorphism, delta_compose,
                     gamma_is_active)
 from .trees import PlanarLevelTree, is_healthy, level_n_leaves
@@ -49,8 +49,7 @@ class ThetaMorphism:
     parts: tuple["ThetaMorphism", ...] = ()
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"level must be >= 1, got {self.n}")
+        check_height(self.n)
         values = self.delta.values
         expected = values[-1] - values[0] if self.n > 1 else 0
         if not isinstance(self.parts, tuple) or len(self.parts) != expected:
@@ -89,6 +88,7 @@ class ThetaMorphism:
 
 
 def identity_morphism(tree: PlanarLevelTree, n: int) -> ThetaMorphism:
+    check_height(n)
     delta = DeltaMorphism.identity(len(tree.children))
     if n == 1:
         return ThetaMorphism(1, delta)
@@ -270,7 +270,8 @@ def enumerate_hom_bruteforce(source: PlanarLevelTree, target: PlanarLevelTree,
     pool pruned by the same rule.  Children without leaves constrain
     nothing, so the rule holds for unhealthy targets too.
     """
-    check_cap(max_count)
+    check_height(n)
+    check_count(max_count, "max_count")
     budget = [max_count]
     memo: dict = {}
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import NamedTuple
 
-from .errors import SymbolParseError, check_height
+from .errors import SymbolParseError, check_count, check_height
 
 
 class LeafId(NamedTuple):
@@ -267,6 +267,8 @@ def healthify(t: PlanarLevelTree, n: int) -> PlanarLevelTree:
 
 
 def _check_fits(t: PlanarLevelTree, n: int):
+    if type(n) is not int:
+        check_height(n)     # raises: a height is an int
     if t.height() > n:
         raise ValueError(f"tree of height {t.height()} does not fit height {n}")
 
@@ -278,8 +280,8 @@ def enumerate_trees(max_edges: int, height: int) -> tuple[PlanarLevelTree, ...]:
     """All planar level trees with at most max_edges edges and height
     at most `height`, in a fixed deterministic order (by edge count,
     then recursively by first subtree)."""
-    if height < 0:
-        raise ValueError(f"tree height must be >= 0, got {height}")
+    check_count(max_edges, "max_edges")
+    check_count(height, "tree height")
 
     # Both memos live for one call, so subtrees are shared within the
     # result and nothing outlives it.

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 from .cells import (cell_of, convexity_probe, functoriality_check, in_cell,
                     sample, witness)
-from .errors import DEFAULT_MAX_COUNT, UnhealthyTarget, check_height
+from .errors import DEFAULT_MAX_COUNT, UnhealthyTarget, check_count, check_height
 from .gamma import enumerate_gamma, gamma_is_active
 from .homology import ChainComplex, boundary_matrices, homology, order_complex
 from .labelled import (LabelledTree, embed, hom_exists, initiality_check,
@@ -39,6 +39,14 @@ def _check(name: str, passed: bool, checked: int, **extra) -> dict:
 def _report(suite: str, checks: list[dict], **params) -> dict:
     return {"suite": suite, "params": params,
             "passed": all(c["passed"] for c in checks), "checks": checks}
+
+
+def _pool(label_pool: Sequence, sizes: Iterable[int]) -> tuple:
+    """The label pool as a tuple, checked to hold r labels for each r."""
+    pool, r = tuple(label_pool), max(sizes, default=0)
+    if r > len(pool):
+        raise ValueError(f"r must be <= {len(pool)}, the pool size, got {r}")
+    return pool
 
 
 def expected_configuration_betti(n: int, r: int) -> list[int]:
@@ -76,9 +84,10 @@ def _dd_zero(cc: ChainComplex) -> bool:
 def suite_theorem_a(cases: Sequence[tuple[int, int]] = DEFAULT_HOMOLOGY_CASES,
                     max_chains: int = DEFAULT_MAX_COUNT,
                     label_pool: Sequence = DEFAULT_LABELS) -> dict:
+    pool = _pool(label_pool, [r for _, r in cases])
     checks = []
     for n, r in cases:
-        labels = tuple(label_pool)[:r]
+        labels = pool[:r]
         view = PosetView.of_orderings(labels, n)
         cc = boundary_matrices(order_complex(view, max_chains))
         result = homology(cc)
@@ -155,8 +164,7 @@ def suite_morphisms(levels: Iterable[int] = (1, 2, 3), max_edges: int = 6,
     levels = tuple(levels)
     for n in levels:
         check_height(n)
-    if max_edges < 0:
-        raise ValueError(f"max_edges must be >= 0, got {max_edges}")
+    check_count(max_edges, "max_edges")
     checks = []
     for n in levels:
         jobs = [job + (max_morphisms,) for job in _pair_jobs(n, max_edges)]
@@ -176,11 +184,13 @@ def suite_morphisms(levels: Iterable[int] = (1, 2, 3), max_edges: int = 6,
 def suite_poset(sizes: Iterable[int] = (0, 1, 2, 3, 4),
                 levels: Iterable[int] = (1, 2, 3),
                 label_pool: Sequence = DEFAULT_LABELS) -> dict:
+    sizes = tuple(sizes)
+    pool = _pool(label_pool, sizes)
     checks = []
     agreement = []
     for n in levels:
         for r in sizes:
-            labels = tuple(label_pool)[:r]
+            labels = pool[:r]
             view = PosetView.of_orderings(labels, n)
             relation = view.relation()
             checks.append(_check(
@@ -289,8 +299,7 @@ def suite_theorem_b(max_retract_size: int = 4,
 def suite_cells(max_size: int = 3, levels: Iterable[int] = (1, 2, 3),
                 samples: int = 1000, seed: int = 0,
                 label_pool: Sequence = DEFAULT_LABELS) -> dict:
-    if samples < 0:
-        raise ValueError(f"samples must be >= 0, got {samples}")
+    check_count(samples, "samples")
     levels = tuple(levels)
     pool = tuple(label_pool)
     checks = []

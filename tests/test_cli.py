@@ -315,3 +315,31 @@ def test_verify_seed_changes_nothing_structural(capsys):
                            "--seed", "9", "--format", "json")
     assert code_a == code_b == 0
     assert out_a == out_b
+
+
+
+def _help(capsys, subcommand):
+    with pytest.raises(SystemExit) as caught:
+        main([subcommand, "--help"])
+    assert caught.value.code == 0
+    return " ".join(capsys.readouterr().out.split())
+
+
+@pytest.mark.parametrize("subcommand", ["enumerate", "hasse"])
+def test_ordering_cap_help_says_it_counts_orderings(capsys, subcommand):
+    assert "--max-morphisms MAX_MORPHISMS cap on the number of orderings" \
+        in _help(capsys, subcommand)
+
+
+@pytest.mark.parametrize("subcommand, helps", [
+    ("homology", ["--max-chains MAX_CHAINS cap on the number of chains"]),
+    ("verify", ["--max-edges MAX_EDGES morphisms: largest edge count",
+                "--max-morphisms MAX_MORPHISMS morphisms: cap on the morphisms",
+                "--max-chains MAX_CHAINS theorem-a: cap on the chains",
+                "--samples SAMPLES cells: random configurations"]),
+])
+def test_every_cap_and_sweep_size_says_what_it_counts(capsys, subcommand,
+                                                      helps):
+    text = _help(capsys, subcommand)
+    for words in helps:
+        assert words in text

@@ -205,8 +205,8 @@ def test_enumerate_gamma_cap():
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: DeltaMorphism(-1, 0, ()), "non-negative"),
-    (lambda: DeltaMorphism(0, -1, (0,)), "non-negative"),
+    (lambda: DeltaMorphism(-1, 0, ()), "source_rank must be >= 0, got -1"),
+    (lambda: DeltaMorphism(0, -1, (0,)), "target_rank must be >= 0, got -1"),
     (lambda: GammaMorphism.from_map(("x",), ("u",), {"z": {"u"}}),
      "unknown labels"),
 ])

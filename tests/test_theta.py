@@ -348,7 +348,8 @@ def test_bijection_small_sweep():
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: ThetaMorphism(0, _delta(0, 0, 0)), "level must be >= 1"),
+    (lambda: ThetaMorphism(0, _delta(0, 0, 0)),
+     "height parameter must be >= 1, got 0"),
     (lambda: theta_compose(
         identity_morphism(parse_symbol("[1]([1])", 2), 2),
         ThetaMorphism(1, _delta(1, 1, 0, 1))), "levels differ"),

@@ -171,3 +171,15 @@ def test_morphism_sweep_of_one_job():
     single = suite_morphisms(levels=(1,), max_edges=0)
     assert single["passed"]
     assert single["checks"][0]["checked"] == 1
+
+
+@pytest.mark.parametrize("run", [
+    lambda: suite_theorem_a(cases=((1, 4),), label_pool=("a", "b", "c")),
+    lambda: suite_poset(sizes=(3, 4), levels=(1,), label_pool=("a", "b", "c")),
+])
+def test_suites_reject_more_labels_than_the_pool_holds(run, monkeypatch):
+    # raised before any work: no poset is built
+    monkeypatch.setattr(verify.PosetView, "of_orderings", None)
+    with pytest.raises(ValueError,
+                       match=r"^r must be <= 3, the pool size, got 4$"):
+        run()
