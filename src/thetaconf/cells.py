@@ -78,9 +78,9 @@ class Configuration:
 
     def __post_init__(self):
         check_height(self.n)
+        check_labels(self.labels)
         if len(self.labels) != len(self.coords):
             raise ValueError("one coordinate vector per label required")
-        check_labels(self.labels)
         coords = tuple(_point(label, vec, self.n)
                        for label, vec in zip(self.labels, self.coords))
         if len(set(coords)) != len(coords):
@@ -237,7 +237,7 @@ def sample(labels: Iterable[Hashable], n: int, seed: int) -> Configuration:
     distinct grid cells, so coordinates tie often and every cell shape
     is reachable."""
     check_height(n)
-    labels = tuple(labels)
+    labels = check_labels(labels)
     side = max(2, len(labels))
     rng = random.Random(seed)
     coords = []

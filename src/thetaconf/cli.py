@@ -16,17 +16,14 @@ from .cells import cell_of, parse_point_file
 from .errors import CapExceeded, DEFAULT_MAX_COUNT, check_labels
 from .homology import boundary_matrices, order_complex, poset_homology
 from .nord import PosetView, degree, enumerate_nord, hasse
-from .verify import (DEFAULT_HOMOLOGY_CASES, DEFAULT_LABELS, SUITES,
-                     suite_cells, suite_morphisms, suite_poset,
-                     suite_theorem_a, suite_theorem_b)
+from .verify import DEFAULT_HOMOLOGY_CASES, SUITES
 
 
 def _parse_labels(raw: str) -> tuple[str, ...]:
     labels = tuple(part.strip() for part in raw.split(","))
     if any(not part for part in labels):
         raise ValueError(f"empty label in {raw!r}")
-    check_labels(labels)
-    return labels
+    return check_labels(labels)
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -134,31 +131,26 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def _verify_kwargs(args: argparse.Namespace) -> dict:
     labels = _parse_labels(args.labels) if args.labels else None
-    pool = labels if labels else DEFAULT_LABELS
     levels = (args.n,) if args.n is not None else (1, 2, 3)
     if args.suite == "theorem-a":
-        if args.n is not None and labels:
-            cases = ((args.n, len(labels)),)
+        if labels:
+            cases = tuple((m, len(labels)) for m in levels)
         elif args.n is not None:
             cases = tuple(c for c in DEFAULT_HOMOLOGY_CASES
                           if c[0] == args.n) or ((args.n, 2), (args.n, 3))
-        elif labels:
-            cases = tuple((m, len(labels)) for m in levels)
         else:
             cases = DEFAULT_HOMOLOGY_CASES
-        return {"cases": cases, "max_chains": args.max_chains,
-                "label_pool": pool}
+        return {"cases": cases, "max_chains": args.max_chains}
     if args.suite == "morphisms":
         return {"levels": levels, "max_edges": args.max_edges,
                 "max_morphisms": args.max_morphisms}
-    if args.suite == "theorem-b":
-        return {"levels": levels, "label_pool": pool}
-    if args.suite == "poset":
-        sizes = tuple(range((len(labels) if labels else 4) + 1))
-        return {"sizes": sizes, "levels": levels, "label_pool": pool}
-    sizes = len(labels) if labels else 3
-    return {"max_size": sizes, "levels": levels, "samples": args.samples,
-            "seed": args.seed, "label_pool": pool}
+    # poset, theorem-b and cells: sized by the label count, if one is given
+    sized = {"levels": levels}
+    if labels:
+        sized["max_size"] = len(labels)
+    if args.suite == "cells":
+        sized.update(samples=args.samples, seed=args.seed)
+    return sized
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -220,8 +212,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=sorted(SUITES))
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--labels", default=None, metavar="a,b,c")
+    p.add_argument("--n", type=int, default=None,
+                   help="sweep this height only (default: 1, 2 and 3)")
+    p.add_argument("--labels", default=None, metavar="a,b,c",
+                   help="only their count r is used: the largest label "
+                        "count of poset, theorem-b and cells, the r of "
+                        "theorem-a's cases")
     p.add_argument("--max-edges", type=int, default=6,
                    help="morphisms: largest edge count of the trees swept")
     p.add_argument("--max-morphisms", type=int, default=DEFAULT_MAX_COUNT,

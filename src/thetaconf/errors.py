@@ -2,7 +2,7 @@
 (labels, heights and counts) and the field checks of the JSON readers."""
 
 from contextlib import suppress
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping
 
 DEFAULT_MAX_COUNT = 10**6
 
@@ -50,14 +50,20 @@ class BranchingConditionViolation(ValueError):
     """Set-level map admits no lift because the branching condition fails."""
 
 
-def check_labels(labels: Sequence) -> None:
-    """Reject labels that are not all hashable, or not distinct."""
+def check_labels(labels: Iterable) -> tuple:
+    """`labels` as a tuple.  Rejects a value that is not iterable (a string
+    is, over its characters) and labels not all hashable, or not distinct."""
+    try:
+        labels = tuple(labels)
+    except TypeError:
+        raise ValueError(f"labels must be iterable, got {labels!r}") from None
     try:
         distinct = len(set(labels))
     except TypeError as exc:
         raise ValueError(f"labels must be hashable: {exc}") from None
     if distinct != len(labels):
         raise ValueError("duplicate labels")
+    return labels
 
 
 def check_height(n: int) -> None:

@@ -37,13 +37,15 @@ class DeltaMorphism:
     def __post_init__(self):
         check_count(self.source_rank, "source_rank")
         check_count(self.target_rank, "target_rank")
-        if len(self.values) != self.source_rank + 1:
-            raise ValueError(
-                f"[{self.source_rank}] needs {self.source_rank + 1} values, "
-                f"got {len(self.values)}"
-            )
+        if not isinstance(self.values, tuple) \
+                or len(self.values) != self.source_rank + 1:
+            raise ValueError(f"[{self.source_rank}] needs a tuple of "
+                             f"{self.source_rank + 1} values, got "
+                             f"{self.values!r}")
         prev = 0
         for v in self.values:
+            if type(v) is not int:      # a bool is not an integer here
+                raise ValueError(f"values must be integers, got {v!r}")
             if not (prev <= v <= self.target_rank):
                 raise ValueError(f"values {self.values} are not monotone into "
                                  f"[{self.target_rank}]")
@@ -90,11 +92,11 @@ class GammaMorphism:
     owners: tuple[int | None, ...]
 
     def __post_init__(self):
+        check_labels(self.source)
+        check_labels(self.target)
         if not isinstance(self.owners, tuple) \
                 or len(self.owners) != len(self.target):
             raise ValueError("a tuple of one owner per target label required")
-        check_labels(self.source)
-        check_labels(self.target)
         size = len(self.source)
         for y, i in zip(self.target, self.owners):
             if i is not None and (type(i) is not int or not 0 <= i < size):
@@ -107,8 +109,8 @@ class GammaMorphism:
         """The morphism sending each source label x to `mapping[x]`
         (empty when x is absent); images must be disjoint subsets of
         the target."""
-        source = tuple(source)
-        target = tuple(target)
+        source = check_labels(source)
+        target = check_labels(target)
         extra = set(mapping) - set(source)
         if extra:
             raise ValueError(f"mapping mentions unknown labels {extra}")
@@ -127,7 +129,7 @@ class GammaMorphism:
 
     @classmethod
     def identity(cls, labels: Sequence) -> "GammaMorphism":
-        labels = tuple(labels)
+        labels = check_labels(labels)
         return cls(labels, labels, tuple(range(len(labels))))
 
     def __call__(self, x: Hashable) -> frozenset:
@@ -253,8 +255,8 @@ def enumerate_gamma(source: Sequence, target: Sequence,
     which makes the count (|X| + 1)^|Y|, or |X|^|Y| active.
     """
     check_count(max_count, "max_count")
-    source = tuple(source)
-    target = tuple(target)
+    source = check_labels(source)
+    target = check_labels(target)
     choices: tuple = tuple(range(len(source)))
     if not active_only:
         choices = (None,) + choices

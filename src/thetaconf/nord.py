@@ -211,6 +211,7 @@ def from_tree(tree: PlanarLevelTree, n: int,
               labels: Sequence[Hashable]) -> NOrdering:
     """Read off (labels, word) from a healthy tree; labels are taken in
     planar leaf order."""
+    labels = check_labels(labels)
     if not is_healthy(tree, n):
         raise ValueError("tree is not healthy at the given height")
     leaves = level_n_leaves(tree, n)
@@ -218,7 +219,7 @@ def from_tree(tree: PlanarLevelTree, n: int,
         raise LabelMismatch(
             f"{len(labels)} labels for {len(leaves)} level-{n} leaves")
     word = tuple(a.meet(b) for a, b in zip(leaves, leaves[1:]))
-    return NOrdering(tuple(labels), word, n)
+    return NOrdering(labels, word, n)
 
 
 def degree(ordering: NOrdering) -> int:
@@ -235,8 +236,7 @@ def enumerate_nord(labels: Iterable[Hashable], n: int,
     """All n-orderings of the distinct labels: label permutations in
     lexicographic order, then words in lexicographic order."""
     check_height(n)
-    labels = tuple(labels)
-    check_labels(labels)
+    labels = check_labels(labels)
     check_count(max_count, "max_count")
     try:
         base = tuple(sorted(labels))

@@ -7,12 +7,17 @@ boundary matrix it builds as a check of its own; the library computes
 without asserting it.  `poset` decides the order a second way after its
 other checks: `leq` on every pair against the view built from cover
 moves.
+
+No check depends on label names: every size-r case uses `_labels(r)`.
+A suite sized by `max_size` runs its per-ordering round trips (retract,
+witness) to r = max_size + 1, its sweeps over pairs or samples to r =
+max_size.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .cells import (cell_of, convexity_probe, functoriality_check, in_cell,
                     sample, witness)
@@ -27,13 +32,9 @@ from .theta import (_lift, assemble_morphism, branching_condition_holds,
 from .trees import (enumerate_trees, is_healthy, level_n_leaves, parse_symbol,
                     render_symbol)
 
-DEFAULT_LABELS = ("a", "b", "c", "d", "e", "f", "g", "h")
-
 
 def _check(name: str, passed: bool, checked: int, **extra) -> dict:
-    entry = {"name": name, "passed": bool(passed), "checked": checked}
-    entry.update(extra)
-    return entry
+    return {"name": name, "passed": bool(passed), "checked": checked, **extra}
 
 
 def _report(suite: str, checks: list[dict], **params) -> dict:
@@ -41,12 +42,30 @@ def _report(suite: str, checks: list[dict], **params) -> dict:
             "passed": all(c["passed"] for c in checks), "checks": checks}
 
 
-def _pool(label_pool: Sequence, sizes: Iterable[int]) -> tuple:
-    """The label pool as a tuple, checked to hold r labels for each r."""
-    pool, r = tuple(label_pool), max(sizes, default=0)
-    if r > len(pool):
-        raise ValueError(f"r must be <= {len(pool)}, the pool size, got {r}")
-    return pool
+def _all(name: str, outcomes: Iterable[bool]) -> dict:
+    """One check over every outcome, each computed; counts them all."""
+    outcomes = list(outcomes)
+    return _check(name, all(outcomes), len(outcomes))
+
+
+def _labels(r: int) -> tuple[str, ...]:
+    """The labels of every size-r case: x0, ..., x(r-1)."""
+    check_count(r, "r")
+    return tuple(f"x{k}" for k in range(r))
+
+
+def _levels(levels: Iterable[int]) -> tuple[int, ...]:
+    """The heights of a sweep, each checked before any work."""
+    levels = tuple(levels)
+    for n in levels:
+        check_height(n)
+    return levels
+
+
+def _orderings(levels: Sequence[int], max_size: int) -> Iterator[tuple]:
+    """The orderings of each case, r <= max_size at every height."""
+    return (enumerate_nord(_labels(r), n)
+            for n in levels for r in range(max_size + 1))
 
 
 def expected_configuration_betti(n: int, r: int) -> list[int]:
@@ -82,12 +101,11 @@ def _dd_zero(cc: ChainComplex) -> bool:
 
 
 def suite_theorem_a(cases: Sequence[tuple[int, int]] = DEFAULT_HOMOLOGY_CASES,
-                    max_chains: int = DEFAULT_MAX_COUNT,
-                    label_pool: Sequence = DEFAULT_LABELS) -> dict:
-    pool = _pool(label_pool, [r for _, r in cases])
+                    max_chains: int = DEFAULT_MAX_COUNT) -> dict:
+    sized = [(n, _labels(r)) for n, r in cases]    # each r checked first
     checks = []
-    for n, r in cases:
-        labels = pool[:r]
+    for n, labels in sized:
+        r = len(labels)
         view = PosetView.of_orderings(labels, n)
         cc = boundary_matrices(order_complex(view, max_chains))
         result = homology(cc)
@@ -161,9 +179,7 @@ def check_morphism_pair(job: tuple) -> tuple[bool, int, str]:
 
 def suite_morphisms(levels: Iterable[int] = (1, 2, 3), max_edges: int = 6,
                     max_morphisms: int = DEFAULT_MAX_COUNT) -> dict:
-    levels = tuple(levels)
-    for n in levels:
-        check_height(n)
+    levels = _levels(levels)
     check_count(max_edges, "max_edges")
     checks = []
     for n in levels:
@@ -181,16 +197,14 @@ def suite_morphisms(levels: Iterable[int] = (1, 2, 3), max_edges: int = 6,
 # -- suite: poset (order axioms, grading, symmetry) ---------------------------
 
 
-def suite_poset(sizes: Iterable[int] = (0, 1, 2, 3, 4),
-                levels: Iterable[int] = (1, 2, 3),
-                label_pool: Sequence = DEFAULT_LABELS) -> dict:
-    sizes = tuple(sizes)
-    pool = _pool(label_pool, sizes)
+def suite_poset(max_size: int = 4, levels: Iterable[int] = (1, 2, 3)) -> dict:
+    check_count(max_size, "max_size")
+    levels = _levels(levels)
     checks = []
     agreement = []
     for n in levels:
-        for r in sizes:
-            labels = pool[:r]
+        for r in range(max_size + 1):
+            labels = _labels(r)
             view = PosetView.of_orderings(labels, n)
             relation = view.relation()
             checks.append(_check(
@@ -221,101 +235,64 @@ def suite_poset(sizes: Iterable[int] = (0, 1, 2, 3, 4),
                 and all(map(leq, view.elements, view.elements))
             agreement.append(_check(f"leq-agrees(n={n},r={r})", agrees,
                                     len(view.elements) ** 2))
-    return _report("poset", checks + agreement, sizes=list(sizes),
+    return _report("poset", checks + agreement, max_size=max_size,
                    levels=list(levels))
 
 
 # -- suite: theorem-b (embedding, retraction, units, initiality) -------------
 
 
-def _canonical_labelled(tree, n) -> LabelledTree:
-    count = len(level_n_leaves(tree, n))
-    return LabelledTree(tree, n, tuple(f"x{k}" for k in range(count)))
+def _objects(levels: Sequence[int]) -> Iterator[LabelledTree]:
+    """Every tree of at most 8 edges at each height, its leaves labelled
+    by `_labels`: the objects of the unit and initiality sweeps."""
+    return (LabelledTree(tree, n, _labels(len(level_n_leaves(tree, n))))
+            for n in levels for tree in enumerate_trees(8, n))
 
 
-def suite_theorem_b(max_retract_size: int = 4,
-                    unit_max_edges: int = 8,
-                    initiality_max_size: int = 3,
-                    fullness_max_size: int = 3,
-                    levels: Iterable[int] = (1, 2, 3),
-                    label_pool: Sequence = DEFAULT_LABELS) -> dict:
-    levels = tuple(levels)
-    pool = tuple(label_pool)
-    checks = []
-    # retraction splits the embedding
-    count = 0
-    ok = True
-    for n in levels:
-        for r in range(min(max_retract_size, len(pool)) + 1):
-            for ordering in enumerate_nord(pool[:r], n):
-                ok &= retract(embed(ordering)) == ordering
-                count += 1
-    checks.append(_check("retract-after-embed", ok, count))
-
-    # unit morphisms into the healthification always exist
-    count = 0
-    ok = True
-    for n in levels:
-        for tree in enumerate_trees(unit_max_edges, n):
-            if is_healthy(tree, n):
-                continue
-            ok &= unit_exists(_canonical_labelled(tree, n))
-            count += 1
-    checks.append(_check("unit-into-healthification", ok, count))
-
-    # maps out of any object into embedded orderings see only the retract
-    count = 0
-    ok = True
-    for n in [m for m in levels if m <= 2] or levels[:1]:
-        for tree in enumerate_trees(unit_max_edges, n):
-            obj = _canonical_labelled(tree, n)
-            if len(obj.labels) > initiality_max_size:
-                continue
-            ok &= initiality_check(obj, max_size=initiality_max_size)
-            count += 1
-    checks.append(_check("initiality", ok, count))
-
-    # the embedding is full: hom between embedded orderings iff leq
-    count = 0
-    ok = True
-    for n in levels:
-        for r in range(min(fullness_max_size, len(pool)) + 1):
-            orderings = enumerate_nord(pool[:r], n)
-            for a in orderings:
-                for b in orderings:
-                    ok &= hom_exists(embed(a), embed(b)) == leq(a, b)
-                    count += 1
-    checks.append(_check("fullness", ok, count))
-    return _report("theorem-b", checks, max_retract_size=max_retract_size,
-                   unit_max_edges=unit_max_edges,
-                   initiality_max_size=initiality_max_size,
-                   fullness_max_size=fullness_max_size,
-                   levels=list(levels))
+def suite_theorem_b(max_size: int = 3,
+                    levels: Iterable[int] = (1, 2, 3)) -> dict:
+    check_count(max_size, "max_size")
+    levels = _levels(levels)
+    checks = [
+        # retraction splits the embedding
+        _all("retract-after-embed",
+             (retract(embed(o)) == o
+              for orderings in _orderings(levels, max_size + 1)
+              for o in orderings)),
+        # unit morphisms into the healthification always exist
+        _all("unit-into-healthification",
+             (unit_exists(obj) for obj in _objects(levels)
+              if not is_healthy(obj.tree, obj.n))),
+        # maps out of any object into embedded orderings see only the retract
+        _all("initiality",
+             (initiality_check(obj, max_size=max_size)
+              for obj in _objects([m for m in levels if m <= 2] or levels[:1])
+              if len(obj.labels) <= max_size)),
+        # the embedding is full: hom between embedded orderings iff leq
+        _all("fullness",
+             (hom_exists(embed(a), embed(b)) == leq(a, b)
+              for orderings in _orderings(levels, max_size)
+              for a in orderings for b in orderings)),
+    ]
+    return _report("theorem-b", checks, max_size=max_size, levels=list(levels))
 
 
 # -- suite: cells (classifier, witnesses, convexity, partition) --------------
 
 
 def suite_cells(max_size: int = 3, levels: Iterable[int] = (1, 2, 3),
-                samples: int = 1000, seed: int = 0,
-                label_pool: Sequence = DEFAULT_LABELS) -> dict:
+                samples: int = 1000, seed: int = 0) -> dict:
+    check_count(max_size, "max_size")
     check_count(samples, "samples")
-    levels = tuple(levels)
-    pool = tuple(label_pool)
-    checks = []
-    # witness round-trip, one size larger than the sampled sweeps
-    count = 0
-    ok = True
-    for n in levels:
-        for r in range(min(max_size + 1, len(pool)) + 1):
-            for ordering in enumerate_nord(pool[:r], n):
-                ok &= cell_of(witness(ordering)) == ordering
-                count += 1
-    checks.append(_check("witness-roundtrip", ok, count))
+    levels = _levels(levels)
+    checks = [_all("witness-roundtrip",
+                   (cell_of(witness(o)) == o
+                    for orderings in _orderings(levels, max_size + 1)
+                    for o in orderings))]
 
     for n in levels:
-        for r in range(min(max_size, len(pool)) + 1):
-            labels = pool[:r]
+        for r in range(max_size + 1):
+            labels = _labels(r)
             orderings = enumerate_nord(labels, n)
             universal = partition = True
             for k, config in enumerate(
@@ -338,17 +315,11 @@ def suite_cells(max_size: int = 3, levels: Iterable[int] = (1, 2, 3),
                                  10 * len(orderings)))
 
     # cells nest along the order
-    count = 0
-    ok = True
-    for n in levels:
-        for r in range(min(max_size, len(pool)) + 1):
-            orderings = enumerate_nord(pool[:r], n)
-            for a in orderings:
-                for b in orderings:
-                    if a != b and leq(a, b):
-                        ok &= functoriality_check(a, b, 10, seed)
-                        count += 1
-    checks.append(_check("cell-nesting", ok, count))
+    checks.append(_all("cell-nesting",
+                       (functoriality_check(a, b, 10, seed)
+                        for orderings in _orderings(levels, max_size)
+                        for a in orderings for b in orderings
+                        if a != b and leq(a, b))))
     return _report("cells", checks, max_size=max_size, samples=samples,
                    seed=seed)
 

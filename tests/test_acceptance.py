@@ -107,15 +107,18 @@ def test_c4_active_bijection():
 
 def test_c5_embedding_retraction():
     start = time.monotonic()
-    report = suite_theorem_b(max_retract_size=4, unit_max_edges=8,
-                             initiality_max_size=3, fullness_max_size=3)
+    report = suite_theorem_b(max_size=3)
     assert report["passed"], report
+    # the retract round trip runs one size larger than the sweeps
+    assert [(c["name"], c["checked"]) for c in report["checks"]] == [
+        ("retract-after-embed", 966), ("unit-into-healthification", 1181),
+        ("initiality", 167), ("fullness", 3590)]
     assert time.monotonic() - start < 60.0
 
 
 def test_c6_poset_laws():
     start = time.monotonic()
-    report = suite_poset(sizes=(0, 1, 2, 3, 4), levels=(1, 2, 3))
+    report = suite_poset(max_size=4, levels=(1, 2, 3))
     assert report["passed"], report
     assert time.monotonic() - start < 30.0
 
@@ -124,6 +127,9 @@ def test_c7_cell_classifier():
     start = time.monotonic()
     report = suite_cells(max_size=3, levels=(1, 2, 3), samples=1000, seed=0)
     assert report["passed"], report
+    # the witness round trip runs one size larger than the sweeps
+    assert [c["checked"] for c in report["checks"]
+            if c["name"] == "witness-roundtrip"] == [966]
     assert time.monotonic() - start < 60.0
 
 

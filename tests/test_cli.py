@@ -201,6 +201,22 @@ def test_verify_json_report(capsys):
     assert payload["checks"][0]["betti"] == [1, 1]
 
 
+@pytest.mark.parametrize("argv, counts", [
+    (("cells", "--n", "2", "--labels", "a,b", "--samples", "20"),
+     {"witness-roundtrip": 30}),
+    (("theorem-b", "--labels", "a,b"),
+     {"retract-after-embed": 102, "initiality": 96}),
+])
+def test_verify_labels_set_the_largest_label_count(capsys, argv, counts):
+    # two labels: the round trips run to r = 3, the sweeps to r = 2
+    code, out, _ = run(capsys, "verify", *argv, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["params"]["max_size"] == 2
+    checked = {c["name"]: c["checked"] for c in payload["checks"]}
+    assert {name: checked[name] for name in counts} == counts
+
+
 def test_verify_failure_exit_code(monkeypatch, capsys):
     from thetaconf import cli
 
@@ -333,7 +349,10 @@ def test_ordering_cap_help_says_it_counts_orderings(capsys, subcommand):
 
 @pytest.mark.parametrize("subcommand, helps", [
     ("homology", ["--max-chains MAX_CHAINS cap on the number of chains"]),
-    ("verify", ["--max-edges MAX_EDGES morphisms: largest edge count",
+    ("verify", ["--n N sweep this height only",
+                "--labels a,b,c only their count r is used: the largest "
+                "label count of poset, theorem-b and cells",
+                "--max-edges MAX_EDGES morphisms: largest edge count",
                 "--max-morphisms MAX_MORPHISMS morphisms: cap on the morphisms",
                 "--max-chains MAX_CHAINS theorem-a: cap on the chains",
                 "--samples SAMPLES cells: random configurations"]),

@@ -4,7 +4,8 @@ Every public entry point that takes a height, a count or labels checks
 it through `errors.check_height`, `errors.check_count` or
 `errors.check_labels`, so a malformed argument raises ValueError with
 one wording everywhere, and never a bare TypeError.  Where a label is
-looked up, an unhashable one raises LabelMismatch.
+looked up, an unhashable one raises LabelMismatch.  The values of a
+DeltaMorphism are a tuple of integers.
 """
 
 import re
@@ -23,7 +24,8 @@ from thetaconf import (ROOT_ONLY, CapExceeded, Configuration, DeltaMorphism,
                        is_healthy, level_n_leaves, order_complex, pair_level,
                        parse_symbol, parse_text, poset_homology,
                        render_symbol, sample, sigma_act)
-from thetaconf.verify import suite_cells, suite_morphisms, suite_theorem_a
+from thetaconf.verify import (suite_cells, suite_morphisms, suite_poset,
+                              suite_theorem_a, suite_theorem_b)
 
 LOW = NOrdering(("a", "b"), (0,), 2)
 HIGH = NOrdering(("a", "b"), (1,), 2)
@@ -49,6 +51,9 @@ HEIGHTS = {
     "enumerate_hom_bruteforce":
         lambda n: enumerate_hom_bruteforce(ROOT_ONLY, ROOT_ONLY, n),
     "suite_morphisms": lambda n: suite_morphisms(levels=(n,), max_edges=1),
+    "suite_theorem_a": lambda n: suite_theorem_a(cases=((n, 2),)),
+    # the initiality sweep keeps the levels m <= 2: compared after the check
+    "suite_theorem_b": lambda n: suite_theorem_b(max_size=0, levels=(n,)),
 }
 
 # entry point -> (call with the count under test, the name it reports)
@@ -98,6 +103,14 @@ COUNTS = {
     "suite_theorem_a(max_chains)":
         (lambda c: suite_theorem_a(cases=((1, 2),), max_chains=c),
          "max_chains"),
+    "suite_theorem_a(r)": (lambda c: suite_theorem_a(cases=((1, c),)), "r"),
+    # no levels: a valid size does no work
+    "suite_poset(max_size)":
+        (lambda c: suite_poset(max_size=c, levels=()), "max_size"),
+    "suite_theorem_b(max_size)":
+        (lambda c: suite_theorem_b(max_size=c, levels=()), "max_size"),
+    "suite_cells(max_size)":
+        (lambda c: suite_cells(max_size=c, levels=()), "max_size"),
 }
 
 # entry point -> call with two labels under test
@@ -108,6 +121,10 @@ LABELS = {
     "GammaMorphism(source)": lambda xs: GammaMorphism(xs, (), ()),
     "GammaMorphism(target)": lambda xs: GammaMorphism((), xs, (None, None)),
     "GammaMorphism.identity": GammaMorphism.identity,
+    "GammaMorphism.from_map(source)":
+        lambda xs: GammaMorphism.from_map(xs, (), {}),
+    "GammaMorphism.from_map(target)":
+        lambda xs: GammaMorphism.from_map((), xs, {}),
     "enumerate_gamma(source)": lambda xs: enumerate_gamma(xs, ("u",)),
     "enumerate_gamma(target)": lambda xs: enumerate_gamma(("u",), xs),
     "enumerate_nord": lambda xs: enumerate_nord(xs, 2),
@@ -115,6 +132,11 @@ LABELS = {
     "sample": lambda xs: sample(xs, 1, 0),
     "from_tree": lambda xs: from_tree(TWO_LEAVES, 1, xs),
 }
+
+
+def delta_of(values):
+    return DeltaMorphism(1, 2, values)
+
 
 # entry point -> (call with a label that is looked up, not held; message)
 LOOKUPS = {
@@ -142,7 +164,15 @@ PROBES = (
     + [pytest.param(call, bad, ValueError, message, id=f"{name}-{bad!r}")
        for name, call in LABELS.items()
        for bad, message in ((([1], "b"), "labels must be hashable"),
-                            (("a", "a"), "duplicate labels"))]
+                            (("a", "a"), "duplicate labels"),
+                            (3, "labels must be iterable, got 3"))]
+    + [pytest.param(delta_of, bad, ValueError, message,
+                    id=f"DeltaMorphism(values)-{bad!r}")
+       for bad, message in (((0, 1.5), "values must be integers, got 1.5"),
+                            ((0, True), "values must be integers, got True"),
+                            ((0, "1"), "values must be integers, got '1'"),
+                            ([0, 1], "[1] needs a tuple of 2 values, "
+                                     "got [0, 1]"))]
     + [pytest.param(call, [1], LabelMismatch, message, id=f"{name}-[1]")
        for name, (call, message) in LOOKUPS.items()]
 )
@@ -174,6 +204,8 @@ LABEL_PAIRS = st.lists(LABEL_ITEMS, min_size=2, max_size=2).map(tuple)
 FUZZED = ([(name, call, ARGUMENTS) for name, call in HEIGHTS.items()]
           + [(name, call, ARGUMENTS) for name, (call, _) in COUNTS.items()]
           + [(name, call, LABEL_PAIRS) for name, call in LABELS.items()]
+          + [("DeltaMorphism(values)", delta_of,
+              st.one_of(LABEL_PAIRS, ARGUMENTS))]
           + [(name, call, LABEL_ITEMS)
              for name, (call, _) in LOOKUPS.items()])
 

@@ -23,7 +23,7 @@ def test_package_imports_only_the_standard_library():
 
 
 RULE_WORDING = ("must be >= 0", "must be >= 1", "labels must be hashable",
-                "duplicate labels")
+                "labels must be iterable", "duplicate labels")
 
 
 def test_argument_rules_are_worded_in_errors_only():

@@ -73,7 +73,7 @@ def test_suite_morphisms_small():
 
 
 def test_suite_poset_small():
-    report = suite_poset(sizes=(0, 1, 2), levels=(1, 2))
+    report = suite_poset(max_size=2, levels=(1, 2))
     _assert_report_shape(report, "poset")
     assert report["passed"]
     names = [c["name"] for c in report["checks"]]
@@ -88,11 +88,10 @@ def test_suite_poset_small():
 
 
 def test_suite_theorem_b_small():
-    report = suite_theorem_b(max_retract_size=2, unit_max_edges=3,
-                             initiality_max_size=2, fullness_max_size=2,
-                             levels=(1, 2))
+    report = suite_theorem_b(max_size=2, levels=(1, 2))
     _assert_report_shape(report, "theorem-b")
     assert report["passed"]
+    assert report["params"] == {"max_size": 2, "levels": [1, 2]}
 
 
 def test_suite_cells_small():
@@ -171,15 +170,3 @@ def test_morphism_sweep_of_one_job():
     single = suite_morphisms(levels=(1,), max_edges=0)
     assert single["passed"]
     assert single["checks"][0]["checked"] == 1
-
-
-@pytest.mark.parametrize("run", [
-    lambda: suite_theorem_a(cases=((1, 4),), label_pool=("a", "b", "c")),
-    lambda: suite_poset(sizes=(3, 4), levels=(1,), label_pool=("a", "b", "c")),
-])
-def test_suites_reject_more_labels_than_the_pool_holds(run, monkeypatch):
-    # raised before any work: no poset is built
-    monkeypatch.setattr(verify.PosetView, "of_orderings", None)
-    with pytest.raises(ValueError,
-                       match=r"^r must be <= 3, the pool size, got 4$"):
-        run()
