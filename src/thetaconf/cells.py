@@ -271,19 +271,14 @@ def midpoint(a: Configuration, b: Configuration) -> Configuration:
 
 
 def convexity_probe(ordering: NOrdering, samples: int, seed: int) -> bool:
-    """Midpoints of sampled cell-point pairs stay in the cell."""
+    """Midpoints of sampled cell-point pairs stay in the cell.  Both
+    samples strictly raise coordinate beta + 1 across each planar
+    neighbour pair with word entry beta, and so does their midpoint."""
     check_count(samples, "samples")
     rng = random.Random(seed)
-    for _ in range(samples):
-        first = sample_in_cell(ordering, rng)
-        second = sample_in_cell(ordering, rng)
-        try:
-            mid = midpoint(first, second)
-        except ValueError:      # midpoint collapsed two points
-            return False
-        if not in_cell(mid, ordering):
-            return False
-    return True
+    return all(in_cell(midpoint(sample_in_cell(ordering, rng),
+                                sample_in_cell(ordering, rng)), ordering)
+               for _ in range(samples))
 
 
 def functoriality_check(lower: NOrdering, upper: NOrdering,

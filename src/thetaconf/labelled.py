@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Mapping
 
-from .errors import (LabelMismatch, check_count, check_height, check_labels,
-                     json_field, json_items)
+from .errors import (LabelMismatch, check_height, check_labels, json_field,
+                     json_items)
 from .gamma import GammaMorphism
 from .nord import NOrdering, enumerate_nord, from_tree, leq, to_tree
 from .theta import ThetaMorphism, _lift, branching_condition_holds
@@ -109,13 +109,11 @@ def unit_exists(obj: LabelledTree) -> bool:
     return hom_exists(obj, embed(retract(obj)))
 
 
-def initiality_check(obj: LabelledTree, max_size: int = 8) -> bool:
+def initiality_check(obj: LabelledTree) -> bool:
     """Maps out of obj into embedded orderings are exactly maps out of
     its retract: hom_exists(obj, embed(T)) == leq(retract(obj), T) for
-    every ordering T of the same labels."""
-    check_count(max_size, "max_size")
-    if len(obj.labels) > max_size:
-        raise ValueError(f"label set larger than the bound {max_size}")
+    every ordering T of the same labels, of which `enumerate_nord`
+    caps the count."""
     retracted = retract(obj)
     for other in enumerate_nord(obj.labels, obj.n):
         if hom_exists(obj, embed(other)) != leq(retracted, other):

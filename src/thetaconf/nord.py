@@ -187,24 +187,15 @@ def to_tree(ordering: NOrdering) -> PlanarLevelTree:
 @lru_cache(maxsize=4096)
 def _word_tree(word: tuple[int, ...], n: int) -> PlanarLevelTree:
     """The tree of a nonempty ordering; its shape depends on the word
-    alone."""
-    root: list = []
-    spine = [root]
-    for _ in range(n):
-        node: list = []
-        spine[-1].append(node)
-        spine.append(node)
-    for b in word:
-        del spine[b + 1:]
-        for _ in range(b, n):
-            node = []
-            spine[-1].append(node)
-            spine.append(node)
-
-    def freeze(node):
-        return PlanarLevelTree(tuple(freeze(c) for c in node))
-
-    return freeze(root)
+    alone.  At n = 0 it is the root-only tree; otherwise the root's
+    children are the trees at height n - 1 of the runs of the word
+    between its zeros, each entry lowered by one."""
+    if n == 0:
+        return PlanarLevelTree()
+    bounds = [-1, *(k for k, b in enumerate(word) if b == 0), len(word)]
+    return PlanarLevelTree(tuple(
+        _word_tree(tuple(b - 1 for b in word[a + 1:z]), n - 1)
+        for a, z in zip(bounds, bounds[1:])))
 
 
 def from_tree(tree: PlanarLevelTree, n: int,
@@ -246,11 +237,9 @@ def enumerate_nord(labels: Iterable[Hashable], n: int,
     total = factorial(r) * n ** max(r - 1, 0)
     if total > max_count:
         raise CapExceeded("orderings", total, max_count)
-    if r == 0:
-        return (NOrdering((), (), n),)
     out = []
     for perm in permutations(base):
-        for word in product(range(n), repeat=r - 1):
+        for word in product(range(n), repeat=max(r - 1, 0)):
             out.append(NOrdering(perm, word, n))
     return tuple(out)
 

@@ -89,11 +89,9 @@ class ThetaMorphism:
 
 def identity_morphism(tree: PlanarLevelTree, n: int) -> ThetaMorphism:
     check_height(n)
-    delta = DeltaMorphism.identity(len(tree.children))
-    if n == 1:
-        return ThetaMorphism(1, delta)
-    return ThetaMorphism(n, delta, tuple(identity_morphism(c, n - 1)
-                                         for c in tree.children))
+    return ThetaMorphism(n, DeltaMorphism.identity(len(tree.children)),
+                         tuple(identity_morphism(c, n - 1)
+                               for c in tree.children if n > 1))
 
 
 def theta_compose(g: ThetaMorphism, f: ThetaMorphism) -> ThetaMorphism:
@@ -104,8 +102,6 @@ def theta_compose(g: ThetaMorphism, f: ThetaMorphism) -> ThetaMorphism:
     if f.delta.target_rank != g.delta.source_rank:
         raise ValueError("middle ranks differ")
     delta = delta_compose(g.delta, f.delta)
-    if f.n == 1:
-        return ThetaMorphism(1, delta)
     # Part k of g.f is g's part k after f's part at k's g-owner j; the
     # parts of g.f are exactly the k whose owner has f(0) < j <= f(s).
     first, last = f.delta.values[0], f.delta.values[-1]
@@ -258,9 +254,11 @@ def enumerate_hom_bruteforce(source: PlanarLevelTree, target: PlanarLevelTree,
                              n: int, max_count: int = DEFAULT_MAX_COUNT,
                              active_only: bool = False
                              ) -> tuple[ThetaMorphism, ...]:
-    """Every morphism source -> target at level n, by exhausting monotone
-    maps and part combinations.  Deterministic order.  The cap counts
-    every morphism built, sub-level ones included.
+    """Every morphism source -> target at level n: for each monotone map
+    f, in lexicographic order, one per combination of its parts' hom
+    sets.  At level 1 there are no parts, and the product of no pools is
+    the one empty combination.  The cap counts every morphism built,
+    sub-level ones included.
 
     With `active_only`, only the morphisms whose shadow is active are
     built, in the same order.  At each level a monotone map f into a
@@ -286,7 +284,7 @@ def enumerate_hom_bruteforce(source: PlanarLevelTree, target: PlanarLevelTree,
         if key in memo:
             return memo[key]
         s, t = len(src.children), len(tgt.children)
-        maps = _monotone_tuples(s, t)
+        maps = combinations_with_replacement(range(t + 1), s + 1)
         if active_only:
             owners = [j for j, child in enumerate(tgt.children, 1)
                       if child.height() == level - 1]
@@ -294,25 +292,15 @@ def enumerate_hom_bruteforce(source: PlanarLevelTree, target: PlanarLevelTree,
                 first, last = owners[0], owners[-1]
                 maps = [v for v in maps if v[0] < first and v[-1] >= last]
         out = []
-        if level == 1:
-            for values in maps:
+        for values in maps:
+            delta = DeltaMorphism(s, t, values)
+            pools = [homs(src.children[i - 1], tgt.children[j - 1],
+                          level - 1)
+                     for i, j in _part_keys(values)] if level > 1 else []
+            for combo in product(*pools):
                 charge()
-                out.append(ThetaMorphism(1, DeltaMorphism(s, t, values)))
-        else:
-            for values in maps:
-                delta = DeltaMorphism(s, t, values)
-                pools = [homs(src.children[i - 1], tgt.children[j - 1],
-                              level - 1) for i, j in _part_keys(values)]
-                if any(not pool for pool in pools):
-                    continue
-                for combo in product(*pools):
-                    charge()
-                    out.append(ThetaMorphism(level, delta, combo))
+                out.append(ThetaMorphism(level, delta, combo))
         memo[key] = out
         return out
 
     return tuple(homs(source, target, n))
-
-
-def _monotone_tuples(s, t):
-    return combinations_with_replacement(range(t + 1), s + 1)

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import NamedTuple
 
-from .errors import SymbolParseError, check_count, check_height
+from .errors import (DEFAULT_MAX_COUNT, CapExceeded, SymbolParseError,
+                     check_count, check_height)
 
 
 class LeafId(NamedTuple):
@@ -279,20 +280,37 @@ def _check_fits(t: PlanarLevelTree, n: int):
 def enumerate_trees(max_edges: int, height: int) -> tuple[PlanarLevelTree, ...]:
     """All planar level trees with at most max_edges edges and height
     at most `height`, in a fixed deterministic order (by edge count,
-    then recursively by first subtree)."""
+    then recursively by first subtree).  The trees are counted first,
+    by the same recursion, and more than DEFAULT_MAX_COUNT of them
+    raise CapExceeded before any is built."""
     check_count(max_edges, "max_edges")
     check_count(height, "tree height")
 
-    # Both memos live for one call, so subtrees are shared within the
-    # result and nothing outlives it.
+    # The memos live for one call, so subtrees are shared within the
+    # result and nothing outlives it.  Forests are counted with their
+    # connecting edges: a forest of k trees with e_1..e_k edges costs
+    # k + sum(e_i).  A tree of height at most h is a root over a forest
+    # of height at most h - 1.
+    @cache
+    def forest_count(edges, height):
+        """Forests of trees of height at most `height`: at height 0 one
+        of each size, at height -1 only the empty one."""
+        if edges == 0 or height <= 0:
+            return int(edges == 0 or height == 0)
+        return sum(forest_count(first_edges, height - 1)
+                   * forest_count(edges - 1 - first_edges, height)
+                   for first_edges in range(edges))
+
+    # in ascending edges, so each count finds the smaller ones memoised
+    total = sum(forest_count(edges, height - 1)
+                for edges in range(max_edges + 1))
+    if total > DEFAULT_MAX_COUNT:
+        raise CapExceeded("trees", total, DEFAULT_MAX_COUNT)
+
     @cache
     def forests(edges, height):
-        # Forests are counted with their connecting edges: a forest of k
-        # trees with e_1..e_k edges costs k + sum(e_i).
         if edges == 0:
             return ((),)
-        if height < 0:
-            return ()
         return tuple((first,) + tail
                      for first_edges in range(edges)
                      for first in trees(first_edges, height)

@@ -21,7 +21,8 @@ from typing import Iterable, Iterator, Sequence
 
 from .cells import (cell_of, convexity_probe, functoriality_check, in_cell,
                     sample, witness)
-from .errors import DEFAULT_MAX_COUNT, UnhealthyTarget, check_count, check_height
+from .errors import (DEFAULT_MAX_COUNT, CapExceeded, UnhealthyTarget,
+                     check_count, check_height)
 from .gamma import enumerate_gamma, gamma_is_active
 from .homology import ChainComplex, boundary_matrices, homology, order_complex
 from .labelled import (LabelledTree, embed, hom_exists, initiality_check,
@@ -102,6 +103,7 @@ def _dd_zero(cc: ChainComplex) -> bool:
 
 def suite_theorem_a(cases: Sequence[tuple[int, int]] = DEFAULT_HOMOLOGY_CASES,
                     max_chains: int = DEFAULT_MAX_COUNT) -> dict:
+    cases = tuple(cases)        # read once: the report lists them too
     sized = [(n, _labels(r)) for n, r in cases]    # each r checked first
     checks = []
     for n, labels in sized:
@@ -132,8 +134,13 @@ def suite_theorem_a(cases: Sequence[tuple[int, int]] = DEFAULT_HOMOLOGY_CASES,
 
 
 def _pair_jobs(n: int, max_edges: int) -> list[tuple]:
-    trees = list(enumerate_trees(max_edges, n))
+    """One job per source tree and healthy target tree; more than
+    DEFAULT_MAX_COUNT pairs raise CapExceeded before any job is built."""
+    trees = enumerate_trees(max_edges, n)
     healthy = [t for t in trees if is_healthy(t, n)]
+    pairs = len(trees) * len(healthy)
+    if pairs > DEFAULT_MAX_COUNT:
+        raise CapExceeded("tree pairs", pairs, DEFAULT_MAX_COUNT)
     return [(n, render_symbol(s, n), render_symbol(t, n))
             for s in trees for t in healthy]
 
@@ -265,7 +272,7 @@ def suite_theorem_b(max_size: int = 3,
               if not is_healthy(obj.tree, obj.n))),
         # maps out of any object into embedded orderings see only the retract
         _all("initiality",
-             (initiality_check(obj, max_size=max_size)
+             (initiality_check(obj)
               for obj in _objects([m for m in levels if m <= 2] or levels[:1])
               if len(obj.labels) <= max_size)),
         # the embedding is full: hom between embedded orderings iff leq

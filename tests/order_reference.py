@@ -8,12 +8,15 @@ neighbour pair of the ordering.  Neither reads the flat `keys` tables
 nor the interned `label_set`, and both raise LabelMismatch as the
 library does.  `reference_upper_covers` walks the cover moves of one
 labelled ordering, carrying its labels through every split, as the
-library did before it walked each word once.
+library did before it walked each word once.  `reference_word_tree`
+builds the tree of a word on a mutable spine of open vertices and
+freezes it, as `to_tree` did before it recursed on the runs of the word
+between its zeros.
 """
 
 from functools import lru_cache
 
-from thetaconf import LabelMismatch, NOrdering
+from thetaconf import LabelMismatch, NOrdering, PlanarLevelTree
 
 
 def reference_levels(ordering):
@@ -97,3 +100,25 @@ def reference_upper_covers(ordering):
                                          new_word + word[end - 1:], n))
             start = end
     return tuple(out)
+
+
+def reference_word_tree(word, n):
+    """The tree of a nonempty ordering; its shape depends on the word
+    alone."""
+    root: list = []
+    spine = [root]
+    for _ in range(n):
+        node: list = []
+        spine[-1].append(node)
+        spine.append(node)
+    for b in word:
+        del spine[b + 1:]
+        for _ in range(b, n):
+            node = []
+            spine[-1].append(node)
+            spine.append(node)
+
+    def freeze(node):
+        return PlanarLevelTree(tuple(freeze(c) for c in node))
+
+    return freeze(root)

@@ -230,6 +230,19 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--n", "2", "--max-edges", "30"),
+     "error: trees: 1073741824 exceed the cap 1000000"),
+    (("--n", "3", "--max-edges", "11"),
+     "error: tree pairs: 3152736 exceed the cap 1000000"),
+], ids=["trees", "tree-pairs"])
+def test_verify_morphisms_caps_its_trees(capsys, argv, message):
+    code, out, err = run(capsys, "verify", "morphisms", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.strip() == message
+
+
 HEIGHT_ARGV = [
     ("enumerate", "--labels", "a,b"),
     ("hasse", "--labels", "a,b"),

@@ -20,8 +20,8 @@ from thetaconf import (ROOT_ONLY, CapExceeded, Configuration, DeltaMorphism,
                        enumerate_delta, enumerate_gamma,
                        enumerate_hom_bruteforce, enumerate_nord,
                        enumerate_trees, from_tree, functoriality_check,
-                       healthify, identity_morphism, initiality_check,
-                       is_healthy, level_n_leaves, order_complex, pair_level,
+                       healthify, identity_morphism, is_healthy,
+                       level_n_leaves, order_complex, pair_level,
                        parse_symbol, parse_text, poset_homology,
                        render_symbol, sample, sigma_act)
 from thetaconf.verify import (suite_cells, suite_morphisms, suite_poset,
@@ -89,9 +89,6 @@ COUNTS = {
         (lambda c: convexity_probe(LOW, c, 0), "samples"),
     "functoriality_check(samples)":
         (lambda c: functoriality_check(LOW, HIGH, c, 0), "samples"),
-    "initiality_check(max_size)":
-        (lambda c: initiality_check(LabelledTree(ROOT_ONLY, 1, ()), c),
-         "max_size"),
     "suite_cells(samples)":
         (lambda c: suite_cells(max_size=1, levels=(1,), samples=c),
          "samples"),

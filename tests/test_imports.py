@@ -1,4 +1,5 @@
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -38,3 +39,13 @@ def test_argument_rules_are_worded_in_errors_only():
                 copies += [f"{path.name}:{node.lineno}: {words}"
                            for words in RULE_WORDING if words in node.value]
     assert copies == []
+
+
+def test_sources_parse_at_the_python_floor():
+    # a regex, not tomllib: the floor itself may lack tomllib
+    pyproject = (Path(__file__).parent.parent / "pyproject.toml").read_text()
+    floor = re.search(r'requires-python = ">=3\.(\d+)"', pyproject)
+    assert floor
+    for path in SOURCES:
+        ast.parse(path.read_text(), str(path),
+                  feature_version=(3, int(floor.group(1))))

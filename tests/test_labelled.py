@@ -1,10 +1,10 @@
 import pytest
 
-from thetaconf import (LabelMismatch, LabelledTree, LeafId, assemble_morphism,
-                       embed, enumerate_nord, from_tree, healthify,
-                       hom_exists, hom_morphism, initiality_check,
-                       label_bijection, leq, parse_symbol, parse_text,
-                       retract, unit_exists)
+from thetaconf import (CapExceeded, LabelMismatch, LabelledTree, LeafId,
+                       assemble_morphism, embed, enumerate_nord, from_tree,
+                       healthify, hom_exists, hom_morphism,
+                       initiality_check, label_bijection, leq, parse_symbol,
+                       parse_text, retract, unit_exists)
 
 
 def _obj(symbol, n, labels):
@@ -122,9 +122,10 @@ def test_hom_exists_tracks_poset_order():
         LabelledTree(parse_symbol("[1]", 1), 1, ("a",)),
         LabelledTree(parse_symbol("[1]([1])", 2), 2, ("a",))),
      LabelMismatch, "height parameters differ"),
+    # the orderings it compares against are capped by enumerate_nord
     (lambda: initiality_check(
-        LabelledTree(parse_symbol("[2]", 1), 1, ("a", "b")), max_size=1),
-     ValueError, "larger than the bound 1"),
+        LabelledTree(parse_symbol("[10]", 1), 1, tuple("abcdefghij"))),
+     CapExceeded, "orderings: 3628800 exceed the cap 1000000"),
 ])
 def test_labelled_rejects_bad_input(build, error, message):
     with pytest.raises(error, match=message):

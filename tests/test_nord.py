@@ -1,9 +1,10 @@
 import pickle
+from itertools import product
 from math import factorial
 
 import pytest
 
-from order_reference import reference_upper_covers
+from order_reference import reference_upper_covers, reference_word_tree
 
 from thetaconf import (ROOT_ONLY, CapExceeded, LabelMismatch, NOrdering,
                        PosetView, SymbolParseError, branching_level, degree,
@@ -156,7 +157,23 @@ def test_to_tree():
     assert to_tree(parse_text("a 0 b", 2)) == parse_symbol("[2]([1],[1])", 2)
     assert to_tree(parse_text("a 0 b 1 c", 2)) == parse_symbol(
         "[2]([1],[2])", 2)
-    assert to_tree(parse_text("", 2)).children == ()
+    # the empty ordering and a one-label one share the empty word
+    for n in range(1, 5):
+        assert to_tree(NOrdering((), (), n)) == ROOT_ONLY
+
+
+def test_to_tree_matches_the_spine_builder():
+    # every word with n <= 5, r <= 7 and n^(r-1) <= 5000
+    checked = 0
+    for n in range(1, 6):
+        for r in range(1, 8):
+            if n ** (r - 1) > 5000:
+                continue
+            for word in product(range(n), repeat=r - 1):
+                ordering = NOrdering(tuple(range(r)), word, n)
+                assert to_tree(ordering) == reference_word_tree(word, n)
+                checked += 1
+    assert checked == 10594
 
 
 def test_from_tree_inverts_to_tree():

@@ -7,8 +7,8 @@ from gamma_reference import reference_branching_holds
 from thetaconf import (BranchingConditionViolation, CapExceeded,
                        DeltaMorphism, GammaMorphism, LabelMismatch, LeafId,
                        NotActive, ThetaMorphism, UnhealthyTarget,
-                       assemble_morphism,
-                       branching_condition_holds, enumerate_gamma,
+                       assemble_morphism, branching_condition_holds,
+                       enumerate_delta, enumerate_gamma,
                        enumerate_hom_bruteforce, enumerate_trees,
                        gamma_compose, gamma_is_active, identity_morphism,
                        is_healthy, level_n_leaves, lift_active, parse_symbol,
@@ -99,12 +99,15 @@ def test_hom_count_by_hand():
 
 
 def test_hom_count_level_one_is_delta():
-    for s in range(4):
-        for t in range(4):
+    # Theta_1 = Delta: the same monotone maps, in the same order
+    for s in range(5):
+        for t in range(5):
             src = parse_symbol(f"[{s}]", 1)
             tgt = parse_symbol(f"[{t}]", 1)
-            assert len(enumerate_hom_bruteforce(src, tgt, 1)) == \
-                comb(s + t + 1, s + 1)
+            homs = enumerate_hom_bruteforce(src, tgt, 1)
+            assert len(homs) == comb(s + t + 1, s + 1)
+            assert homs == tuple(ThetaMorphism(1, d)
+                                 for d in enumerate_delta(s, t))
 
 
 def test_enumerate_hom_cap():

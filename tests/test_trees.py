@@ -3,9 +3,9 @@ from math import comb
 
 import pytest
 
-from thetaconf import (LeafId, PlanarLevelTree, ROOT_ONLY, SymbolParseError,
-                       branching_level, enumerate_trees, healthify,
-                       is_healthy, level_n_leaves, parse_symbol,
+from thetaconf import (CapExceeded, LeafId, PlanarLevelTree, ROOT_ONLY,
+                       SymbolParseError, branching_level, enumerate_trees,
+                       healthify, is_healthy, level_n_leaves, parse_symbol,
                        render_symbol, tree, tree_from_json, tree_to_json)
 
 
@@ -213,6 +213,16 @@ def test_enumerate_trees_height_bounds():
     assert enumerate_trees(3, 0) == (ROOT_ONLY,)
     with pytest.raises(ValueError, match="height must be >= 0, got -1"):
         enumerate_trees(3, -1)
+
+
+def test_enumerate_trees_counts_before_it_builds():
+    # 2^e trees of height <= 2 have at most e edges
+    for max_edges, height, total in ((21, 2, 2**21), (16, 3, 2178310)):
+        assert sum(_trees(e, height) for e in range(max_edges + 1)) == total
+        with pytest.raises(CapExceeded) as caught:
+            enumerate_trees(max_edges, height)
+        exc = caught.value
+        assert (exc.stage, exc.count, exc.cap) == ("trees", total, 10**6)
 
 
 def test_frozen_and_hashable():

@@ -2,8 +2,8 @@ from math import factorial
 
 import pytest
 
-from thetaconf import (ChainComplex, DeltaMorphism, ThetaMorphism,
-                       UnhealthyTarget, parse_symbol, verify)
+from thetaconf import (CapExceeded, ChainComplex, DeltaMorphism,
+                       ThetaMorphism, UnhealthyTarget, parse_symbol, verify)
 from thetaconf.verify import (DEFAULT_HOMOLOGY_CASES, _dd_zero,
                               check_morphism_pair,
                               expected_configuration_betti,
@@ -47,6 +47,12 @@ def test_suite_theorem_a_small():
     report = suite_theorem_a(cases=((2, 3),))
     assert [(c["passed"], c["checked"]) for c in report["checks"]
             if c["name"] == "dd-zero(n=2,r=3)"] == [(True, 72)]
+
+
+def test_suite_theorem_a_reads_its_cases_once():
+    report = suite_theorem_a(cases=(c for c in ((1, 2), (2, 2))))
+    assert report["params"]["cases"] == [[1, 2], [2, 2]]
+    assert len(report["checks"]) == 8
 
 
 def test_suite_theorem_a_default_cases():
@@ -163,6 +169,17 @@ def test_morphism_sweep_rejects_bad_heights():
                             ((True,), "n must be an integer, got True")):
         with pytest.raises(ValueError, match=message):
             suite_morphisms(levels=levels, max_edges=0)
+
+
+def test_morphism_sweep_counts_its_pairs_before_any_job(monkeypatch):
+    def unreachable(job):
+        raise AssertionError("a job ran before the pair cap")
+
+    monkeypatch.setattr(verify, "check_morphism_pair", unreachable)
+    with pytest.raises(CapExceeded) as caught:
+        suite_morphisms(levels=(3,), max_edges=11)
+    exc = caught.value
+    assert (exc.stage, exc.count, exc.cap) == ("tree pairs", 3152736, 10**6)
 
 
 def test_morphism_sweep_of_one_job():
