@@ -13,7 +13,10 @@ from its coordinates: the shared `alphabet` of its label set and the
 flat pair `keys` by alphabet index, where the entry of labels x and y
 is twice the number of leading coordinates that their points share,
 plus 1 when the point of x comes first in the lexicographic order.
-`in_cell` then runs the test of `nord.leq` on them.
+Like an ordering, it holds them in one slot, `_tables`, that
+`nord._fill` fills on first use, so no instance dict slows the
+attribute reads of `in_cell`, which runs the test of `nord.leq` on
+them in its own frame.
 Points inside a given cell, the integer witness and seeded random
 samples, come from one walk over the word, leaf by leaf.  All
 arithmetic is exact, so ties are honest ties: the constructor holds
@@ -24,14 +27,13 @@ otherwise, so integer points compare and hash at C speed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable, Hashable, Iterable, Mapping
 
 from .errors import (LabelMismatch, bijection_values, check_count,
                      check_height, check_labels)
-from .nord import NOrdering, _alphabet, _neighbours_hold, leq
+from .nord import NOrdering, _checks_over, _fill, leq
 
 _SAMPLE_SPAN = 2**40
 
@@ -67,7 +69,7 @@ def _point(label: Hashable, vec, n: int) -> tuple[int | Fraction, ...]:
     return tuple(point)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Configuration:
     """Injective map from labels to rational n-vectors.  The constructor
     turns each vector into a tuple of coordinates through `_exact`."""
@@ -75,16 +77,25 @@ class Configuration:
     labels: tuple[Hashable, ...]
     coords: tuple[tuple[int | Fraction, ...], ...]
     n: int
+    # (alphabet, keys), filled by `nord._fill` on first use
+    _tables: tuple | None = field(default=None, init=False, compare=False,
+                                  repr=False)
 
     def __post_init__(self):
         check_height(self.n)
-        check_labels(self.labels)
-        if len(self.labels) != len(self.coords):
+        labels = check_labels(self.labels)
+        try:
+            vectors = tuple(self.coords)
+        except TypeError:
+            raise ValueError(f"coordinates must be iterable, got "
+                             f"{self.coords!r}") from None
+        if len(labels) != len(vectors):
             raise ValueError("one coordinate vector per label required")
         coords = tuple(_point(label, vec, self.n)
-                       for label, vec in zip(self.labels, self.coords))
+                       for label, vec in zip(labels, vectors))
         if len(set(coords)) != len(coords):
             raise ValueError("configuration points must be pairwise distinct")
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "coords", coords)
 
     @classmethod
@@ -92,20 +103,24 @@ class Configuration:
         labels = tuple(points)
         return cls(labels, tuple(points[label] for label in labels), n)
 
-    @cached_property
+    @property
     def alphabet(self) -> dict[Hashable, int]:
         """Index of each label, shared by equal label sets."""
-        return _alphabet(frozenset(self.labels))
+        return (self._tables or _fill(self))[0]
 
-    @cached_property
+    @property
     def keys(self) -> tuple[int, ...]:
         """Flat r x r table of pair keys by alphabet index: the entry of
         labels x and y is 2 * agree + (1 if the point of x comes first
         lexicographically), where agree is the number of leading
-        coordinates the two points share; 2n on the diagonal.  Each pair
-        is compared once and mirrored."""
+        coordinates the two points share; 2n on the diagonal."""
+        return (self._tables or _fill(self))[1]
+
+    def _tables_over(self, alphabet: Mapping[Hashable, int]) -> tuple:
+        """(alphabet, keys) over `alphabet`, an alphabet of the labels.
+        Each pair is compared once and mirrored."""
         coords, r = self.coords, len(self.coords)
-        cols = [self.alphabet[x] for x in self.labels]
+        cols = [alphabet[x] for x in self.labels]
         rows = [c * r for c in cols]
         keys = [2 * self.n] * (r * r)
         for i, u in enumerate(coords):
@@ -115,7 +130,7 @@ class Configuration:
                 first = u[agree] < v[agree]
                 keys[rows[i] + cols[j]] = 2 * agree + first
                 keys[rows[j] + cols[i]] = 2 * agree + (not first)
-        return tuple(keys)
+        return alphabet, tuple(keys)
 
     def point(self, label: Hashable) -> tuple[int | Fraction, ...]:
         if label not in self.labels:
@@ -179,11 +194,17 @@ def in_cell(config: Configuration, ordering: NOrdering) -> bool:
     a pair further apart branches at the least word entry beta between
     them, so every link of the chain of neighbours joining them agrees
     on the first beta coordinates and weakly increases the one after,
-    and its conditions follow by transitivity."""
-    if config.n != ordering.n:
-        raise LabelMismatch(
-            f"dimensions differ: {config.n} vs {ordering.n}")
-    return _neighbours_hold(config, ordering)
+    and its conditions follow by transitivity.  As in `nord.leq`, the
+    ordering's checks are read against the configuration's keys when
+    both share one alphabet, and through `nord._checks_over` otherwise."""
+    alphabet, keys = config._tables or _fill(config)
+    o_alphabet, _, checks = ordering._tables or _fill(ordering)
+    if alphabet is not o_alphabet or config.n != ordering.n:
+        checks = _checks_over(config, ordering, "dimensions")
+    for k, bound in checks:
+        if keys[k] <= bound:
+            return False
+    return True
 
 
 def _agree(u: tuple, v: tuple) -> int:

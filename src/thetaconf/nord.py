@@ -7,21 +7,26 @@ branching levels of consecutive leaves.  Branching levels of
 non-adjacent pairs are the minimum of the word entries in between,
 which is why the encoding is faithful.
 
-Each ordering keeps three invariants, computed on first use.
-`alphabet` numbers the labels: it is the dict that `_alphabet` gives
-for the label set, so every ordering and configuration with an equal
-label set shares one alphabet while the cache holds it.  `keys` is the
-flat r x r table of pair keys by alphabet index: keys[ix * r + iy],
-for labels x and y with indices ix and iy, is twice the branching level
-of their leaves, plus 1 when x comes first.  `checks` lists, for each
-planar neighbour pair x then y, the index ix * r + iy of its key and
-twice the word entry between them.  `pair_level` halves a key.
-`leq(a, b)` and `cells.in_cell` run one test: the key of each of b's
-checks in a (or in the configuration's table of the same form) must
-exceed the check's bound.  Comparisons work over alphabet indices and
-need only hashable labels, never an order on them.  `to_tree` builds
-the tree of each (word, n) once and hands out the same object
-afterwards.
+Each ordering keeps three invariants in one slot, `_tables`, which
+`_fill` fills on first use.  `alphabet` numbers the labels: it is the
+dict that `_alphabet` gives for the label set, so every ordering and
+configuration with an equal label set shares one alphabet while the
+cache holds it.  `keys` is the flat r x r table of pair keys by
+alphabet index: keys[ix * r + iy], for labels x and y with indices ix
+and iy, is twice the branching level of their leaves, plus 1 when x
+comes first.  `checks` lists, for each planar neighbour pair x then y,
+the index ix * r + iy of its key and twice the word entry between
+them.  `pair_level` halves a key.  The tables live in a slot of a
+slotted class, not in a cached property, because an instance dict
+would turn every later attribute read on the object into a slow
+generic lookup, and `leq` reads several per call.  `leq(a, b)` and
+`cells.in_cell` run one test, each in its own frame: the key of each
+of b's checks in a (or in the configuration's table of the same form)
+must exceed the check's bound.  Only a mismatch or a foreign alphabet
+leaves that loop for `_checks_over`.  Comparisons work over alphabet
+indices and need only hashable labels, never an order on them.
+`to_tree` builds the tree of each (word, n) once and hands out the
+same object afterwards.
 
 There are r! * n^(r-1) such orderings for |A| = r >= 1 and exactly one
 for r = 0.  The order relation: S <= T when every pairwise branching
@@ -49,8 +54,8 @@ down, so the build never calls `leq`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import permutations, product
 from math import factorial
 from operator import itemgetter
@@ -62,41 +67,62 @@ from .errors import (DEFAULT_MAX_COUNT, CapExceeded, LabelMismatch,
 from .trees import PlanarLevelTree, is_healthy, level_n_leaves
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NOrdering:
     labels: tuple[Hashable, ...]
     word: tuple[int, ...]
     n: int
+    # (alphabet, keys, checks), filled by `_fill` on first use
+    _tables: tuple | None = field(default=None, init=False, compare=False,
+                                  repr=False)
 
     def __post_init__(self):
         check_height(self.n)
-        check_labels(self.labels)
-        expected = max(len(self.labels) - 1, 0)
-        if len(self.word) != expected:
-            raise ValueError(f"word length {len(self.word)}, expected {expected}")
-        for b in self.word:
+        labels = check_labels(self.labels)
+        try:
+            word = tuple(self.word)
+        except TypeError:
+            raise ValueError(f"word must be iterable, got {self.word!r}") \
+                from None
+        expected = max(len(labels) - 1, 0)
+        if len(word) != expected:
+            raise ValueError(f"word length {len(word)}, expected {expected}")
+        for b in word:
             # a type check, not isinstance: a bool is not an integer here
             if type(b) is not int:
                 raise ValueError(f"word entries must be integers, got {b!r}")
             if not 0 <= b <= self.n - 1:
                 raise ValueError(f"word entry {b} outside 0..{self.n - 1}")
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "word", word)
 
     @property
     def size(self) -> int:
         return len(self.labels)
 
-    @cached_property
+    @property
     def alphabet(self) -> dict[Hashable, int]:
         """Index of each label, shared by equal label sets."""
-        return _alphabet(frozenset(self.labels))
+        return (self._tables or _fill(self))[0]
 
-    @cached_property
+    @property
     def keys(self) -> tuple[int, ...]:
         """Flat r x r table of pair keys by alphabet index: the entry of
         labels x and y is 2 * level + (1 if x comes first), where level
         is the minimum of the word between them; 2n on the diagonal."""
+        return (self._tables or _fill(self))[1]
+
+    @property
+    def checks(self) -> tuple[tuple[int, int], ...]:
+        """(key index, bound) of each planar neighbour pair, over this
+        ordering's own alphabet."""
+        return (self._tables or _fill(self))[2]
+
+    def _tables_over(self, alphabet: Mapping[Hashable, int]) -> tuple:
+        """(alphabet, keys, checks) over `alphabet`, an alphabet of the
+        labels."""
         r, word, n = self.size, self.word, self.n
-        cols = [self.alphabet[x] for x in self.labels]
+        cols = [alphabet[x] for x in self.labels]
         rows = [c * r for c in cols]
         keys = [2 * n] * (r * r)
         for i in range(r):
@@ -105,13 +131,7 @@ class NOrdering:
                 level = min(level, word[j - 1])
                 keys[rows[i] + cols[j]] = 2 * level + 1
                 keys[rows[j] + cols[i]] = 2 * level
-        return tuple(keys)
-
-    @cached_property
-    def checks(self) -> tuple[tuple[int, int], ...]:
-        """(key index, bound) of each planar neighbour pair, over this
-        ordering's own alphabet."""
-        return _checks(self, self.alphabet)
+        return alphabet, tuple(keys), _checks(self, alphabet)
 
     def text(self) -> str:
         """Alternating form "a 0 b 1 c"."""
@@ -143,6 +163,14 @@ def parse_text(text: str, n: int) -> NOrdering:
     labels = tuple(tokens[0::2])
     word = tuple(int(tok) for tok in tokens[1::2])
     return NOrdering(labels, word, n)
+
+
+def _fill(table) -> tuple:
+    """Fill the `_tables` slot of an ordering or a configuration over the
+    shared alphabet of its label set, and return the tables."""
+    tables = table._tables_over(_alphabet(frozenset(table.labels)))
+    object.__setattr__(table, "_tables", tables)
+    return tables
 
 
 @lru_cache(maxsize=256)
@@ -311,37 +339,37 @@ def leq(a: NOrdering, b: NOrdering) -> bool:
     one child; a link with a-level m has beta = m, so the tie rule makes
     it move to a child further right.  So the child of v walks
     rightward from x's to y's, and x comes before y in a.  The checks
-    are necessary, since neighbour pairs are pairs.  A pair fails
-    exactly when its key in a is at most 2 * beta."""
-    if a.n != b.n:
-        raise LabelMismatch(f"height parameters differ: {a.n} vs {b.n}")
-    return _neighbours_hold(a, b)
+    are necessary, since neighbour pairs are pairs.
 
-
-def _neighbours_hold(table, ordering: NOrdering) -> bool:
-    """The test of `leq` and `cells.in_cell`.  `table` is an ordering or
-    a configuration: it has an `alphabet` of its labels and the flat
-    pair `keys` by alphabet index, whose key is 2 * level + 1 for a
-    pair in order and 2 * level for one out of order.  For each planar
-    neighbour pair x, y of `ordering` with word entry beta between
-    them, the key of (x, y) in `table` must exceed 2 * beta: the pair's
-    level is above beta, or equal to it with x first.  The checks are
-    the ordering's own when both share one alphabet, as equal label
-    sets do while the cache holds it; otherwise they are read again
-    over the table's alphabet, which a pickled or copied object may
-    number differently.  Raises LabelMismatch, before any pair is read,
-    when the label sets differ."""
-    if table.alphabet is ordering.alphabet:
-        checks = ordering.checks
-    elif table.alphabet.keys() != ordering.alphabet.keys():
-        raise LabelMismatch("label sets differ")
-    else:
-        checks = _checks(ordering, table.alphabet)
-    keys = table.keys
+    A pair fails exactly when its key in a is at most 2 * beta, so the
+    test reads b's `checks` against a's `keys`.  They index one
+    alphabet when a and b share it, as equal label sets do while the
+    cache holds it; otherwise `_checks_over` reads b's checks again over
+    a's alphabet, or raises LabelMismatch."""
+    alphabet, keys, _ = a._tables or _fill(a)
+    b_alphabet, _, checks = b._tables or _fill(b)
+    if alphabet is not b_alphabet or a.n != b.n:
+        checks = _checks_over(a, b, "height parameters")
     for k, bound in checks:
         if keys[k] <= bound:
             return False
     return True
+
+
+def _checks_over(table, ordering: NOrdering,
+                 dimension: str) -> tuple[tuple[int, int], ...]:
+    """The checks of `ordering` over the alphabet of `table`, an ordering
+    or a configuration, for `leq` and `cells.in_cell` when the two do
+    not share one alphabet or one height: a pickled or copied object
+    may number its labels differently.  Raises LabelMismatch, before
+    any pair is read, when the heights differ (`dimension` names them
+    in the message) or the label sets do."""
+    if table.n != ordering.n:
+        raise LabelMismatch(f"{dimension} differ: {table.n} vs {ordering.n}")
+    alphabet = table.alphabet
+    if alphabet.keys() != ordering.alphabet.keys():
+        raise LabelMismatch("label sets differ")
+    return _checks(ordering, alphabet)
 
 
 def sigma_act(g: Mapping, ordering: NOrdering) -> NOrdering:

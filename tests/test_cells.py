@@ -5,7 +5,7 @@ import pytest
 
 from thetaconf import (Configuration, LabelMismatch, cell_of, convexity_probe,
                        functoriality_check, in_cell, leq, midpoint,
-                       parse_point_file, sample,
+                       pair_level, parse_point_file, sample,
                        sample_in_cell, enumerate_nord, parse_text, witness)
 
 
@@ -20,6 +20,31 @@ def test_configuration_validation():
         _config(2, a=(0, 0), b=(0, 0))
     with pytest.raises(ValueError):
         _config(2, a=(0, 0, 0))
+
+
+def test_configurations_hold_their_fields_as_tuples():
+    built = Configuration(("a", "b"), ((0,), (1,)), 1)
+    for labels, coords in ((["a", "b"], ((0,), (1,))),
+                           (("a", "b"), [[0], [1]]), ("ab", iter([[0], [1]]))):
+        config = Configuration(labels, coords, 1)
+        assert config == built and hash(config) == hash(built)
+        assert type(config.labels) is tuple and type(config.coords) is tuple
+
+
+def test_tables_live_in_a_slot_not_an_instance_dict():
+    """Orderings and configurations hold their tables in the `_tables`
+    slot and have no instance dict, also after every table has been
+    read: a dict would slow every attribute read of `leq` and
+    `in_cell`."""
+    a, b = parse_text("a 1 b 0 c", 2), parse_text("c 0 a 1 b", 2)
+    config = witness(a)
+    leq(a, b)
+    in_cell(config, b)
+    pair_level(a, "a", "c")
+    a.keys, b.checks, config.keys, config.alphabet
+    for table in (a, b, config):
+        assert table._tables is not None
+        assert not hasattr(table, "__dict__")
 
 
 def test_point_file_entries():

@@ -3,7 +3,8 @@
 Every public entry point that takes a height, a count or labels checks
 it through `errors.check_height`, `errors.check_count` or
 `errors.check_labels`, so a malformed argument raises ValueError with
-one wording everywhere, and never a bare TypeError.  Where a label is
+one wording everywhere, and never a bare TypeError; so does a word or
+a set of coordinates that is not iterable.  Where a label is
 looked up, an unhashable one raises LabelMismatch.  The values of a
 DeltaMorphism are a tuple of integers.
 """
@@ -131,6 +132,16 @@ LABELS = {
 }
 
 
+# entry point -> (call with a sequence field under test, message)
+SEQUENCES = {
+    "NOrdering(word)": (lambda word: NOrdering(("a", "b"), word, 2),
+                        "word must be iterable, got"),
+    "Configuration(coords)":
+        (lambda coords: Configuration(("a",), coords, 1),
+         "coordinates must be iterable, got"),
+}
+
+
 def delta_of(values):
     return DeltaMorphism(1, 2, values)
 
@@ -163,6 +174,9 @@ PROBES = (
        for bad, message in ((([1], "b"), "labels must be hashable"),
                             (("a", "a"), "duplicate labels"),
                             (3, "labels must be iterable, got 3"))]
+    + [pytest.param(call, bad, ValueError, f"{message} {bad!r}",
+                    id=f"{name}-{bad!r}")
+       for name, (call, message) in SEQUENCES.items() for bad in (None, 3)]
     + [pytest.param(delta_of, bad, ValueError, message,
                     id=f"DeltaMorphism(values)-{bad!r}")
        for bad, message in (((0, 1.5), "values must be integers, got 1.5"),
@@ -201,6 +215,8 @@ LABEL_PAIRS = st.lists(LABEL_ITEMS, min_size=2, max_size=2).map(tuple)
 FUZZED = ([(name, call, ARGUMENTS) for name, call in HEIGHTS.items()]
           + [(name, call, ARGUMENTS) for name, (call, _) in COUNTS.items()]
           + [(name, call, LABEL_PAIRS) for name, call in LABELS.items()]
+          + [(name, call, st.one_of(LABEL_PAIRS, ARGUMENTS))
+             for name, (call, _) in SEQUENCES.items()]
           + [("DeltaMorphism(values)", delta_of,
               st.one_of(LABEL_PAIRS, ARGUMENTS))]
           + [(name, call, LABEL_ITEMS)

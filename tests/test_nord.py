@@ -30,6 +30,18 @@ def test_ordering_rejects_bad_field_types(args, message):
         NOrdering(*args)
 
 
+def test_orderings_hold_their_fields_as_tuples():
+    """Any iterables make the ordering that tuples make: equal, with the
+    same hash, and holding tuples."""
+    built = NOrdering(("a", "b"), (0,), 2)
+    for labels, word in ((["a", "b"], (0,)), (("a", "b"), [0]),
+                         (iter("ab"), iter([0]))):
+        ordering = NOrdering(labels, word, 2)
+        assert ordering == built and hash(ordering) == hash(built)
+        assert type(ordering.labels) is tuple
+        assert type(ordering.word) is tuple
+
+
 def test_ordering_validation():
     NOrdering(("a", "b"), (0,), 2)
     with pytest.raises(ValueError):

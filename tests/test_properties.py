@@ -13,7 +13,8 @@ from the word, and against the nested-table route they replaced
 (`order_reference`).  The flat pair-key tables are checked against
 their definitions over alphabet indices, and both tests against that
 route on pickled, deep-copied and renumbered copies, whose alphabets
-are not the shared one.  Points held as ints and as Fractions classify
+are not the shared one, and on a copy pickled before its tables were
+filled.  Points held as ints and as Fractions classify
 alike.  `homology` is checked against the per-degree Smith
 normal form on random simplicial complexes.
 
@@ -263,33 +264,42 @@ def test_configuration_pair_keys_match_their_definition(config):
 def renumbered(table):
     """A fresh copy of an ordering or configuration whose alphabet
     numbers its labels in the reverse of the shared alphabet's order,
-    set before any table is read."""
+    set in its `_tables` slot before any table is read."""
     fresh = replace(table)
+    assert fresh._tables is None
     shared = list(_alphabet(frozenset(table.labels)))
-    fresh.__dict__["alphabet"] = {x: i for i, x
-                                  in enumerate(reversed(shared))}
+    alphabet = {x: i for i, x in enumerate(reversed(shared))}
+    object.__setattr__(fresh, "_tables", fresh._tables_over(alphabet))
     return fresh
 
 
 def copies(table):
-    """The table itself, and copies of it that hold their own alphabet:
+    """The table itself; copies of it that hold their own alphabet:
     pickled and deep-copied after its keys were read, renumbered, and
-    renumbered then pickled."""
-    table.keys      # cached, so the copies carry it
+    renumbered then pickled; and a copy pickled before any of its
+    tables was read, which fills them over the shared alphabet."""
+    unfilled = pickle.dumps(replace(table))
+    table.keys      # filled, so the copies carry it
     return [table, pickle.loads(pickle.dumps(table)), copy.deepcopy(table),
-            renumbered(table), pickle.loads(pickle.dumps(renumbered(table)))]
+            renumbered(table), pickle.loads(pickle.dumps(renumbered(table))),
+            pickle.loads(unfilled)]
 
 
 def test_copies_hold_their_own_alphabet():
     a = parse_text("a 1 b 0 c", 2)
     config = witness(a)
     for table in (a, config):
-        shared, *others = copies(table)
+        shared, *others, late = copies(table)
         for other in others:
+            assert other._tables is not None
             assert other == table and other.alphabet is not shared.alphabet
             assert other.alphabet.keys() == shared.alphabet.keys()
         assert others[2].alphabet != shared.alphabet
         assert others[2].keys != shared.keys
+        assert late == table and late._tables is None
+        assert late.alphabet is shared.alphabet and late.keys == shared.keys
+        # replace builds through the constructor: no tables come along
+        assert replace(shared)._tables is None
 
 
 def test_leq_and_in_cell_read_every_alphabet_alike():
