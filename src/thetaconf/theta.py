@@ -13,6 +13,8 @@ set-level maps satisfying the branching condition; `lift_active`
 inverts it constructively.  Both work on owner positions: each child
 owns a contiguous run of its parent's level-n leaves, and part (i, j)
 fills target child j's run, shifted by the start of source child i's.
+The runs are each tree's `_offsets`, and the branching condition reads
+the meet levels of leaf pairs from the trees' `_meets` tables.
 """
 
 from __future__ import annotations
@@ -130,13 +132,13 @@ def assemble_morphism(f: ThetaMorphism, source: PlanarLevelTree,
                          tuple(_assemble(f, source, target, n)))
 
 
-def _runs(tree: PlanarLevelTree, n: int) -> list[int]:
+def _runs(tree: PlanarLevelTree, n: int) -> tuple[int, ...]:
     """Where each child's run of level-n leaves starts, then the total:
-    child c owns positions runs[c] to runs[c + 1] - 1."""
-    runs = [0]
-    for child in tree.children:
-        runs.append(runs[-1] + len(level_n_leaves(child, n - 1)))
-    return runs
+    child c owns positions runs[c] to runs[c + 1] - 1.  A tree shorter
+    than n has no level-n leaves."""
+    if tree.height() == n:
+        return tree._offsets
+    return (0,) * (len(tree.children) + 1)
 
 
 def _assemble(f, source, target, n) -> list[int | None]:
@@ -180,19 +182,22 @@ def branching_condition_holds(source: PlanarLevelTree, target: PlanarLevelTree,
         raise UnhealthyTarget(
             "branching condition contract applies to healthy targets only")
     _check_endpoints(gbar, source, target, n)
-    return _branching_holds(gbar)
+    return _branching_holds(source, target, gbar)
 
 
-def _branching_holds(gbar: GammaMorphism) -> bool:
-    """The condition itself, for a map whose contract is checked."""
-    source = gbar.source
-    owned = [(c, i) for c, i in zip(gbar.target, gbar.owners)
-             if i is not None]
-    for k, (c, i) in enumerate(owned):
-        a = source[i]
-        for d, j in owned[k + 1:]:  # c precedes d in planar order
-            level_cd = c.meet(d)
-            level_ab = a.meet(source[j])
+def _branching_holds(source: PlanarLevelTree, target: PlanarLevelTree,
+                     gbar: GammaMorphism) -> bool:
+    """The condition itself, for a map whose contract is checked.  The
+    meet levels are read by leaf position from the trees' `_meets`
+    tables, which are at height n whenever two owned leaves are compared."""
+    owned = [(k, i) for k, i in enumerate(gbar.owners) if i is not None]
+    s_meets, s_size = source._meets, len(gbar.source)
+    t_meets, t_size = target._meets, len(gbar.target)
+    for x, (k, i) in enumerate(owned):
+        s_row, t_row = i * s_size, k * t_size
+        for m, j in owned[x + 1:]:  # leaf k precedes leaf m in planar order
+            level_cd = t_meets[t_row + m]
+            level_ab = s_meets[s_row + j]
             if level_cd > level_ab or (level_cd == level_ab and i > j):
                 return False
     return True
@@ -213,7 +218,7 @@ def lift_active(source: PlanarLevelTree, target: PlanarLevelTree, n: int,
     _check_endpoints(gbar, source, target, n)
     if not gamma_is_active(gbar):
         raise NotActive("only active set-level maps lift")
-    if not _branching_holds(gbar):
+    if not _branching_holds(source, target, gbar):
         raise BranchingConditionViolation(
             "set-level map violates the branching condition")
     return _lift(source, target, n, gbar.owners)

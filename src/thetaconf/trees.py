@@ -7,15 +7,21 @@ bound n is never stored on the tree, it is passed to the operations that
 need it, so the same object can be read at any sufficient height.
 
 A tree computes its invariants once, bottom-up from its children, and
-keeps them with the instance: its height, its edge count, the addresses
-of its deepest vertices in planar order, and whether every leaf sits at
-the deepest level.  The leaf readers below are lookups on these.
+keeps them with the instance: its height, its edge count, its hash, the
+addresses of its deepest vertices in planar order, whether every leaf
+sits at the deepest level, where each child's run of deepest leaves
+starts (`_offsets`) and the flat table of the meet levels of every pair
+of deepest leaves (`_meets`).  The leaf readers below are lookups on
+these.  `parse_symbol` hands out one tree per (symbol, height) from a
+cache bounded at 4096 entries, so the trees of equal symbols share their
+invariants.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
+from itertools import accumulate
 from typing import NamedTuple
 
 from .errors import (DEFAULT_MAX_COUNT, CapExceeded, SymbolParseError,
@@ -53,9 +59,22 @@ class LeafId(NamedTuple):
 class PlanarLevelTree:
     """Immutable planar level tree; equality and hashing are structural.
 
-    The cached invariants stay out of equality, hashing and repr."""
+    The cached invariants stay out of equality, repr and pickles; the hash
+    is one of them, computed once from the children's."""
 
     children: tuple["PlanarLevelTree", ...] = ()
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.children,))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # the children alone: a cached hash holds only in the interpreter
+        # that computed it
+        return PlanarLevelTree, (self.children,)
 
     @cached_property
     def _height(self) -> int:
@@ -74,6 +93,32 @@ class PlanarLevelTree:
         return tuple(LeafId((i,) + leaf.path)
                      for i, c in enumerate(self.children) if c._height == below
                      for leaf in c._deepest)
+
+    @cached_property
+    def _offsets(self) -> tuple[int, ...]:
+        """Where each child's run of deepest leaves starts, then the total:
+        child c owns positions _offsets[c] to _offsets[c + 1] - 1."""
+        below = self._height - 1
+        return tuple(accumulate(
+            (len(c._deepest) if c._height == below else 0
+             for c in self.children), initial=0))
+
+    @cached_property
+    def _meets(self) -> tuple[int, ...]:
+        """Flat L x L table of the meet levels of the deepest leaves: the
+        entry at k * L + l is the level of the deepest common ancestor of
+        leaves k and l, the height on the diagonal.  Off it, the level is
+        the least adjacent meet between the two leaves."""
+        deepest, level = self._deepest, self._height
+        size = len(deepest)
+        adjacent = [a.meet(b) for a, b in zip(deepest, deepest[1:])]
+        meets = [level] * (size * size)
+        for k in range(size):
+            low = level
+            for m in range(k + 1, size):
+                low = min(low, adjacent[m - 1])
+                meets[k * size + m] = meets[m * size + k] = low
+        return tuple(meets)
 
     @cached_property
     def _balanced(self) -> bool:
@@ -118,8 +163,17 @@ def tree(*children: PlanarLevelTree) -> PlanarLevelTree:
 
 
 def parse_symbol(text: str, n: int) -> PlanarLevelTree:
-    """Parse a tree symbol as an object of height n (n >= 1)."""
+    """Parse a tree symbol as an object of height n (n >= 1).  Equal
+    symbols at one height give the same tree object while the cache
+    holds it; a malformed symbol raises on every call."""
+    if not isinstance(text, str):
+        raise ValueError(f"a tree symbol must be a string, got {text!r}")
     check_height(n)
+    return _parse(text, n)
+
+
+@lru_cache(maxsize=4096)
+def _parse(text: str, n: int) -> PlanarLevelTree:
     parser = _SymbolParser(text)
     result = parser.parse_tree(n)
     parser.skip_ws()

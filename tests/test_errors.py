@@ -4,7 +4,8 @@ Every public entry point that takes a height, a count or labels checks
 it through `errors.check_height`, `errors.check_count` or
 `errors.check_labels`, so a malformed argument raises ValueError with
 one wording everywhere, and never a bare TypeError; so does a word or
-a set of coordinates that is not iterable.  Where a label is
+a set of coordinates that is not iterable, and a tree symbol that is
+not a string.  Where a label is
 looked up, an unhashable one raises LabelMismatch.  The values of a
 DeltaMorphism are a tuple of integers.
 """
@@ -142,6 +143,10 @@ SEQUENCES = {
 }
 
 
+def symbol_of(text):
+    return parse_symbol(text, 2)
+
+
 def delta_of(values):
     return DeltaMorphism(1, 2, values)
 
@@ -177,6 +182,10 @@ PROBES = (
     + [pytest.param(call, bad, ValueError, f"{message} {bad!r}",
                     id=f"{name}-{bad!r}")
        for name, (call, message) in SEQUENCES.items() for bad in (None, 3)]
+    + [pytest.param(symbol_of, bad, ValueError,
+                    f"a tree symbol must be a string, got {bad!r}",
+                    id=f"parse_symbol(text)-{bad!r}")
+       for bad in (5, None, b"[0]", ["[0]"])]
     + [pytest.param(delta_of, bad, ValueError, message,
                     id=f"DeltaMorphism(values)-{bad!r}")
        for bad, message in (((0, 1.5), "values must be integers, got 1.5"),
@@ -219,6 +228,8 @@ FUZZED = ([(name, call, ARGUMENTS) for name, call in HEIGHTS.items()]
              for name, (call, _) in SEQUENCES.items()]
           + [("DeltaMorphism(values)", delta_of,
               st.one_of(LABEL_PAIRS, ARGUMENTS))]
+          + [("parse_symbol(text)", symbol_of,
+              st.one_of(ARGUMENTS, st.binary(max_size=3)))]
           + [(name, call, LABEL_ITEMS)
              for name, (call, _) in LOOKUPS.items()])
 

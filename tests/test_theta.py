@@ -1,4 +1,5 @@
 import json
+from itertools import accumulate
 from math import comb
 
 import pytest
@@ -13,6 +14,7 @@ from thetaconf import (BranchingConditionViolation, CapExceeded,
                        gamma_compose, gamma_is_active, identity_morphism,
                        is_healthy, level_n_leaves, lift_active, parse_symbol,
                        theta_compose)
+from thetaconf.theta import _runs
 
 
 def _delta(s, t, *values):
@@ -160,6 +162,14 @@ def test_assemble_owner_runs_worked_example():
     shadow = assemble_morphism(onto, src, tgt, 2)
     assert shadow.owners == (0, 0, 1, 2, 2)
     assert lift_active(src, tgt, 2, shadow) == onto
+
+
+def test_runs_count_each_childs_level_n_leaves():
+    # trees shorter than n included: their runs are all empty
+    for n in (1, 2, 3):
+        for t in enumerate_trees(5, n):
+            counts = [len(level_n_leaves(c, n - 1)) for c in t.children]
+            assert _runs(t, n) == tuple(accumulate(counts, initial=0))
 
 
 def test_json_roundtrip_keeps_codomain():

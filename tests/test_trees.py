@@ -1,4 +1,6 @@
+import pickle
 from functools import cache
+from itertools import accumulate
 from math import comb
 
 import pytest
@@ -7,6 +9,7 @@ from thetaconf import (CapExceeded, LeafId, PlanarLevelTree, ROOT_ONLY,
                        SymbolParseError, branching_level, enumerate_trees,
                        healthify, is_healthy, level_n_leaves, parse_symbol,
                        render_symbol, tree, tree_from_json, tree_to_json)
+from thetaconf.trees import _parse
 
 
 def test_root_only():
@@ -230,6 +233,46 @@ def test_frozen_and_hashable():
     assert t in {t}
     with pytest.raises(AttributeError):
         t.children = ()
+
+
+def test_parse_shares_one_tree_per_symbol():
+    assert parse_symbol("[2]([0],[1])", 2) is parse_symbol("[2]([0],[1])", 2)
+    assert _parse.cache_info().maxsize == 4096
+
+
+def test_parse_errors_are_not_cached():
+    for _ in range(2):
+        with pytest.raises(SymbolParseError, match="expected a natural"):
+            parse_symbol("[x]", 1)
+
+
+# every tree read at its own height, so each one's tables are exercised
+OWN_HEIGHT = [t for n in (1, 2, 3) for t in enumerate_trees(5, n)]
+
+
+def test_meet_table_matches_leaf_meets():
+    for t in OWN_HEIGHT:
+        leaves = level_n_leaves(t, t.height())
+        size = len(leaves)
+        assert len(t._meets) == size * size
+        for k, a in enumerate(leaves):
+            for m, b in enumerate(leaves):
+                assert t._meets[k * size + m] == a.meet(b)
+
+
+def test_offsets_are_the_children_leaf_counts_summed():
+    for t in OWN_HEIGHT:
+        below = t.height() - 1
+        counts = [len(level_n_leaves(c, below)) for c in t.children]
+        assert t._offsets == tuple(accumulate(counts, initial=0))
+
+
+def test_kept_hash_is_structural():
+    for t in OWN_HEIGHT:
+        t._meets, t._offsets, hash(t)       # fill the caches first
+        copy = pickle.loads(pickle.dumps(t))
+        assert copy == t and hash(copy) == hash(t)
+        assert hash(tree_from_json(tree_to_json(t))) == hash(t)
 
 
 @pytest.mark.parametrize("build, message", [
