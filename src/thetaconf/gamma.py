@@ -11,6 +11,10 @@ position per target label, None for the base point.  Composition
 composes the owner maps, and a morphism is active when no target label
 is unowned.  The interval functor turns a monotone f: [s] -> [t] into
 the set-level map i |-> {j : f(i-1) < j <= f(i)} on {1..s} -> {1..t}.
+
+The public constructors and entry points check their arguments; the
+maps an enumeration builds from arguments it has checked are made by
+the private `_unchecked` constructors and not checked again.
 """
 
 from __future__ import annotations
@@ -51,9 +55,23 @@ class DeltaMorphism:
                                  f"[{self.target_rank}]")
             prev = v
 
+    @classmethod
+    def _unchecked(cls, source_rank: int, target_rank: int,
+                   values: tuple[int, ...]) -> "DeltaMorphism":
+        """The map with these fields, without the checks of the public
+        constructor.  Callers guarantee what those check: both ranks are
+        ints >= 0, and `values` is a tuple of source_rank + 1 ints,
+        weakly increasing, in 0..target_rank."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "source_rank", source_rank)
+        object.__setattr__(self, "target_rank", target_rank)
+        object.__setattr__(self, "values", values)
+        return self
+
     def __call__(self, i: int) -> int:
-        if not 0 <= i <= self.source_rank:
-            raise ValueError(f"{i} is not a point of [{self.source_rank}]")
+        # a bool is not an integer here
+        if type(i) is not int or not 0 <= i <= self.source_rank:
+            raise ValueError(f"{i!r} is not a point of [{self.source_rank}]")
         return self.values[i]
 
     @classmethod
@@ -102,6 +120,20 @@ class GammaMorphism:
             if i is not None and (type(i) is not int or not 0 <= i < size):
                 raise ValueError(f"owner {i!r} of {y!r} is not a position "
                                  f"in a source of {size} labels")
+
+    @classmethod
+    def _unchecked(cls, source: tuple, target: tuple,
+                   owners: tuple) -> "GammaMorphism":
+        """The morphism with these fields, without the checks of the
+        public constructor.  Callers guarantee what those check: source
+        and target are tuples of distinct hashable labels, and `owners`
+        is a tuple of one owner per target label, each None or an int
+        in range(len(source))."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "owners", owners)
+        return self
 
     @classmethod
     def from_map(cls, source: Sequence, target: Sequence,
@@ -263,5 +295,6 @@ def enumerate_gamma(source: Sequence, target: Sequence,
     total = len(choices) ** len(target)
     if total > max_count:
         raise CapExceeded("set-level morphisms", total, max_count)
-    return tuple(GammaMorphism(source, target, owners)
+    # both label tuples are checked, and every owner is drawn from choices
+    return tuple(GammaMorphism._unchecked(source, target, owners)
                  for owners in product(choices, repeat=len(target)))

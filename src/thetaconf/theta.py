@@ -15,6 +15,11 @@ owns a contiguous run of its parent's level-n leaves, and part (i, j)
 fills target child j's run, shifted by the start of source child i's.
 The runs are each tree's `_offsets`, and the branching condition reads
 the meet levels of leaf pairs from the trees' `_meets` tables.
+
+The public constructors and entry points check their arguments; the
+morphisms the enumeration and the lift build from checked trees and
+maps are made by the private `_unchecked` constructors and not checked
+again.
 """
 
 from __future__ import annotations
@@ -52,6 +57,9 @@ class ThetaMorphism:
 
     def __post_init__(self):
         check_height(self.n)
+        if not isinstance(self.delta, DeltaMorphism):
+            raise ValueError(f"delta must be a DeltaMorphism, got "
+                             f"{self.delta!r}")
         values = self.delta.values
         expected = values[-1] - values[0] if self.n > 1 else 0
         if not isinstance(self.parts, tuple) or len(self.parts) != expected:
@@ -61,6 +69,20 @@ class ThetaMorphism:
             if not isinstance(sub, ThetaMorphism) or sub.n != self.n - 1:
                 raise ValueError(
                     f"each part must be a level-{self.n - 1} ThetaMorphism")
+
+    @classmethod
+    def _unchecked(cls, n: int, delta: DeltaMorphism,
+                   parts: tuple["ThetaMorphism", ...]) -> "ThetaMorphism":
+        """The morphism with these fields, without the checks of the
+        public constructor.  Callers guarantee what those check: n is an
+        int >= 1, `delta` a DeltaMorphism, and `parts` a tuple of
+        delta.values[-1] - delta.values[0] level-(n-1) morphisms, empty
+        at level 1."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "parts", parts)
+        return self
 
     def to_json(self) -> dict:
         # "t" is carried alongside the value list because a monotone map
@@ -242,14 +264,14 @@ def _lift(source, target, n, owners) -> ThetaMorphism:
         heads.extend(child_heads)
     assert heads == sorted(heads), "heads must be monotone"
     s, t = len(source.children), len(target.children)
-    delta = DeltaMorphism(s, t, tuple(bisect_left(heads, i)
-                                      for i in range(s + 1)))
-    if n == 1:
-        return ThetaMorphism(1, delta)
-    return ThetaMorphism(n, delta, tuple(
+    # 0 <= heads < s, so f(0) = 0 and f(s) = t: one part per target child
+    delta = DeltaMorphism._unchecked(s, t, tuple(bisect_left(heads, i)
+                                                 for i in range(s + 1)))
+    parts = () if n == 1 else tuple(
         _lift(source.children[h], target.children[j], n - 1,
               [o - s_runs[h] for o in run])
-        for j, (h, run) in enumerate(zip(heads, by_child))))
+        for j, (h, run) in enumerate(zip(heads, by_child)))
+    return ThetaMorphism._unchecked(n, delta, parts)
 
 
 # -- brute-force hom sets ----------------------------------------------------
@@ -297,14 +319,15 @@ def enumerate_hom_bruteforce(source: PlanarLevelTree, target: PlanarLevelTree,
                 first, last = owners[0], owners[-1]
                 maps = [v for v in maps if v[0] < first and v[-1] >= last]
         out = []
+        # values are monotone into [t]; combo holds one morphism per part
         for values in maps:
-            delta = DeltaMorphism(s, t, values)
+            delta = DeltaMorphism._unchecked(s, t, values)
             pools = [homs(src.children[i - 1], tgt.children[j - 1],
                           level - 1)
                      for i, j in _part_keys(values)] if level > 1 else []
             for combo in product(*pools):
                 charge()
-                out.append(ThetaMorphism(level, delta, combo))
+                out.append(ThetaMorphism._unchecked(level, delta, combo))
         memo[key] = out
         return out
 

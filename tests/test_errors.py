@@ -7,7 +7,8 @@ one wording everywhere, and never a bare TypeError; so does a word or
 a set of coordinates that is not iterable, and a tree symbol that is
 not a string.  Where a label is
 looked up, an unhashable one raises LabelMismatch.  The values of a
-DeltaMorphism are a tuple of integers.
+DeltaMorphism are a tuple of integers, and a point it is applied to is
+an integer; the delta of a ThetaMorphism is a DeltaMorphism.
 """
 
 import re
@@ -151,6 +152,14 @@ def delta_of(values):
     return DeltaMorphism(1, 2, values)
 
 
+def point_of(i):
+    return DeltaMorphism(1, 1, (0, 1))(i)
+
+
+def theta_of(delta):
+    return ThetaMorphism(1, delta)
+
+
 # entry point -> (call with a label that is looked up, not held; message)
 LOOKUPS = {
     "sigma_act": (lambda x: sigma_act({"a": x, "b": "a"}, LOW),
@@ -193,6 +202,14 @@ PROBES = (
                             ((0, "1"), "values must be integers, got '1'"),
                             ([0, 1], "[1] needs a tuple of 2 values, "
                                      "got [0, 1]"))]
+    + [pytest.param(point_of, bad, ValueError,
+                    f"{bad!r} is not a point of [1]",
+                    id=f"DeltaMorphism.__call__-{bad!r}")
+       for bad in ("a", True, 1.0, None, -1, 2)]
+    + [pytest.param(theta_of, bad, ValueError,
+                    f"delta must be a DeltaMorphism, got {bad!r}",
+                    id=f"ThetaMorphism(delta)-{bad!r}")
+       for bad in (None, (0,), {"values": [0]})]
     + [pytest.param(call, [1], LabelMismatch, message, id=f"{name}-[1]")
        for name, (call, message) in LOOKUPS.items()]
 )
@@ -228,6 +245,8 @@ FUZZED = ([(name, call, ARGUMENTS) for name, call in HEIGHTS.items()]
              for name, (call, _) in SEQUENCES.items()]
           + [("DeltaMorphism(values)", delta_of,
               st.one_of(LABEL_PAIRS, ARGUMENTS))]
+          + [("DeltaMorphism.__call__", point_of, ARGUMENTS),
+             ("ThetaMorphism(delta)", theta_of, ARGUMENTS)]
           + [("parse_symbol(text)", symbol_of,
               st.one_of(ARGUMENTS, st.binary(max_size=3)))]
           + [(name, call, LABEL_ITEMS)

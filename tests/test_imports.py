@@ -41,6 +41,46 @@ def test_argument_rules_are_worded_in_errors_only():
     assert copies == []
 
 
+# the only places that may build an object past its constructor checks:
+# (module, enclosing function, class), where the fields are valid by
+# construction from arguments already checked
+UNCHECKED_SITES = [("gamma.py", "enumerate_gamma", "GammaMorphism"),
+                   ("theta.py", "_lift", "DeltaMorphism"),
+                   ("theta.py", "_lift", "ThetaMorphism"),
+                   ("theta.py", "homs", "DeltaMorphism"),
+                   ("theta.py", "homs", "ThetaMorphism")]
+
+
+def _unchecked_uses(tree, name):
+    """(module, innermost enclosing function, class) for every reference
+    to an `_unchecked` attribute in the module `tree`."""
+    uses = []
+
+    def walk(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                walk(child, child.name)
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "_unchecked":
+                owner = child.value.id if isinstance(child.value, ast.Name) \
+                    else ast.dump(child.value)
+                uses.append((name, function, owner))
+            walk(child, function)
+
+    walk(tree, None)
+    return uses
+
+
+def test_private_constructors_are_used_only_where_inputs_are_checked():
+    # an entry point that handed outside input to `_unchecked` would
+    # build objects no check has seen
+    uses = []
+    for path in SOURCES + sorted(Path(__file__).parent.glob("*.py")):
+        uses += _unchecked_uses(ast.parse(path.read_text(), str(path)),
+                                path.name)
+    assert sorted(uses) == UNCHECKED_SITES
+
+
 def test_sources_parse_at_the_python_floor():
     # a regex, not tomllib: the floor itself may lack tomllib
     pyproject = (Path(__file__).parent.parent / "pyproject.toml").read_text()

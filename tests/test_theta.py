@@ -14,7 +14,7 @@ from thetaconf import (BranchingConditionViolation, CapExceeded,
                        gamma_compose, gamma_is_active, identity_morphism,
                        is_healthy, level_n_leaves, lift_active, parse_symbol,
                        theta_compose)
-from thetaconf.theta import _runs
+from thetaconf.theta import _lift, _runs
 
 
 def _delta(s, t, *values):
@@ -358,6 +358,39 @@ def test_bijection_small_sweep():
                 assert set(shadows) == set(good)
                 for g in good:
                     assert lift_active(source, target, n, g) == shadows[g]
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_objects_built_unchecked_pass_the_checked_route(n):
+    """The enumerations and the lift build their maps and morphisms
+    without the constructor checks; each equals its rebuild through a
+    public constructor, which runs them, on every tree pair with at most
+    4 edges."""
+    trees = enumerate_trees(4, n)
+    maps = morphisms = lifts = 0
+    for source in trees:
+        for target in trees:
+            leaves = level_n_leaves(source, n), level_n_leaves(target, n)
+            for g in enumerate_gamma(*leaves):
+                assert g == GammaMorphism(g.source, g.target, g.owners)
+                maps += 1
+            for active_only in (True, False):
+                for f in enumerate_hom_bruteforce(source, target, n,
+                                                  active_only=active_only):
+                    assert ThetaMorphism.from_json(f.to_json()) == f
+                    morphisms += 1
+            if not is_healthy(target, n):
+                continue
+            for g in enumerate_gamma(*leaves, active_only=True):
+                if branching_condition_holds(source, target, n, g):
+                    f = _lift(source, target, n, g.owners)
+                    assert ThetaMorphism.from_json(f.to_json()) == f
+                    # a valid morphism between other trees fails here
+                    assert assemble_morphism(f, source, target, n) == g
+                    lifts += 1
+    assert (maps, morphisms, lifts) == {1: (1279, 582, 126),
+                                        2: (827, 7717, 116),
+                                        3: (542, 16785, 37)}[n]
 
 
 @pytest.mark.parametrize("build, message", [
