@@ -110,8 +110,11 @@ class GammaMorphism:
     owners: tuple[int | None, ...]
 
     def __post_init__(self):
-        check_labels(self.source)
-        check_labels(self.target)
+        source, target = check_labels(self.source), check_labels(self.target)
+        # store only what changed: a store on a frozen instance is slow
+        if source is not self.source or target is not self.target:
+            object.__setattr__(self, "source", source)
+            object.__setattr__(self, "target", target)
         if not isinstance(self.owners, tuple) \
                 or len(self.owners) != len(self.target):
             raise ValueError("a tuple of one owner per target label required")

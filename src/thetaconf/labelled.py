@@ -35,7 +35,7 @@ class LabelledTree:
 
     def __post_init__(self):
         check_height(self.n)
-        check_labels(self.labels)
+        object.__setattr__(self, "labels", check_labels(self.labels))
         leaves = level_n_leaves(self.tree, self.n)
         if len(self.labels) != len(leaves):
             raise LabelMismatch(

@@ -25,8 +25,8 @@ of b's checks in a (or in the configuration's table of the same form)
 must exceed the check's bound.  Only a mismatch or a foreign alphabet
 leaves that loop for `_checks_over`.  Comparisons work over alphabet
 indices and need only hashable labels, never an order on them.
-`to_tree` builds the tree of each (word, n) once and hands out the
-same object afterwards.
+`to_tree` builds the tree of each (word, n) once, with `trees._word_tree`,
+and `from_tree` reads the word back off a healthy tree (`_word`).
 
 There are r! * n^(r-1) such orderings for |A| = r >= 1 and exactly one
 for r = 0.  The order relation: S <= T when every pairwise branching
@@ -64,7 +64,7 @@ from typing import Callable, Hashable, Iterable, Mapping, Sequence
 from .errors import (DEFAULT_MAX_COUNT, CapExceeded, LabelMismatch,
                      bijection_values, check_count, check_height, check_labels,
                      json_field, json_items)
-from .trees import PlanarLevelTree, is_healthy, level_n_leaves
+from .trees import PlanarLevelTree, _word_tree, is_healthy, level_n_leaves
 
 
 @dataclass(frozen=True, slots=True)
@@ -212,20 +212,6 @@ def to_tree(ordering: NOrdering) -> PlanarLevelTree:
     return _word_tree(ordering.word, ordering.n)
 
 
-@lru_cache(maxsize=4096)
-def _word_tree(word: tuple[int, ...], n: int) -> PlanarLevelTree:
-    """The tree of a nonempty ordering; its shape depends on the word
-    alone.  At n = 0 it is the root-only tree; otherwise the root's
-    children are the trees at height n - 1 of the runs of the word
-    between its zeros, each entry lowered by one."""
-    if n == 0:
-        return PlanarLevelTree()
-    bounds = [-1, *(k for k, b in enumerate(word) if b == 0), len(word)]
-    return PlanarLevelTree(tuple(
-        _word_tree(tuple(b - 1 for b in word[a + 1:z]), n - 1)
-        for a, z in zip(bounds, bounds[1:])))
-
-
 def from_tree(tree: PlanarLevelTree, n: int,
               labels: Sequence[Hashable]) -> NOrdering:
     """Read off (labels, word) from a healthy tree; labels are taken in
@@ -237,8 +223,7 @@ def from_tree(tree: PlanarLevelTree, n: int,
     if len(labels) != len(leaves):
         raise LabelMismatch(
             f"{len(labels)} labels for {len(leaves)} level-{n} leaves")
-    word = tuple(a.meet(b) for a, b in zip(leaves, leaves[1:]))
-    return NOrdering(labels, word, n)
+    return NOrdering(labels, tree._word, n)
 
 
 def degree(ordering: NOrdering) -> int:

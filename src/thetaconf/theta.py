@@ -14,7 +14,7 @@ inverts it constructively.  Both work on owner positions: each child
 owns a contiguous run of its parent's level-n leaves, and part (i, j)
 fills target child j's run, shifted by the start of source child i's.
 The runs are each tree's `_offsets`, and the branching condition reads
-the meet levels of leaf pairs from the trees' `_meets` tables.
+the levels of leaf pairs from the trees' words (`_word`).
 
 The public constructors and entry points check their arguments; the
 morphisms the enumeration and the lift build from checked trees and
@@ -209,19 +209,22 @@ def branching_condition_holds(source: PlanarLevelTree, target: PlanarLevelTree,
 
 def _branching_holds(source: PlanarLevelTree, target: PlanarLevelTree,
                      gbar: GammaMorphism) -> bool:
-    """The condition itself, for a map whose contract is checked.  The
-    meet levels are read by leaf position from the trees' `_meets`
-    tables, which are at height n whenever two owned leaves are compared."""
-    owned = [(k, i) for k, i in enumerate(gbar.owners) if i is not None]
-    s_meets, s_size = source._meets, len(gbar.source)
-    t_meets, t_size = target._meets, len(gbar.target)
-    for x, (k, i) in enumerate(owned):
-        s_row, t_row = i * s_size, k * t_size
-        for m, j in owned[x + 1:]:  # leaf k precedes leaf m in planar order
-            level_cd = t_meets[t_row + m]
-            level_ab = s_meets[s_row + j]
+    """The condition itself, for a map whose contract is checked, on
+    consecutive owned target leaves only, by the neighbour lemma of
+    `nord.leq`.  For maps, owners may repeat, and a pair with one owner
+    passes; unowned leaves may lie in a gap, and a pair's target level
+    is the least word entry over the whole gap, read at height n."""
+    s_word, t_word = source._word, target._word
+    k = i = None    # position and owner of the last owned target leaf
+    for m, j in enumerate(gbar.owners):
+        if j is None:
+            continue
+        if i is not None and i != j:    # leaf k precedes leaf m
+            level_cd = min(t_word[k:m])
+            level_ab = min(s_word[i:j] if i < j else s_word[j:i])
             if level_cd > level_ab or (level_cd == level_ab and i > j):
                 return False
+        k, i = m, j
     return True
 
 
@@ -292,7 +295,7 @@ def enumerate_hom_bruteforce(source: PlanarLevelTree, target: PlanarLevelTree,
     tree T is kept only when f(0) < j <= f(s) for every child j of T
     of height level - 1 (the children that own leaves at this level;
     the first and last such j decide it), and each part comes from the
-    pool pruned by the same rule.  Children without leaves constrain
+    pool filtered by the same rule.  Children without leaves constrain
     nothing, so the rule holds for unhealthy targets too.
     """
     check_height(n)

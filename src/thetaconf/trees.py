@@ -10,15 +10,16 @@ A tree computes its invariants once, bottom-up from its children, and
 keeps them with the instance: its height, its edge count, its hash, the
 addresses of its deepest vertices in planar order, whether every leaf
 sits at the deepest level, where each child's run of deepest leaves
-starts (`_offsets`) and the flat table of the meet levels of every pair
-of deepest leaves (`_meets`).  The leaf readers below are lookups on
-these.  `parse_symbol` hands out one tree per (symbol, height) from a
-cache bounded at 4096 entries, so the trees of equal symbols share their
-invariants.
+starts (`_offsets`) and its word (`_word`), the branching levels of
+consecutive deepest leaves.  A healthy height-n tree is its word, which
+`_word_tree` builds back.  The leaf readers below are lookups on these.
+`parse_symbol` and `_word_tree` hand out one tree per argument pair from
+caches bounded at 4096 entries, so equal trees share their invariants.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 from itertools import accumulate
@@ -64,6 +65,15 @@ class PlanarLevelTree:
 
     children: tuple["PlanarLevelTree", ...] = ()
 
+    def __post_init__(self):
+        if type(self.children) is not tuple:
+            with suppress(TypeError):
+                object.__setattr__(self, "children", tuple(self.children))
+        if type(self.children) is not tuple or not all(
+                isinstance(c, PlanarLevelTree) for c in self.children):
+            raise ValueError(f"children must be an iterable of "
+                             f"PlanarLevelTrees, got {self.children!r}")
+
     @cached_property
     def _hash(self) -> int:
         return hash((self.children,))
@@ -100,25 +110,19 @@ class PlanarLevelTree:
         child c owns positions _offsets[c] to _offsets[c + 1] - 1."""
         below = self._height - 1
         return tuple(accumulate(
-            (len(c._deepest) if c._height == below else 0
+            (len(c._word) + 1 if c._height == below else 0
              for c in self.children), initial=0))
 
     @cached_property
-    def _meets(self) -> tuple[int, ...]:
-        """Flat L x L table of the meet levels of the deepest leaves: the
-        entry at k * L + l is the level of the deepest common ancestor of
-        leaves k and l, the height on the diagonal.  Off it, the level is
-        the least adjacent meet between the two leaves."""
-        deepest, level = self._deepest, self._height
-        size = len(deepest)
-        adjacent = [a.meet(b) for a, b in zip(deepest, deepest[1:])]
-        meets = [level] * (size * size)
-        for k in range(size):
-            low = level
-            for m in range(k + 1, size):
-                low = min(low, adjacent[m - 1])
-                meets[k * size + m] = meets[m * size + k] = low
-        return tuple(meets)
+    def _word(self) -> tuple[int, ...]:
+        """Branching levels of consecutive deepest leaves: the words of the
+        children that reach below, entries raised by one, joined by 0s."""
+        below = self._height - 1
+        word: list[int] = []
+        for c in self.children:
+            if c._height == below:
+                word += [b + 1 for b in c._word] + [0]
+        return tuple(word[:-1])
 
     @cached_property
     def _balanced(self) -> bool:
@@ -135,7 +139,7 @@ class PlanarLevelTree:
     def subtree(self, path: tuple[int, ...]) -> "PlanarLevelTree":
         node = self
         for i in path:
-            if not 0 <= i < len(node.children):
+            if type(i) is not int or not 0 <= i < len(node.children):
                 raise ValueError(f"no vertex at path {path}")
             node = node.children[i]
         return node
@@ -148,9 +152,18 @@ class PlanarLevelTree:
 ROOT_ONLY = PlanarLevelTree()
 
 
-def tree(*children: PlanarLevelTree) -> PlanarLevelTree:
-    """Convenience constructor: a root with the given subtrees."""
-    return PlanarLevelTree(tuple(children))
+@lru_cache(maxsize=4096)
+def _word_tree(word: tuple[int, ...], n: int) -> PlanarLevelTree:
+    """The healthy height-n tree whose word is `word`, with entries in
+    0..n-1.  At n = 0 it is the root-only tree; otherwise the root's
+    children are the trees at height n - 1 of the runs of the word
+    between its zeros, each entry lowered by one."""
+    if n == 0:
+        return ROOT_ONLY
+    bounds = [-1, *(k for k, b in enumerate(word) if b == 0), len(word)]
+    return PlanarLevelTree(tuple(
+        _word_tree(tuple(b - 1 for b in word[a + 1:z]), n - 1)
+        for a, z in zip(bounds, bounds[1:])))
 
 
 # -- symbol grammar ---------------------------------------------------------
@@ -297,6 +310,8 @@ def branching_level(t: PlanarLevelTree, n: int, a: LeafId, b: LeafId) -> int:
     if a == b:
         raise ValueError(f"branching level needs two distinct leaves, got {a}")
     for leaf in (a, b):
+        if not isinstance(leaf, LeafId):
+            raise ValueError(f"a leaf must be a LeafId, got {leaf!r}")
         if leaf.level != n:
             raise ValueError(f"{leaf} is not a level-{n} leaf")
         t.subtree(leaf.path)
@@ -306,19 +321,12 @@ def branching_level(t: PlanarLevelTree, n: int, a: LeafId, b: LeafId) -> int:
 def healthify(t: PlanarLevelTree, n: int) -> PlanarLevelTree:
     """Subtree spanned by the root and all vertices with level-n descendants.
 
-    Planar order of the surviving vertices is preserved, so the level-n
-    leaves come out unchanged and in the same order.  Idempotent; the
-    result is healthy at n.
+    It is the healthy tree of t's word, or the root alone when t has no
+    level-n leaves, so those leaves come out unchanged and in the same
+    planar order.  Idempotent; the result is healthy at n.
     """
     _check_fits(t, n)
-
-    def prune(node, depth):
-        # a child has vertices at depth - 1 below it iff it is that tall
-        kept = [prune(c, depth - 1) for c in node.children
-                if c.height() >= depth - 1]
-        return PlanarLevelTree(tuple(kept))
-
-    return prune(t, n)
+    return _word_tree(t._word, n) if t.height() == n else ROOT_ONLY
 
 
 def _check_fits(t: PlanarLevelTree, n: int):

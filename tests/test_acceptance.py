@@ -5,8 +5,8 @@ import time
 from itertools import permutations
 from math import factorial
 
-from thetaconf import (PosetView, ROOT_ONLY, boundary_matrices, enumerate_nord,
-                       order_complex, poset_homology, to_tree, tree)
+from thetaconf import (PlanarLevelTree, PosetView, ROOT_ONLY, boundary_matrices,
+                       enumerate_nord, order_complex, poset_homology, to_tree)
 from thetaconf.verify import (suite_cells, suite_morphisms, suite_poset,
                               suite_theorem_b)
 
@@ -29,7 +29,7 @@ def _healthy_trees(n, r):
     if r == 0:
         return [ROOT_ONLY]
     if n == 1:
-        return [tree(*(tree() for _ in range(r)))]
+        return [PlanarLevelTree((ROOT_ONLY,) * r)]
     out = []
 
     def compositions(total, slots):
@@ -52,7 +52,7 @@ def _healthy_trees(n, r):
         for parts in compositions(r, slots):
             pools = [_healthy_trees(n - 1, part) for part in parts]
             for children in products(pools):
-                out.append(tree(*children))
+                out.append(PlanarLevelTree(children))
     return out
 
 

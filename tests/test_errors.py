@@ -8,7 +8,9 @@ a set of coordinates that is not iterable, and a tree symbol that is
 not a string.  Where a label is
 looked up, an unhashable one raises LabelMismatch.  The values of a
 DeltaMorphism are a tuple of integers, and a point it is applied to is
-an integer; the delta of a ThetaMorphism is a DeltaMorphism.
+an integer; the delta of a ThetaMorphism is a DeltaMorphism.  The
+children of a PlanarLevelTree are an iterable of PlanarLevelTrees, and
+the leaves given to `branching_level` are LeafIds.
 """
 
 import re
@@ -18,8 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thetaconf import (ROOT_ONLY, CapExceeded, Configuration, DeltaMorphism,
-                       GammaMorphism, LabelledTree, LabelMismatch, NOrdering,
-                       PosetView, ThetaMorphism, convexity_probe,
+                       GammaMorphism, LabelledTree, LabelMismatch, LeafId,
+                       NOrdering, PlanarLevelTree, PosetView, ThetaMorphism,
+                       branching_level, convexity_probe,
                        enumerate_delta, enumerate_gamma,
                        enumerate_hom_bruteforce, enumerate_nord,
                        enumerate_trees, from_tree, functoriality_check,
@@ -160,6 +163,10 @@ def theta_of(delta):
     return ThetaMorphism(1, delta)
 
 
+def leaf_of(leaf):
+    return branching_level(TWO_LEAVES, 1, leaf, LeafId((1,)))
+
+
 # entry point -> (call with a label that is looked up, not held; message)
 LOOKUPS = {
     "sigma_act": (lambda x: sigma_act({"a": x, "b": "a"}, LOW),
@@ -210,6 +217,17 @@ PROBES = (
                     f"delta must be a DeltaMorphism, got {bad!r}",
                     id=f"ThetaMorphism(delta)-{bad!r}")
        for bad in (None, (0,), {"values": [0]})]
+    + [pytest.param(PlanarLevelTree, bad, ValueError,
+                    f"children must be an iterable of PlanarLevelTrees, "
+                    f"got {bad!r}", id=f"PlanarLevelTree(children)-{bad!r}")
+       for bad in (None, 3, (1,), ("a", "b"), (ROOT_ONLY, []))]
+    + [pytest.param(leaf_of, bad, ValueError,
+                    f"a leaf must be a LeafId, got {bad!r}",
+                    id=f"branching_level(leaf)-{bad!r}")
+       for bad in ((0,), None, "0", [0])]
+    + [pytest.param(leaf_of, bad, ValueError, f"no vertex at path {bad.path}",
+                    id=f"branching_level(leaf)-{bad!r}")
+       for bad in (LeafId(("0",)), LeafId((0.0,)))]
     + [pytest.param(call, [1], LabelMismatch, message, id=f"{name}-[1]")
        for name, (call, message) in LOOKUPS.items()]
 )
@@ -249,6 +267,10 @@ FUZZED = ([(name, call, ARGUMENTS) for name, call in HEIGHTS.items()]
              ("ThetaMorphism(delta)", theta_of, ARGUMENTS)]
           + [("parse_symbol(text)", symbol_of,
               st.one_of(ARGUMENTS, st.binary(max_size=3)))]
+          + [("PlanarLevelTree(children)", PlanarLevelTree,
+              st.one_of(LABEL_PAIRS, ARGUMENTS)),
+             ("branching_level(leaf)", leaf_of,
+              st.one_of(LABEL_PAIRS, ARGUMENTS))]
           + [(name, call, LABEL_ITEMS)
              for name, (call, _) in LOOKUPS.items()])
 

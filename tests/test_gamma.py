@@ -102,6 +102,17 @@ def test_gamma_holds_one_owner_per_target_label():
         GammaMorphism(("x",), ("u",), (0,))
 
 
+def test_gamma_holds_its_labels_as_tuples():
+    """Any iterables of labels make the map that tuples make: equal,
+    with the same hash, and holding tuples."""
+    built = GammaMorphism(("a",), ("b", "c"), (0, None))
+    for source, target in ((["a"], ["b", "c"]), ("a", "bc"),
+                           (iter("a"), iter("bc"))):
+        g = GammaMorphism(source, target, (0, None))
+        assert g == built and hash(g) == hash(built)
+        assert type(g.source) is tuple and type(g.target) is tuple
+
+
 @pytest.mark.parametrize("owners, message", [
     ((0,), "one owner per target label"),        # too few
     ((0, 1, None), "one owner per target label"),  # too many

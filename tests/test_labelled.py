@@ -19,6 +19,14 @@ def test_validation():
         _obj("[2]([1],[1])", 2, "aa")
 
 
+def test_labels_are_held_as_a_tuple():
+    built = _obj("[2]", 1, "ab")
+    for labels in (["a", "b"], "ab", iter("ab")):
+        obj = LabelledTree(parse_symbol("[2]", 1), 1, labels)
+        assert obj == built and hash(obj) == hash(built)
+        assert type(obj.labels) is tuple
+
+
 def test_leaf_lookup():
     obj = _obj("[2]([1],[2])", 2, "abc")
     assert obj.leaves == (LeafId((0, 0)), LeafId((1, 0)), LeafId((1, 1)))

@@ -12,7 +12,7 @@ from thetaconf import (ROOT_ONLY, CapExceeded, LabelMismatch, NOrdering,
                        enumerate_hom_bruteforce, enumerate_nord, from_tree,
                        hasse, level_n_leaves, leq, nord, order_complex,
                        pair_level, parse_symbol, parse_text, poset_homology,
-                       sigma_act, to_tree, upper_covers)
+                       sigma_act, to_tree, trees, upper_covers)
 
 LABELS = ("a", "b", "c", "d")
 
@@ -190,9 +190,10 @@ def test_to_tree_matches_the_spine_builder():
 
 def test_from_tree_inverts_to_tree():
     for n in (1, 2, 3):
-        for r in range(5):
-            for ordering in enumerate_nord(LABELS[:r], n):
+        for r in range(6):
+            for ordering in enumerate_nord(range(r), n):
                 t = to_tree(ordering)
+                assert t._word == ordering.word
                 assert from_tree(t, n, ordering.labels) == ordering
 
 
@@ -277,7 +278,7 @@ def test_to_tree_builds_each_word_once():
     assert to_tree(a) is not to_tree(parse_text("a 0 b 1 c", 3))
     # one label and none have the same empty word and different trees
     assert to_tree(parse_text("a", 2)) != to_tree(parse_text("", 2))
-    assert nord._word_tree.cache_info().maxsize == 4096
+    assert trees._word_tree.cache_info().maxsize == 4096
 
 
 def test_leq_from_first_principles():

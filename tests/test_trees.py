@@ -8,8 +8,8 @@ import pytest
 from thetaconf import (CapExceeded, LeafId, PlanarLevelTree, ROOT_ONLY,
                        SymbolParseError, branching_level, enumerate_trees,
                        healthify, is_healthy, level_n_leaves, parse_symbol,
-                       render_symbol, tree, tree_from_json, tree_to_json)
-from thetaconf.trees import _parse
+                       render_symbol, tree_from_json, tree_to_json)
+from thetaconf.trees import _parse, _word_tree
 
 
 def test_root_only():
@@ -19,16 +19,23 @@ def test_root_only():
 
 
 def test_tree_builder():
-    t = tree(tree(), tree(tree()))
+    t = PlanarLevelTree((ROOT_ONLY, PlanarLevelTree((ROOT_ONLY,))))
     assert t.height() == 2
     assert t.edge_count() == 3
-    assert t.subtree((1,)) == tree(tree())
+    assert t.subtree((1,)) == PlanarLevelTree((ROOT_ONLY,))
     assert t.subtree(()) is t
+
+
+def test_children_are_kept_as_a_tuple():
+    t = PlanarLevelTree([ROOT_ONLY])
+    assert t.children == (ROOT_ONLY,)
+    assert t == PlanarLevelTree((ROOT_ONLY,))
+    assert hash(t) == hash(PlanarLevelTree((ROOT_ONLY,)))
 
 
 def test_subtree_bad_path():
     with pytest.raises(ValueError):
-        tree(tree()).subtree((2,))
+        PlanarLevelTree((ROOT_ONLY,)).subtree((2,))
 
 
 @pytest.mark.parametrize("text,n", [
@@ -250,14 +257,17 @@ def test_parse_errors_are_not_cached():
 OWN_HEIGHT = [t for n in (1, 2, 3) for t in enumerate_trees(5, n)]
 
 
-def test_meet_table_matches_leaf_meets():
+def test_word_is_the_meets_of_adjacent_leaves():
     for t in OWN_HEIGHT:
         leaves = level_n_leaves(t, t.height())
-        size = len(leaves)
-        assert len(t._meets) == size * size
-        for k, a in enumerate(leaves):
-            for m, b in enumerate(leaves):
-                assert t._meets[k * size + m] == a.meet(b)
+        assert t._word == tuple(a.meet(b) for a, b in zip(leaves, leaves[1:]))
+
+
+def test_word_tree_inverts_the_word_of_healthy_trees():
+    for n in (1, 2, 3):
+        for t in enumerate_trees(6, n):
+            if t.height() == n and is_healthy(t, n):
+                assert _word_tree(t._word, n) == t
 
 
 def test_offsets_are_the_children_leaf_counts_summed():
@@ -269,7 +279,7 @@ def test_offsets_are_the_children_leaf_counts_summed():
 
 def test_kept_hash_is_structural():
     for t in OWN_HEIGHT:
-        t._meets, t._offsets, hash(t)       # fill the caches first
+        t._word, t._offsets, hash(t)        # fill the caches first
         copy = pickle.loads(pickle.dumps(t))
         assert copy == t and hash(copy) == hash(t)
         assert hash(tree_from_json(tree_to_json(t))) == hash(t)
