@@ -22,6 +22,13 @@ samples, come from one walk over the word, leaf by leaf.  All
 arithmetic is exact, so ties are honest ties: the constructor holds
 each coordinate as an int when it is integral and as a Fraction
 otherwise, so integer points compare and hash at C speed.
+
+The public constructors and entry points check their arguments; the
+configurations and classifiers built from inputs that have already
+been checked (`relabel`, `cell_of` and the walk of `witness` and
+`sample_in_cell`) are made by the private `_unchecked` constructors
+and not checked again.  `midpoint` stays checked: the midpoints of two
+valid configurations may collide.
 """
 
 from __future__ import annotations
@@ -99,6 +106,22 @@ class Configuration:
         object.__setattr__(self, "coords", coords)
 
     @classmethod
+    def _unchecked(cls, labels: tuple, coords: tuple,
+                   n: int) -> "Configuration":
+        """The configuration with these fields, without the checks of
+        the public constructor.  Callers guarantee what those check: n
+        is an int >= 1, `labels` a tuple of distinct hashable labels,
+        and `coords` a tuple of pairwise distinct points, one per label,
+        each a tuple of n coordinates in the form `_exact` gives: an int,
+        or a Fraction that is not integral."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_tables", None)
+        return self
+
+    @classmethod
     def from_points(cls, points: Mapping, n: int) -> "Configuration":
         labels = tuple(points)
         return cls(labels, tuple(points[label] for label in labels), n)
@@ -141,8 +164,8 @@ class Configuration:
     def relabel(self, g: Mapping) -> "Configuration":
         """Transport along a bijection of the label set: the point of x
         becomes the point of g(x)."""
-        return Configuration(bijection_values(g, self.labels), self.coords,
-                             self.n)
+        return Configuration._unchecked(bijection_values(g, self.labels),
+                                        self.coords, self.n)
 
 
 def parse_point_file(text: str) -> Configuration:
@@ -223,7 +246,7 @@ def cell_of(config: Configuration) -> NOrdering:
     order = sorted(zip(config.coords, config.labels))
     labels = tuple(label for _, label in order)
     word = tuple(_agree(u, v) for (u, _), (v, _) in zip(order, order[1:]))
-    return NOrdering(labels, word, config.n)
+    return NOrdering._unchecked(labels, word, config.n)
 
 
 def _walk(ordering: NOrdering,
@@ -240,7 +263,8 @@ def _walk(ordering: NOrdering,
         for axis in range(b, ordering.n):
             point[axis] += step(axis, b)
         coords.append(tuple(point))
-    return Configuration(ordering.labels, tuple(coords), ordering.n)
+    return Configuration._unchecked(ordering.labels, tuple(coords),
+                                    ordering.n)
 
 
 def witness(ordering: NOrdering) -> Configuration:

@@ -28,6 +28,12 @@ indices and need only hashable labels, never an order on them.
 `to_tree` builds the tree of each (word, n) once, with `trees._word_tree`,
 and `from_tree` reads the word back off a healthy tree (`_word`).
 
+The public constructors and entry points check their arguments; the
+orderings built from inputs that have already been checked (the
+enumeration, the covers, relabelling and `from_tree` after its own
+checks) are made by the private `_unchecked` constructor and not
+checked again.
+
 There are r! * n^(r-1) such orderings for |A| = r >= 1 and exactly one
 for r = 0.  The order relation: S <= T when every pairwise branching
 level weakly drops from S to T and pairs with equal levels keep their
@@ -95,6 +101,20 @@ class NOrdering:
                 raise ValueError(f"word entry {b} outside 0..{self.n - 1}")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "word", word)
+
+    @classmethod
+    def _unchecked(cls, labels: tuple, word: tuple[int, ...],
+                   n: int) -> "NOrdering":
+        """The ordering with these fields, without the checks of the
+        public constructor.  Callers guarantee what those check: n is an
+        int >= 1, `labels` a tuple of distinct hashable labels, and
+        `word` a tuple of max(len(labels) - 1, 0) ints in 0..n-1."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_tables", None)
+        return self
 
     @property
     def size(self) -> int:
@@ -223,7 +243,7 @@ def from_tree(tree: PlanarLevelTree, n: int,
     if len(labels) != len(leaves):
         raise LabelMismatch(
             f"{len(labels)} labels for {len(leaves)} level-{n} leaves")
-    return NOrdering(labels, tree._word, n)
+    return NOrdering._unchecked(labels, tree._word, n)
 
 
 def degree(ordering: NOrdering) -> int:
@@ -253,7 +273,7 @@ def enumerate_nord(labels: Iterable[Hashable], n: int,
     out = []
     for perm in permutations(base):
         for word in product(range(n), repeat=max(r - 1, 0)):
-            out.append(NOrdering(perm, word, n))
+            out.append(NOrdering._unchecked(perm, word, n))
     return tuple(out)
 
 
@@ -299,8 +319,8 @@ def _cover_moves(word: tuple[int, ...],
 def upper_covers(ordering: NOrdering) -> tuple[NOrdering, ...]:
     """The orderings that cover this one, each one degree higher."""
     labels = ordering.labels
-    return tuple(NOrdering(tuple(labels[i] for i in positions), word,
-                           ordering.n)
+    return tuple(NOrdering._unchecked(tuple(labels[i] for i in positions),
+                                      word, ordering.n)
                  for word, positions in _cover_moves(ordering.word,
                                                      ordering.n))
 
@@ -360,8 +380,8 @@ def _checks_over(table, ordering: NOrdering,
 def sigma_act(g: Mapping, ordering: NOrdering) -> NOrdering:
     """Relabel through a bijection of the label set; the word (the tree
     shape) is untouched."""
-    return NOrdering(bijection_values(g, ordering.labels), ordering.word,
-                     ordering.n)
+    return NOrdering._unchecked(bijection_values(g, ordering.labels),
+                                ordering.word, ordering.n)
 
 
 def _bits(mask: int) -> list[int]:

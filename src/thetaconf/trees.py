@@ -138,10 +138,13 @@ class PlanarLevelTree:
 
     def subtree(self, path: tuple[int, ...]) -> "PlanarLevelTree":
         node = self
-        for i in path:
-            if type(i) is not int or not 0 <= i < len(node.children):
-                raise ValueError(f"no vertex at path {path}")
-            node = node.children[i]
+        try:
+            for i in path:
+                if type(i) is not int or not 0 <= i < len(node.children):
+                    raise ValueError(f"no vertex at path {path}")
+                node = node.children[i]
+        except TypeError:       # a path that is not iterable
+            raise ValueError(f"no vertex at path {path!r}") from None
         return node
 
     def __repr__(self):
@@ -312,7 +315,11 @@ def branching_level(t: PlanarLevelTree, n: int, a: LeafId, b: LeafId) -> int:
     for leaf in (a, b):
         if not isinstance(leaf, LeafId):
             raise ValueError(f"a leaf must be a LeafId, got {leaf!r}")
-        if leaf.level != n:
+        try:
+            level = leaf.level
+        except TypeError:       # a path with no length
+            raise ValueError(f"no vertex at path {leaf.path!r}") from None
+        if level != n:
             raise ValueError(f"{leaf} is not a level-{n} leaf")
         t.subtree(leaf.path)
     return a.meet(b)
@@ -330,10 +337,15 @@ def healthify(t: PlanarLevelTree, n: int) -> PlanarLevelTree:
 
 
 def _check_fits(t: PlanarLevelTree, n: int):
-    if type(n) is not int:
-        check_height(n)     # raises: a height is an int
-    if t.height() > n:
-        raise ValueError(f"tree of height {t.height()} does not fit height {n}")
+    if type(n) is not int or n < 1:
+        check_height(n)     # raises: a height is an int >= 1
+    try:
+        height = t.height()
+    except AttributeError:
+        raise ValueError(f"a tree must be a PlanarLevelTree, got {t!r}") \
+            from None
+    if height > n:
+        raise ValueError(f"tree of height {height} does not fit height {n}")
 
 
 # -- enumeration ------------------------------------------------------------

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from thetaconf import (Configuration, LabelMismatch, cell_of, convexity_probe,
-                       functoriality_check, in_cell, leq, midpoint,
-                       pair_level, parse_point_file, sample,
+from thetaconf import (Configuration, LabelMismatch, NOrdering, cell_of,
+                       convexity_probe, functoriality_check, in_cell, leq,
+                       midpoint, pair_level, parse_point_file, sample,
                        sample_in_cell, enumerate_nord, parse_text, witness)
 
 
@@ -301,3 +301,46 @@ def test_relabel_rejects_map_missing_a_label():
 def test_cells_reject_bad_input(build, error, message):
     with pytest.raises(error, match=message):
         build()
+
+
+def _assert_rebuilds(config):
+    """`config` equals its rebuild through the public constructor, which
+    checks it, down to the type of each coordinate: an int and an
+    integral Fraction compare equal."""
+    rebuilt = Configuration(config.labels, config.coords, config.n)
+    assert config == rebuilt and config.keys == rebuilt.keys
+    assert [type(x) for point in config.coords for x in point] \
+        == [type(x) for point in rebuilt.coords for x in point]
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_configurations_built_unchecked_pass_the_checked_route(n):
+    """The witness and sample walks and relabelling build configurations,
+    and `cell_of` its classifiers, without the constructor checks; each
+    equals its rebuild through a public constructor, for every ordering
+    of up to 4 labels and for seeded grid samples."""
+    rng = random.Random(n)
+    classified = 0
+    for r in range(5):
+        labels = "abcd"[:r]
+        reverse = dict(zip(labels, labels[::-1]))
+        configs = [sample(labels, n, seed) for seed in range(20)]
+        for ordering in enumerate_nord(labels, n):
+            configs += [witness(ordering), sample_in_cell(ordering, rng)]
+        configs += [config.relabel(reverse) for config in configs]
+        for config in configs:
+            _assert_rebuilds(config)
+            classifier = cell_of(config)
+            assert classifier == NOrdering(classifier.labels, classifier.word,
+                                           classifier.n)
+            assert in_cell(config, classifier)
+            classified += 1
+    assert classified == {1: 336, 2: 1088, 3: 3040}[n]
+
+
+def test_midpoints_stay_checked():
+    # two valid configurations whose midpoint puts both labels at one point
+    config = witness(parse_text("a 0 b", 2))
+    swapped = Configuration(config.labels, config.coords[::-1], config.n)
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        midpoint(config, swapped)

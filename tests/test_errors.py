@@ -10,7 +10,9 @@ looked up, an unhashable one raises LabelMismatch.  The values of a
 DeltaMorphism are a tuple of integers, and a point it is applied to is
 an integer; the delta of a ThetaMorphism is a DeltaMorphism.  The
 children of a PlanarLevelTree are an iterable of PlanarLevelTrees, and
-the leaves given to `branching_level` are LeafIds.
+the leaves given to `branching_level` are LeafIds.  A tree handed to a
+tree reader is a PlanarLevelTree, and a vertex path is an iterable of
+child indices.
 """
 
 import re
@@ -60,6 +62,16 @@ HEIGHTS = {
     "suite_theorem_a": lambda n: suite_theorem_a(cases=((n, 2),)),
     # the initiality sweep keeps the levels m <= 2: compared after the check
     "suite_theorem_b": lambda n: suite_theorem_b(max_size=0, levels=(n,)),
+}
+
+# entry point -> call with the tree under test
+TREES = {
+    "LabelledTree": lambda t: LabelledTree(t, 1, ()),
+    "level_n_leaves": lambda t: level_n_leaves(t, 1),
+    "is_healthy": lambda t: is_healthy(t, 1),
+    "healthify": lambda t: healthify(t, 1),
+    "render_symbol": lambda t: render_symbol(t, 1),
+    "from_tree": lambda t: from_tree(t, 1, ()),
 }
 
 # entry point -> (call with the count under test, the name it reports)
@@ -167,6 +179,10 @@ def leaf_of(leaf):
     return branching_level(TWO_LEAVES, 1, leaf, LeafId((1,)))
 
 
+def path_of(path):
+    return branching_level(TWO_LEAVES, 1, LeafId(path), LeafId((1,)))
+
+
 # entry point -> (call with a label that is looked up, not held; message)
 LOOKUPS = {
     "sigma_act": (lambda x: sigma_act({"a": x, "b": "a"}, LOW),
@@ -185,6 +201,14 @@ PROBES = (
                   f"height parameter n must be an integer, got {bad!r}",
                   id=f"{name}-{bad!r}")
      for name, call in HEIGHTS.items() for bad in ("2", 2.0, True)]
+    + [pytest.param(call, bad, ValueError,
+                    f"height parameter must be >= 1, got {bad}",
+                    id=f"{name}-{bad!r}")
+       for name, call in HEIGHTS.items() for bad in (0, -1)]
+    + [pytest.param(call, bad, ValueError,
+                    f"a tree must be a PlanarLevelTree, got {bad!r}",
+                    id=f"{name}(tree)-{bad!r}")
+       for name, call in TREES.items() for bad in (None, 3, "[0]", ())]
     + [pytest.param(call, bad, ValueError,
                     f"{field} must be an integer, got {bad!r}",
                     id=f"{name}-{bad!r}")
@@ -228,6 +252,11 @@ PROBES = (
     + [pytest.param(leaf_of, bad, ValueError, f"no vertex at path {bad.path}",
                     id=f"branching_level(leaf)-{bad!r}")
        for bad in (LeafId(("0",)), LeafId((0.0,)))]
+    + [pytest.param(call, bad, ValueError, f"no vertex at path {bad!r}",
+                    id=f"{name}-{bad!r}")
+       for name, call in (("PlanarLevelTree.subtree", TWO_LEAVES.subtree),
+                          ("branching_level(path)", path_of))
+       for bad in (None, 3)]
     + [pytest.param(call, [1], LabelMismatch, message, id=f"{name}-[1]")
        for name, (call, message) in LOOKUPS.items()]
 )
@@ -257,6 +286,8 @@ LABEL_ITEMS = st.one_of(st.integers(-3, 3), st.floats(), st.text(max_size=2),
                         st.lists(st.integers(), max_size=2))
 LABEL_PAIRS = st.lists(LABEL_ITEMS, min_size=2, max_size=2).map(tuple)
 FUZZED = ([(name, call, ARGUMENTS) for name, call in HEIGHTS.items()]
+          + [(name, call, st.one_of(LABEL_PAIRS, ARGUMENTS))
+             for name, call in TREES.items()]
           + [(name, call, ARGUMENTS) for name, (call, _) in COUNTS.items()]
           + [(name, call, LABEL_PAIRS) for name, call in LABELS.items()]
           + [(name, call, st.one_of(LABEL_PAIRS, ARGUMENTS))
@@ -270,7 +301,9 @@ FUZZED = ([(name, call, ARGUMENTS) for name, call in HEIGHTS.items()]
           + [("PlanarLevelTree(children)", PlanarLevelTree,
               st.one_of(LABEL_PAIRS, ARGUMENTS)),
              ("branching_level(leaf)", leaf_of,
-              st.one_of(LABEL_PAIRS, ARGUMENTS))]
+              st.one_of(LABEL_PAIRS, ARGUMENTS)),
+             ("PlanarLevelTree.subtree", TWO_LEAVES.subtree, ARGUMENTS),
+             ("branching_level(path)", path_of, ARGUMENTS)]
           + [(name, call, LABEL_ITEMS)
              for name, (call, _) in LOOKUPS.items()])
 

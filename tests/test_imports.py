@@ -44,7 +44,14 @@ def test_argument_rules_are_worded_in_errors_only():
 # the only places that may build an object past its constructor checks:
 # (module, enclosing function, class), where the fields are valid by
 # construction from arguments already checked
-UNCHECKED_SITES = [("gamma.py", "enumerate_gamma", "GammaMorphism"),
+UNCHECKED_SITES = [("cells.py", "_walk", "Configuration"),
+                   ("cells.py", "cell_of", "NOrdering"),
+                   ("cells.py", "relabel", "Configuration"),
+                   ("gamma.py", "enumerate_gamma", "GammaMorphism"),
+                   ("nord.py", "enumerate_nord", "NOrdering"),
+                   ("nord.py", "from_tree", "NOrdering"),
+                   ("nord.py", "sigma_act", "NOrdering"),
+                   ("nord.py", "upper_covers", "NOrdering"),
                    ("theta.py", "_lift", "DeltaMorphism"),
                    ("theta.py", "_lift", "ThetaMorphism"),
                    ("theta.py", "homs", "DeltaMorphism"),

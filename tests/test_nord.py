@@ -474,3 +474,25 @@ def test_upper_covers_split_the_children_of_one_vertex():
 def test_nord_rejects_bad_input(build, error, message):
     with pytest.raises(error, match=message):
         build()
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_orderings_built_unchecked_pass_the_checked_route(n):
+    """The enumeration, the covers, relabelling and `from_tree` build
+    their orderings without the constructor checks; each equals its
+    rebuild through the public constructor, which runs them, and fills
+    the same tables, for every ordering of up to 4 labels."""
+    built = 0
+    for r in range(5):
+        labels = LABELS[:r]
+        reverse = dict(zip(labels, labels[::-1]))
+        for ordering in enumerate_nord(labels, n):
+            for made in (ordering, *upper_covers(ordering),
+                         sigma_act(reverse, ordering),
+                         from_tree(to_tree(ordering), n, ordering.labels)):
+                rebuilt = NOrdering(made.labels, made.word, made.n)
+                assert made == rebuilt
+                assert (made.alphabet, made.keys, made.checks) \
+                    == (rebuilt.alphabet, rebuilt.keys, rebuilt.checks)
+                built += 1
+    assert built == {1: 102, 2: 1594, 3: 5714}[n]

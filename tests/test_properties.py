@@ -659,7 +659,7 @@ def test_tree_invariants_match_recursive_walkers():
         height = walk_height(t)
         assert t.height() == height
         assert t.edge_count() == walk_edge_count(t)
-        for n in range(height, 5):
+        for n in range(max(height, 1), 5):
             assert level_n_leaves(t, n) == walk_level_n_leaves(t, n)
             assert is_healthy(t, n) == walk_is_healthy(t, n)
             assert healthify(t, n) == walk_healthify(t, n)

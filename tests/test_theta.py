@@ -168,7 +168,9 @@ def test_runs_count_each_childs_level_n_leaves():
     # trees shorter than n included: their runs are all empty
     for n in (1, 2, 3):
         for t in enumerate_trees(5, n):
-            counts = [len(level_n_leaves(c, n - 1)) for c in t.children]
+            paths = [leaf.path for leaf in level_n_leaves(t, n)]
+            counts = [sum(path[0] == i for path in paths)
+                      for i in range(len(t.children))]
             assert _runs(t, n) == tuple(accumulate(counts, initial=0))
 
 

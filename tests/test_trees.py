@@ -146,7 +146,8 @@ def test_leaf_id_meet():
 def test_level_n_leaves_below_and_above_height():
     t = parse_symbol("[2]([0],[1])", 2)
     assert level_n_leaves(t, 3) == ()
-    assert level_n_leaves(ROOT_ONLY, 0) == (LeafId(()),)
+    with pytest.raises(ValueError, match="height parameter must be >= 1"):
+        level_n_leaves(ROOT_ONLY, 0)
     with pytest.raises(ValueError):
         level_n_leaves(t, 1)
     with pytest.raises(ValueError):
@@ -259,7 +260,7 @@ OWN_HEIGHT = [t for n in (1, 2, 3) for t in enumerate_trees(5, n)]
 
 def test_word_is_the_meets_of_adjacent_leaves():
     for t in OWN_HEIGHT:
-        leaves = level_n_leaves(t, t.height())
+        leaves = level_n_leaves(t, max(t.height(), 1))
         assert t._word == tuple(a.meet(b) for a, b in zip(leaves, leaves[1:]))
 
 
@@ -272,8 +273,9 @@ def test_word_tree_inverts_the_word_of_healthy_trees():
 
 def test_offsets_are_the_children_leaf_counts_summed():
     for t in OWN_HEIGHT:
-        below = t.height() - 1
-        counts = [len(level_n_leaves(c, below)) for c in t.children]
+        paths = [leaf.path for leaf in level_n_leaves(t, max(t.height(), 1))]
+        counts = [sum(path[0] == i for path in paths)
+                  for i in range(len(t.children))]
         assert t._offsets == tuple(accumulate(counts, initial=0))
 
 
