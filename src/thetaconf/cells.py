@@ -8,15 +8,8 @@ configuration lies in the cell of exactly one classifier: sort the
 points lexicographically and count leading coordinate agreements of
 neighbours.  Membership in any other cell is governed by the poset
 order on classifiers, which `verify cells` checks rather than assumes.
-A configuration keeps the same tables as an ordering, read straight
-from its coordinates: the shared `alphabet` of its label set and the
-flat pair `keys` by alphabet index, where the entry of labels x and y
-is twice the number of leading coordinates that their points share,
-plus 1 when the point of x comes first in the lexicographic order.
-Like an ordering, it holds them in one slot, `_tables`, that
-`nord._fill` fills on first use, so no instance dict slows the
-attribute reads of `in_cell`, which runs the test of `nord.leq` on
-them in its own frame.
+A configuration is a `nord._Table`, like an ordering: its pair keys,
+read from its coordinates, let `in_cell` run the test of `nord.leq`.
 Points inside a given cell, the integer witness and seeded random
 samples, come from one walk over the word, leaf by leaf.  All
 arithmetic is exact, so ties are honest ties: the constructor holds
@@ -39,8 +32,8 @@ from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Mapping
 
 from .errors import (LabelMismatch, bijection_values, check_count,
-                     check_height, check_labels)
-from .nord import NOrdering, _checks_over, _fill, leq
+                     check_height, check_labels, check_type)
+from .nord import NOrdering, _checks_over, _fill, _Table, leq
 
 _SAMPLE_SPAN = 2**40
 
@@ -77,9 +70,12 @@ def _point(label: Hashable, vec, n: int) -> tuple[int | Fraction, ...]:
 
 
 @dataclass(frozen=True, slots=True)
-class Configuration:
-    """Injective map from labels to rational n-vectors.  The constructor
-    turns each vector into a tuple of coordinates through `_exact`."""
+class Configuration(_Table):
+    """Injective map from labels to rational n-vectors, a table whose
+    key of two labels is twice the number of leading coordinates their
+    points share, plus 1 for the lexicographically first.  The
+    constructor turns each vector into a tuple of coordinates through
+    `_exact`, the form that `_unchecked` needs as well."""
 
     labels: tuple[Hashable, ...]
     coords: tuple[tuple[int | Fraction, ...], ...]
@@ -87,10 +83,11 @@ class Configuration:
     # (alphabet, keys), filled by `nord._fill` on first use
     _tables: tuple | None = field(default=None, init=False, compare=False,
                                   repr=False)
+    _dimension = "dimensions"
 
     def __post_init__(self):
-        check_height(self.n)
-        labels = check_labels(self.labels)
+        self._check_table()
+        labels = self.labels
         try:
             vectors = tuple(self.coords)
         except TypeError:
@@ -102,42 +99,12 @@ class Configuration:
                        for label, vec in zip(labels, vectors))
         if len(set(coords)) != len(coords):
             raise ValueError("configuration points must be pairwise distinct")
-        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "coords", coords)
-
-    @classmethod
-    def _unchecked(cls, labels: tuple, coords: tuple,
-                   n: int) -> "Configuration":
-        """The configuration with these fields, without the checks of
-        the public constructor.  Callers guarantee what those check: n
-        is an int >= 1, `labels` a tuple of distinct hashable labels,
-        and `coords` a tuple of pairwise distinct points, one per label,
-        each a tuple of n coordinates in the form `_exact` gives: an int,
-        or a Fraction that is not integral."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_tables", None)
-        return self
 
     @classmethod
     def from_points(cls, points: Mapping, n: int) -> "Configuration":
         labels = tuple(points)
         return cls(labels, tuple(points[label] for label in labels), n)
-
-    @property
-    def alphabet(self) -> dict[Hashable, int]:
-        """Index of each label, shared by equal label sets."""
-        return (self._tables or _fill(self))[0]
-
-    @property
-    def keys(self) -> tuple[int, ...]:
-        """Flat r x r table of pair keys by alphabet index: the entry of
-        labels x and y is 2 * agree + (1 if the point of x comes first
-        lexicographically), where agree is the number of leading
-        coordinates the two points share; 2n on the diagonal."""
-        return (self._tables or _fill(self))[1]
 
     def _tables_over(self, alphabet: Mapping[Hashable, int]) -> tuple:
         """(alphabet, keys) over `alphabet`, an alphabet of the labels.
@@ -219,11 +186,18 @@ def in_cell(config: Configuration, ordering: NOrdering) -> bool:
     on the first beta coordinates and weakly increases the one after,
     and its conditions follow by transitivity.  As in `nord.leq`, the
     ordering's checks are read against the configuration's keys when
-    both share one alphabet, and through `nord._checks_over` otherwise."""
-    alphabet, keys = config._tables or _fill(config)
-    o_alphabet, _, checks = ordering._tables or _fill(ordering)
+    both share one alphabet, and through `nord._checks_over` otherwise.
+    Arguments of the wrong kind fail the unpacking of their tables and
+    raise ValueError."""
+    try:
+        alphabet, keys = config._tables or _fill(config)
+        o_alphabet, _, checks = ordering._tables or _fill(ordering)
+    except (AttributeError, ValueError):
+        check_type(config, Configuration, "a configuration")
+        check_type(ordering, NOrdering, "an ordering")
+        raise
     if alphabet is not o_alphabet or config.n != ordering.n:
-        checks = _checks_over(config, ordering, "dimensions")
+        checks = _checks_over(config, ordering)
     for k, bound in checks:
         if keys[k] <= bound:
             return False
@@ -243,7 +217,11 @@ def cell_of(config: Configuration) -> NOrdering:
     """The classifier: labels sorted by lexicographic comparison of
     coordinate vectors; branching level of neighbours = number of
     leading equal coordinates.  Injectivity bounds that count by n-1."""
-    order = sorted(zip(config.coords, config.labels))
+    try:
+        order = sorted(zip(config.coords, config.labels))
+    except AttributeError:
+        check_type(config, Configuration, "a configuration")
+        raise
     labels = tuple(label for _, label in order)
     word = tuple(_agree(u, v) for (u, _), (v, _) in zip(order, order[1:]))
     return NOrdering._unchecked(labels, word, config.n)
@@ -257,14 +235,18 @@ def _walk(ordering: NOrdering,
     A positive step on axis b puts leaf k after leaf k-1 in the
     lexicographic order, agreeing on exactly b leading coordinates, so
     the configuration classifies to the ordering itself."""
-    point = [0] * ordering.n
-    coords = [tuple(point)] if ordering.size else []
-    for b in ordering.word:
-        for axis in range(b, ordering.n):
+    try:
+        labels, word, n = ordering.labels, ordering.word, ordering.n
+    except AttributeError:
+        check_type(ordering, NOrdering, "an ordering")
+        raise
+    point = [0] * n
+    coords = [tuple(point)] if labels else []
+    for b in word:
+        for axis in range(b, n):
             point[axis] += step(axis, b)
         coords.append(tuple(point))
-    return Configuration._unchecked(ordering.labels, tuple(coords),
-                                    ordering.n)
+    return Configuration._unchecked(labels, tuple(coords), n)
 
 
 def witness(ordering: NOrdering) -> Configuration:

@@ -84,6 +84,15 @@ def check_count(value: int, name: str) -> None:
         raise ValueError(f"{name} must be >= 0, got {value}")
 
 
+def check_type(value, kind: type, what: str) -> None:
+    """Reject `value`, the argument named by `what`, unless it is a
+    `kind`.  Entry points call it only after reading an attribute of
+    the argument has failed, so a well-typed call pays nothing."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be a {kind.__name__}, got "
+                         f"{value!r}") from None
+
+
 def bijection_values(g: Mapping, labels: tuple) -> tuple:
     """(g(x) for x in labels), checked to be a bijection of the label
     set; raises LabelMismatch otherwise."""

@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Mapping
 
-from .errors import (LabelMismatch, check_height, check_labels, json_field,
-                     json_items)
+from .errors import (LabelMismatch, check_height, check_labels, check_type,
+                     json_field, json_items)
 from .gamma import GammaMorphism
 from .nord import NOrdering, enumerate_nord, from_tree, leq, to_tree
 from .theta import ThetaMorphism, _lift, branching_condition_holds
@@ -64,20 +64,26 @@ class LabelledTree:
 def label_bijection(source: LabelledTree, target: LabelledTree) -> GammaMorphism:
     """The only candidate shadow of a label-respecting morphism: each
     source leaf goes to the singleton of the equally labelled target leaf."""
+    try:
+        source_leaves, target_leaves = source.leaves, target.leaves
+    except AttributeError:
+        check_type(source, LabelledTree, "a labelled tree")
+        check_type(target, LabelledTree, "a labelled tree")
+        raise
     if source.n != target.n:
         raise LabelMismatch(f"height parameters differ: {source.n} vs {target.n}")
     if set(source.labels) != set(target.labels):
         raise LabelMismatch("label sets differ")
     position = {x: i for i, x in enumerate(source.labels)}
-    return GammaMorphism(source.leaves, target.leaves,
+    return GammaMorphism(source_leaves, target_leaves,
                          tuple(position[x] for x in target.labels))
 
 
 def hom_exists(source: LabelledTree, target: LabelledTree) -> bool:
     """Whether the unique label-respecting morphism into a healthy
     target exists."""
-    return branching_condition_holds(source.tree, target.tree, source.n,
-                                     label_bijection(source, target))
+    gbar = label_bijection(source, target)
+    return branching_condition_holds(source.tree, target.tree, source.n, gbar)
 
 
 def hom_morphism(source: LabelledTree, target: LabelledTree) -> ThetaMorphism | None:
@@ -99,7 +105,12 @@ def retract(obj: LabelledTree) -> NOrdering:
     """Healthify and read the ordering back off.  Level-n leaves survive
     healthification unchanged and in order, so the labels carry over;
     retract(embed(S)) == S."""
-    return from_tree(healthify(obj.tree, obj.n), obj.n, obj.labels)
+    try:
+        tree, n, labels = obj.tree, obj.n, obj.labels
+    except AttributeError:
+        check_type(obj, LabelledTree, "a labelled tree")
+        raise
+    return from_tree(healthify(tree, n), n, labels)
 
 
 def unit_exists(obj: LabelledTree) -> bool:

@@ -7,26 +7,15 @@ branching levels of consecutive leaves.  Branching levels of
 non-adjacent pairs are the minimum of the word entries in between,
 which is why the encoding is faithful.
 
-Each ordering keeps three invariants in one slot, `_tables`, which
-`_fill` fills on first use.  `alphabet` numbers the labels: it is the
-dict that `_alphabet` gives for the label set, so every ordering and
-configuration with an equal label set shares one alphabet while the
-cache holds it.  `keys` is the flat r x r table of pair keys by
-alphabet index: keys[ix * r + iy], for labels x and y with indices ix
-and iy, is twice the branching level of their leaves, plus 1 when x
-comes first.  `checks` lists, for each planar neighbour pair x then y,
-the index ix * r + iy of its key and twice the word entry between
-them.  `pair_level` halves a key.  The tables live in a slot of a
-slotted class, not in a cached property, because an instance dict
-would turn every later attribute read on the object into a slow
-generic lookup, and `leq` reads several per call.  `leq(a, b)` and
-`cells.in_cell` run one test, each in its own frame: the key of each
-of b's checks in a (or in the configuration's table of the same form)
-must exceed the check's bound.  Only a mismatch or a foreign alphabet
-leaves that loop for `_checks_over`.  Comparisons work over alphabet
-indices and need only hashable labels, never an order on them.
-`to_tree` builds the tree of each (word, n) once, with `trees._word_tree`,
-and `from_tree` reads the word back off a healthy tree (`_word`).
+An ordering is a `_Table`: it keeps its pair keys over a shared
+label alphabet, which `_Table` describes, and adds `checks`, which
+lists, for each planar neighbour pair x then y, the index ix * r + iy
+of its key and twice the word entry between them.  `pair_level` halves
+a key.  `leq(a, b)` reads b's checks against a's keys.  Comparisons
+work over alphabet indices and need only hashable labels, never an
+order on them.  `to_tree` builds the tree of each (word, n) once, with
+`trees._word_tree`, and `from_tree` reads the word back off a healthy
+tree (`_word`).
 
 The public constructors and entry points check their arguments; the
 orderings built from inputs that have already been checked (the
@@ -69,56 +58,48 @@ from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .errors import (DEFAULT_MAX_COUNT, CapExceeded, LabelMismatch,
                      bijection_values, check_count, check_height, check_labels,
-                     json_field, json_items)
+                     check_type, json_field, json_items)
 from .trees import PlanarLevelTree, _word_tree, is_healthy, level_n_leaves
 
 
-@dataclass(frozen=True, slots=True)
-class NOrdering:
-    labels: tuple[Hashable, ...]
-    word: tuple[int, ...]
-    n: int
-    # (alphabet, keys, checks), filled by `_fill` on first use
-    _tables: tuple | None = field(default=None, init=False, compare=False,
-                                  repr=False)
+class _Table:
+    """Labels with a flat table of pair keys over a shared alphabet:
+    what `leq` compares two orderings on, and `cells.in_cell` a
+    configuration with an ordering.
 
-    def __post_init__(self):
+    A table is a frozen slotted dataclass with the fields `labels`
+    (distinct hashable labels), its values (`word` or `coords`), `n`
+    and `_tables`, which `_fill` fills on first use from the class's
+    `_tables_over`.  A slot, not a cached property: an instance dict
+    would make every later attribute read on the object slow.
+    `alphabet` numbers the labels, in one dict per label set while the
+    cache of `_alphabet` holds it.  keys[ix * r + iy], for labels x and
+    y with indices ix and iy, is twice the level at which they separate,
+    plus 1 when x comes first; 2n on the diagonal.  `leq` and `in_cell`
+    each test, in their own frame, that the key at each of the
+    ordering's checks exceeds its bound.  A foreign alphabet (a pickled
+    or copied table may hold its own) or a mismatch goes through
+    `_checks_over`, which names `n` by the class's `_dimension`.
+    `_check_table` holds the constructor rules on `n` and `labels`."""
+
+    __slots__ = ()
+
+    def _check_table(self) -> None:
+        """Check `n`, then the labels, and store these as a tuple."""
         check_height(self.n)
-        labels = check_labels(self.labels)
-        try:
-            word = tuple(self.word)
-        except TypeError:
-            raise ValueError(f"word must be iterable, got {self.word!r}") \
-                from None
-        expected = max(len(labels) - 1, 0)
-        if len(word) != expected:
-            raise ValueError(f"word length {len(word)}, expected {expected}")
-        for b in word:
-            # a type check, not isinstance: a bool is not an integer here
-            if type(b) is not int:
-                raise ValueError(f"word entries must be integers, got {b!r}")
-            if not 0 <= b <= self.n - 1:
-                raise ValueError(f"word entry {b} outside 0..{self.n - 1}")
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "labels", check_labels(self.labels))
 
     @classmethod
-    def _unchecked(cls, labels: tuple, word: tuple[int, ...],
-                   n: int) -> "NOrdering":
-        """The ordering with these fields, without the checks of the
-        public constructor.  Callers guarantee what those check: n is an
-        int >= 1, `labels` a tuple of distinct hashable labels, and
-        `word` a tuple of max(len(labels) - 1, 0) ints in 0..n-1."""
+    def _unchecked(cls, labels: tuple, values: tuple, n: int):
+        """The table with these fields, unchecked: callers guarantee
+        what the public constructor checks."""
         self = object.__new__(cls)
+        # explicit stores: a loop over the fields costs more per object
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "word", word)
+        object.__setattr__(self, cls.__slots__[1], values)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_tables", None)
         return self
-
-    @property
-    def size(self) -> int:
-        return len(self.labels)
 
     @property
     def alphabet(self) -> dict[Hashable, int]:
@@ -127,10 +108,44 @@ class NOrdering:
 
     @property
     def keys(self) -> tuple[int, ...]:
-        """Flat r x r table of pair keys by alphabet index: the entry of
-        labels x and y is 2 * level + (1 if x comes first), where level
-        is the minimum of the word between them; 2n on the diagonal."""
+        """Flat r x r table of pair keys by alphabet index."""
         return (self._tables or _fill(self))[1]
+
+
+@dataclass(frozen=True, slots=True)
+class NOrdering(_Table):
+    """A table over the `word`: the key of two labels is twice the
+    minimum of the word between them, plus 1 for the first."""
+
+    labels: tuple[Hashable, ...]
+    word: tuple[int, ...]
+    n: int
+    # (alphabet, keys, checks), filled by `_fill` on first use
+    _tables: tuple | None = field(default=None, init=False, compare=False,
+                                  repr=False)
+    _dimension = "height parameters"
+
+    def __post_init__(self):
+        self._check_table()
+        try:
+            word = tuple(self.word)
+        except TypeError:
+            raise ValueError(f"word must be iterable, got {self.word!r}") \
+                from None
+        expected = max(len(self.labels) - 1, 0)
+        if len(word) != expected:
+            raise ValueError(f"word length {len(word)}, expected {expected}")
+        for b in word:
+            # a type check, not isinstance: a bool is not an integer here
+            if type(b) is not int:
+                raise ValueError(f"word entries must be integers, got {b!r}")
+            if not 0 <= b <= self.n - 1:
+                raise ValueError(f"word entry {b} outside 0..{self.n - 1}")
+        object.__setattr__(self, "word", word)
+
+    @property
+    def size(self) -> int:
+        return len(self.labels)
 
     @property
     def checks(self) -> tuple[tuple[int, int], ...]:
@@ -227,9 +242,12 @@ def to_tree(ordering: NOrdering) -> PlanarLevelTree:
     """Healthy height-n tree realizing the ordering; leaf k in planar
     order carries labels[k].  Orderings with the same word and n share
     one tree object, so its cached invariants are computed once."""
-    if ordering.size == 0:
-        return PlanarLevelTree()
-    return _word_tree(ordering.word, ordering.n)
+    try:
+        labels, word, n = ordering.labels, ordering.word, ordering.n
+    except AttributeError:
+        check_type(ordering, NOrdering, "an ordering")
+        raise
+    return _word_tree(word, n) if labels else PlanarLevelTree()
 
 
 def from_tree(tree: PlanarLevelTree, n: int,
@@ -249,10 +267,12 @@ def from_tree(tree: PlanarLevelTree, n: int,
 def degree(ordering: NOrdering) -> int:
     """Edge count of the realizing tree: n edges down to the first leaf,
     and n - b more for each further leaf branching off at level b."""
-    if not ordering.size:
-        return 0
-    n = ordering.n
-    return n + sum(n - b for b in ordering.word)
+    try:
+        labels, word, n = ordering.labels, ordering.word, ordering.n
+    except AttributeError:
+        check_type(ordering, NOrdering, "an ordering")
+        raise
+    return n + sum(n - b for b in word) if labels else 0
 
 
 def enumerate_nord(labels: Iterable[Hashable], n: int,
@@ -318,11 +338,14 @@ def _cover_moves(word: tuple[int, ...],
 
 def upper_covers(ordering: NOrdering) -> tuple[NOrdering, ...]:
     """The orderings that cover this one, each one degree higher."""
-    labels = ordering.labels
+    try:
+        labels, word, n = ordering.labels, ordering.word, ordering.n
+    except AttributeError:
+        check_type(ordering, NOrdering, "an ordering")
+        raise
     return tuple(NOrdering._unchecked(tuple(labels[i] for i in positions),
-                                      word, ordering.n)
-                 for word, positions in _cover_moves(ordering.word,
-                                                     ordering.n))
+                                      new_word, n)
+                 for new_word, positions in _cover_moves(word, n))
 
 
 def leq(a: NOrdering, b: NOrdering) -> bool:
@@ -350,27 +373,33 @@ def leq(a: NOrdering, b: NOrdering) -> bool:
     test reads b's `checks` against a's `keys`.  They index one
     alphabet when a and b share it, as equal label sets do while the
     cache holds it; otherwise `_checks_over` reads b's checks again over
-    a's alphabet, or raises LabelMismatch."""
-    alphabet, keys, _ = a._tables or _fill(a)
-    b_alphabet, _, checks = b._tables or _fill(b)
+    a's alphabet, or raises LabelMismatch.  An argument that is not an
+    ordering fails the unpacking of its tables and raises ValueError."""
+    try:
+        alphabet, keys, _ = a._tables or _fill(a)
+        b_alphabet, _, checks = b._tables or _fill(b)
+    except (AttributeError, ValueError):
+        check_type(a, NOrdering, "an ordering")
+        check_type(b, NOrdering, "an ordering")
+        raise
     if alphabet is not b_alphabet or a.n != b.n:
-        checks = _checks_over(a, b, "height parameters")
+        checks = _checks_over(a, b)
     for k, bound in checks:
         if keys[k] <= bound:
             return False
     return True
 
 
-def _checks_over(table, ordering: NOrdering,
-                 dimension: str) -> tuple[tuple[int, int], ...]:
-    """The checks of `ordering` over the alphabet of `table`, an ordering
-    or a configuration, for `leq` and `cells.in_cell` when the two do
-    not share one alphabet or one height: a pickled or copied object
-    may number its labels differently.  Raises LabelMismatch, before
-    any pair is read, when the heights differ (`dimension` names them
-    in the message) or the label sets do."""
+def _checks_over(table: _Table,
+                 ordering: NOrdering) -> tuple[tuple[int, int], ...]:
+    """The checks of `ordering` over the alphabet of `table`, for `leq`
+    and `cells.in_cell` when the two do not share one alphabet or one
+    height.  Raises LabelMismatch, before any pair is read, when the
+    heights differ (named by the table's `_dimension`) or the label
+    sets do."""
     if table.n != ordering.n:
-        raise LabelMismatch(f"{dimension} differ: {table.n} vs {ordering.n}")
+        raise LabelMismatch(f"{table._dimension} differ: {table.n} vs "
+                            f"{ordering.n}")
     alphabet = table.alphabet
     if alphabet.keys() != ordering.alphabet.keys():
         raise LabelMismatch("label sets differ")
@@ -380,8 +409,12 @@ def _checks_over(table, ordering: NOrdering,
 def sigma_act(g: Mapping, ordering: NOrdering) -> NOrdering:
     """Relabel through a bijection of the label set; the word (the tree
     shape) is untouched."""
-    return NOrdering._unchecked(bijection_values(g, ordering.labels),
-                                ordering.word, ordering.n)
+    try:
+        labels, word, n = ordering.labels, ordering.word, ordering.n
+    except AttributeError:
+        check_type(ordering, NOrdering, "an ordering")
+        raise
+    return NOrdering._unchecked(bijection_values(g, labels), word, n)
 
 
 def _bits(mask: int) -> list[int]:

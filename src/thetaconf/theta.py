@@ -34,7 +34,7 @@ from .errors import (DEFAULT_MAX_COUNT, BranchingConditionViolation,
                      check_count, check_height, json_field, json_items)
 from .gamma import (DeltaMorphism, GammaMorphism, delta_compose,
                     gamma_is_active)
-from .trees import PlanarLevelTree, is_healthy, level_n_leaves
+from .trees import PlanarLevelTree, _check_fits, is_healthy, level_n_leaves
 
 
 def _part_keys(values: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -112,7 +112,7 @@ class ThetaMorphism:
 
 
 def identity_morphism(tree: PlanarLevelTree, n: int) -> ThetaMorphism:
-    check_height(n)
+    _check_fits(tree, n)
     return ThetaMorphism(n, DeltaMorphism.identity(len(tree.children)),
                          tuple(identity_morphism(c, n - 1)
                                for c in tree.children if n > 1))
@@ -298,7 +298,8 @@ def enumerate_hom_bruteforce(source: PlanarLevelTree, target: PlanarLevelTree,
     pool filtered by the same rule.  Children without leaves constrain
     nothing, so the rule holds for unhealthy targets too.
     """
-    check_height(n)
+    _check_fits(source, n)
+    _check_fits(target, n)
     check_count(max_count, "max_count")
     budget = [max_count]
     memo: dict = {}

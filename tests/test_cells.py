@@ -7,6 +7,7 @@ from thetaconf import (Configuration, LabelMismatch, NOrdering, cell_of,
                        convexity_probe, functoriality_check, in_cell, leq,
                        midpoint, pair_level, parse_point_file, sample,
                        sample_in_cell, enumerate_nord, parse_text, witness)
+from thetaconf.nord import _Table
 
 
 def _config(n, **points):
@@ -45,6 +46,16 @@ def test_tables_live_in_a_slot_not_an_instance_dict():
     for table in (a, b, config):
         assert table._tables is not None
         assert not hasattr(table, "__dict__")
+
+
+def test_orderings_and_configurations_are_one_kind_of_table():
+    """Both classes take the alphabet, the keys and the unchecked
+    builder from `nord._Table` and keep their own fields and slots."""
+    for cls, values in ((NOrdering, "word"), (Configuration, "coords")):
+        assert issubclass(cls, _Table) and _Table.__slots__ == ()
+        assert cls.__slots__ == ("labels", values, "n", "_tables")
+        assert not {"alphabet", "keys", "_unchecked"} & set(vars(cls))
+    assert {"alphabet", "keys", "_unchecked"} <= set(vars(_Table))
 
 
 def test_point_file_entries():

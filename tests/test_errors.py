@@ -12,9 +12,13 @@ an integer; the delta of a ThetaMorphism is a DeltaMorphism.  The
 children of a PlanarLevelTree are an iterable of PlanarLevelTrees, and
 the leaves given to `branching_level` are LeafIds.  A tree handed to a
 tree reader is a PlanarLevelTree, and a vertex path is an iterable of
-child indices.
+child indices.  An ordering, a configuration or a labelled tree handed
+to an entry point is an NOrdering, a Configuration or a LabelledTree:
+anything else, the other kinds included, raises ValueError naming the
+type it should have.
 """
 
+import random
 import re
 
 import pytest
@@ -24,20 +28,24 @@ from hypothesis import strategies as st
 from thetaconf import (ROOT_ONLY, CapExceeded, Configuration, DeltaMorphism,
                        GammaMorphism, LabelledTree, LabelMismatch, LeafId,
                        NOrdering, PlanarLevelTree, PosetView, ThetaMorphism,
-                       branching_level, convexity_probe,
-                       enumerate_delta, enumerate_gamma,
+                       branching_level, cell_of, convexity_probe, degree,
+                       embed, enumerate_delta, enumerate_gamma,
                        enumerate_hom_bruteforce, enumerate_nord,
                        enumerate_trees, from_tree, functoriality_check,
-                       healthify, identity_morphism, is_healthy,
-                       level_n_leaves, order_complex, pair_level,
-                       parse_symbol, parse_text, poset_homology,
-                       render_symbol, sample, sigma_act)
+                       healthify, hom_exists, hom_morphism,
+                       identity_morphism, in_cell, is_healthy,
+                       label_bijection, leq, level_n_leaves, order_complex,
+                       pair_level, parse_symbol, parse_text, poset_homology,
+                       render_symbol, retract, sample, sample_in_cell,
+                       sigma_act, to_tree, upper_covers, witness)
 from thetaconf.verify import (suite_cells, suite_morphisms, suite_poset,
                               suite_theorem_a, suite_theorem_b)
 
 LOW = NOrdering(("a", "b"), (0,), 2)
 HIGH = NOrdering(("a", "b"), (1,), 2)
 TWO_LEAVES = parse_symbol("[2]", 1)
+CONFIG = Configuration(("a", "b"), ((0,), (1,)), 1)
+OBJECT = LabelledTree(TWO_LEAVES, 1, ("a", "b"))
 
 # entry point -> call with the height under test
 HEIGHTS = {
@@ -72,6 +80,45 @@ TREES = {
     "healthify": lambda t: healthify(t, 1),
     "render_symbol": lambda t: render_symbol(t, 1),
     "from_tree": lambda t: from_tree(t, 1, ()),
+    "identity_morphism": lambda t: identity_morphism(t, 1),
+    "enumerate_hom_bruteforce(source)":
+        lambda t: enumerate_hom_bruteforce(t, ROOT_ONLY, 1),
+    "enumerate_hom_bruteforce(target)":
+        lambda t: enumerate_hom_bruteforce(ROOT_ONLY, t, 1),
+}
+
+# entry point -> (call with the argument under test, the type it expects,
+# the name it reports)
+WRONG_TYPES = {
+    "leq(a)": (lambda x: leq(x, LOW), NOrdering, "an ordering"),
+    "leq(b)": (lambda x: leq(LOW, x), NOrdering, "an ordering"),
+    "in_cell(config)":
+        (lambda x: in_cell(x, LOW), Configuration, "a configuration"),
+    "in_cell(ordering)":
+        (lambda x: in_cell(CONFIG, x), NOrdering, "an ordering"),
+    "cell_of": (cell_of, Configuration, "a configuration"),
+    "to_tree": (to_tree, NOrdering, "an ordering"),
+    "degree": (degree, NOrdering, "an ordering"),
+    "upper_covers": (upper_covers, NOrdering, "an ordering"),
+    "witness": (witness, NOrdering, "an ordering"),
+    "sample_in_cell": (lambda x: sample_in_cell(x, random.Random(0)),
+                       NOrdering, "an ordering"),
+    "sigma_act": (lambda x: sigma_act({"a": "b", "b": "a"}, x), NOrdering,
+                  "an ordering"),
+    "embed": (embed, NOrdering, "an ordering"),
+    "retract": (retract, LabelledTree, "a labelled tree"),
+    "label_bijection(source)": (lambda x: label_bijection(x, OBJECT),
+                                LabelledTree, "a labelled tree"),
+    "label_bijection(target)": (lambda x: label_bijection(OBJECT, x),
+                                LabelledTree, "a labelled tree"),
+    "hom_exists(source)": (lambda x: hom_exists(x, OBJECT), LabelledTree,
+                           "a labelled tree"),
+    "hom_exists(target)": (lambda x: hom_exists(OBJECT, x), LabelledTree,
+                           "a labelled tree"),
+    "hom_morphism(source)": (lambda x: hom_morphism(x, OBJECT),
+                             LabelledTree, "a labelled tree"),
+    "hom_morphism(target)": (lambda x: hom_morphism(OBJECT, x),
+                             LabelledTree, "a labelled tree"),
 }
 
 # entry point -> (call with the count under test, the name it reports)
@@ -210,6 +257,12 @@ PROBES = (
                     id=f"{name}(tree)-{bad!r}")
        for name, call in TREES.items() for bad in (None, 3, "[0]", ())]
     + [pytest.param(call, bad, ValueError,
+                    f"{what} must be a {kind.__name__}, got {bad!r}",
+                    id=f"{name}-{bad!r}")
+       for name, (call, kind, what) in WRONG_TYPES.items()
+       for bad in (None, 3, "ab", LOW, CONFIG, OBJECT, ROOT_ONLY)
+       if not isinstance(bad, kind)]
+    + [pytest.param(call, bad, ValueError,
                     f"{field} must be an integer, got {bad!r}",
                     id=f"{name}-{bad!r}")
        for name, (call, field) in COUNTS.items()
@@ -288,6 +341,8 @@ LABEL_PAIRS = st.lists(LABEL_ITEMS, min_size=2, max_size=2).map(tuple)
 FUZZED = ([(name, call, ARGUMENTS) for name, call in HEIGHTS.items()]
           + [(name, call, st.one_of(LABEL_PAIRS, ARGUMENTS))
              for name, call in TREES.items()]
+          + [(name, call, st.one_of(LABEL_PAIRS, ARGUMENTS))
+             for name, (call, _, _) in WRONG_TYPES.items()]
           + [(name, call, ARGUMENTS) for name, (call, _) in COUNTS.items()]
           + [(name, call, LABEL_PAIRS) for name, call in LABELS.items()]
           + [(name, call, st.one_of(LABEL_PAIRS, ARGUMENTS))

@@ -327,6 +327,30 @@ def test_leq_and_in_cell_read_every_alphabet_alike():
             renumbered(parse_text("a 0 c", 2)))
 
 
+def test_mismatches_name_the_heights_or_the_dimensions():
+    """The messages of a height mismatch are exact, whether the two
+    tables share one alphabet or either holds its own; an ordering
+    names the heights, a configuration the dimensions."""
+    low, high = parse_text("a 1 b 0 c", 2), parse_text("c 0 a 1 b", 3)
+    config = witness(low)
+    for x, y in ((low, high), (renumbered(low), high),
+                 (low, renumbered(high))):
+        assert (x.alphabet is y.alphabet) == (x is low and y is high)
+        for call, message in ((lambda: leq(x, y), "height parameters "
+                               "differ: 2 vs 3"),
+                              (lambda: leq(y, x), "height parameters "
+                               "differ: 3 vs 2")):
+            with pytest.raises(LabelMismatch) as caught:
+                call()
+            assert str(caught.value) == message
+    for c, y in ((config, high), (renumbered(config), high),
+                 (config, renumbered(high))):
+        assert (c.alphabet is y.alphabet) == (c is config and y is high)
+        with pytest.raises(LabelMismatch) as caught:
+            in_cell(c, y)
+        assert str(caught.value) == "dimensions differ: 2 vs 3"
+
+
 @STEADY
 @given(tied_configurations(), st.fractions(min_value=-3, max_value=3))
 def test_int_and_fraction_points_agree(config, shift):

@@ -60,6 +60,18 @@ def test_identity_morphism():
     assert shadow == GammaMorphism.identity(level_n_leaves(t, 2))
 
 
+@pytest.mark.parametrize("call", [
+    lambda t: identity_morphism(t, 1),
+    lambda t: enumerate_hom_bruteforce(t, t, 1),
+    lambda t: enumerate_hom_bruteforce(t, parse_symbol("[0]", 1), 1),
+    lambda t: enumerate_hom_bruteforce(parse_symbol("[0]", 1), t, 1),
+])
+def test_morphisms_need_trees_that_fit_the_level(call):
+    with pytest.raises(ValueError,
+                       match="^tree of height 2 does not fit height 1$"):
+        call(parse_symbol("[1]([1])", 2))
+
+
 def test_assembly_is_functorial():
     n = 2
     trees = enumerate_trees(2, n)
