@@ -290,10 +290,16 @@ def sample_in_cell(ordering: NOrdering, rng: random.Random) -> Configuration:
 
 
 def midpoint(a: Configuration, b: Configuration) -> Configuration:
+    try:
+        a_coords, b_coords = a.coords, b.coords
+    except AttributeError:
+        check_type(a, Configuration, "a configuration")
+        check_type(b, Configuration, "a configuration")
+        raise
     if a.labels != b.labels or a.n != b.n:
         raise LabelMismatch("configurations must share labels and dimension")
     coords = tuple(tuple(Fraction(x + y, 2) for x, y in zip(u, v))
-                   for u, v in zip(a.coords, b.coords))
+                   for u, v in zip(a_coords, b_coords))
     return Configuration(a.labels, coords, a.n)
 
 

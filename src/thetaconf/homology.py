@@ -1,6 +1,9 @@
 """Order complexes and integral homology via Smith normal form.
 
 The order complex of a finite poset has the strict chains as simplices.
+`order_complex` only counts them, degree by degree, so its cap refuses
+before any chain is built; `boundary_matrices` builds them one degree
+at a time and indexes only the degree below the one it builds.
 Boundary maps use the usual alternating signs.  Homology is computed
 degree by degree from ranks and invariant factors of the boundary
 matrices; arithmetic is plain Python integers throughout, so nothing
@@ -44,53 +47,50 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Container, Sequence
 
-from .errors import DEFAULT_MAX_COUNT, CapExceeded, check_count
+from .errors import DEFAULT_MAX_COUNT, CapExceeded, check_count, check_type
 from .nord import PosetView, _bits
-
-Simplex = tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class OrderComplex:
-    """Simplices per dimension; vertex k is elements[k] of the source
-    poset.  Simplex tuples are strictly increasing chains listed
-    lexicographically."""
+    """The strict chains of a poset, counted and not built: vertex k is
+    elements[k] of the source poset, succ[k] lists the vertices above
+    it, ascending, and sizes[d] is the number of d-simplices."""
 
     elements: tuple
-    simplices: tuple[tuple[Simplex, ...], ...]
+    succ: list[list[int]]
+    sizes: tuple[int, ...]
 
     def counts(self) -> tuple[int, ...]:
-        return tuple(len(layer) for layer in self.simplices)
+        return self.sizes
 
 
 def order_complex(view: PosetView,
                   max_chains: int = DEFAULT_MAX_COUNT) -> OrderComplex:
-    """All strict chains of the poset.  Consecutive-successor extension
-    is enough because the relation is transitive."""
+    """Count the strict chains of each degree, building none.  With
+    starts[i] the degree-d chains that start at i, as many degree d + 1
+    chains start at i as the sum of starts[j] over j above i, since the
+    relation is transitive.  The running total through a degree is
+    checked against the cap before the next degree is counted."""
     check_count(max_chains, "max_chains")
-    count = len(view.elements)
-    succ = [_bits(mask) for mask in view.above]
-
-    layers: list[tuple[Simplex, ...]] = []
-    current: list[Simplex] = [(i,) for i in range(count)]
-    total = count
-    if total > max_chains:
-        raise CapExceeded("chains through degree 0", total, max_chains)
-    while current:
-        layers.append(tuple(current))
-        nxt = []
-        for chain in current:
-            for j in succ[chain[-1]]:
-                nxt.append(chain + (j,))
-                total += 1
-                if total > max_chains:
-                    raise CapExceeded(
-                        f"chains through degree {len(layers)}", total,
-                        max_chains)
-        current = nxt
-    if not layers:
-        layers = [()]
-    return OrderComplex(view.elements, tuple(layers))
+    try:
+        elements, above = view.elements, view.above
+    except AttributeError:
+        check_type(view, PosetView, "a poset")
+        raise
+    succ = [_bits(mask) for mask in above]
+    sizes: list[int] = []
+    total, starts = 0, [1] * len(succ)
+    while True:
+        size = sum(starts)
+        total += size
+        if total > max_chains:
+            raise CapExceeded(f"chains through degree {len(sizes)}", total,
+                              max_chains)
+        sizes.append(size)
+        starts = [sum(map(starts.__getitem__, up)) for up in succ]
+        if not any(starts):
+            return OrderComplex(elements, succ, tuple(sizes))
 
 
 @dataclass
@@ -104,24 +104,30 @@ class ChainComplex:
 
 
 def boundary_matrices(cx: OrderComplex) -> ChainComplex:
-    """Alternating-sign boundary matrices."""
-    dims = cx.counts()
-    index: list[dict[Simplex, int]] = [
-        {simplex: k for k, simplex in enumerate(layer)}
-        for layer in cx.simplices]
+    """Alternating-sign boundary matrices.  Each degree's chains extend
+    those of the degree below by each successor of the last vertex, so
+    each degree is listed lexicographically.  Only the degree below is
+    indexed, one index at a time: the top degree never is."""
+    try:
+        dims, succ = cx.counts(), cx.succ
+    except AttributeError:
+        check_type(cx, OrderComplex, "an order complex")
+        raise
+    layer = [(i,) for i in range(len(succ))]
     boundaries = []
-    for k in range(1, len(dims)):
-        faces = index[k - 1]
+    for _ in dims[1:]:
+        faces = dict(zip(layer, range(len(layer))))
+        layer = [chain + (j,) for chain in layer for j in succ[chain[-1]]]
         cols = []
-        for simplex in cx.simplices[k]:
+        for simplex in layer:
             col: dict[int, int] = {}
             sign = 1
             for drop in range(len(simplex)):
-                face = simplex[:drop] + simplex[drop + 1:]
-                col[faces[face]] = sign
+                col[faces[simplex[:drop] + simplex[drop + 1:]]] = sign
                 sign = -sign
             cols.append(col)
         boundaries.append(tuple(cols))
+        del faces
     return ChainComplex(dims, tuple(boundaries))
 
 
@@ -131,13 +137,17 @@ def boundary_matrices(cx: OrderComplex) -> ChainComplex:
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], int]:
     """Invariant factors (nonzero diagonal of the Smith form, ones
     included, divisibility order) and the rank.  Raises ValueError for
-    a row that is not a sequence, rows of unequal length and an entry
-    that is not an int (a bool is not one), so the arithmetic stays
-    exact."""
-    for r, row in enumerate(matrix):
-        if not isinstance(row, Sequence):
-            raise ValueError(f"row {r} must be a sequence, got {row!r}")
-    width = len(matrix[0]) if matrix else 0
+    a matrix or a row that is not a sequence, rows of unequal length
+    and an entry that is not an int (a bool is not one), so the
+    arithmetic stays exact."""
+    try:
+        for r, row in enumerate(matrix):
+            if not isinstance(row, Sequence):
+                raise ValueError(f"row {r} must be a sequence, got {row!r}")
+        width = len(matrix[0]) if matrix else 0
+    except TypeError:
+        check_type(matrix, Sequence, "a matrix")
+        raise
     columns: list[dict[int, int]] = [{} for _ in range(width)]
     for r, row in enumerate(matrix):
         if len(row) != width:
@@ -290,19 +300,24 @@ def homology(cc: ChainComplex) -> HomologyResult:
     simplex-count Euler characteristic by construction.  The boundaries
     are reduced from the top degree down, each without the columns that
     the unit pivots of the one above cleared."""
-    dim = len(cc.dims)
+    try:
+        dims, boundaries = cc.dims, cc.boundaries
+    except AttributeError:
+        check_type(cc, ChainComplex, "a chain complex")
+        raise
+    dim = len(dims)
     factor_lists: list[tuple[int, ...]] = [()] * (dim + 1)
     cleared: set[int] = set()
     for k in range(dim - 1, 0, -1):
-        factor_lists[k], pivot_rows = _smith_sparse(cc.boundaries[k - 1],
+        factor_lists[k], pivot_rows = _smith_sparse(boundaries[k - 1],
                                                     cleared)
         cleared = set(pivot_rows)
     ranks = [len(factors) for factors in factor_lists]
-    betti = tuple(cc.dims[k] - ranks[k] - ranks[k + 1] for k in range(dim))
+    betti = tuple(dims[k] - ranks[k] - ranks[k + 1] for k in range(dim))
     torsion = tuple(tuple(f for f in factor_lists[k + 1] if f > 1)
                     for k in range(dim))
-    euler = sum((-1) ** k * d for k, d in enumerate(cc.dims))
-    return HomologyResult(betti, torsion, euler, tuple(cc.dims))
+    euler = sum((-1) ** k * d for k, d in enumerate(dims))
+    return HomologyResult(betti, torsion, euler, tuple(dims))
 
 
 def poset_homology(view: PosetView,

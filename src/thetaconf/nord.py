@@ -229,13 +229,18 @@ def _checks(ordering: NOrdering,
 
 def pair_level(ordering: NOrdering, a: Hashable, b: Hashable) -> int:
     """Branching level of an arbitrary pair: min of the word between."""
+    try:
+        labels, size = ordering.labels, ordering.size
+    except AttributeError:
+        check_type(ordering, NOrdering, "an ordering")
+        raise
     for x in (a, b):
-        if x not in ordering.labels:
+        if x not in labels:
             raise LabelMismatch(f"{x!r} is not a label of the ordering")
     i, j = ordering.alphabet[a], ordering.alphabet[b]
     if i == j:
         raise ValueError(f"distinct labels required, got {a!r} twice")
-    return ordering.keys[i * ordering.size + j] >> 1
+    return ordering.keys[i * size + j] >> 1
 
 
 def to_tree(ordering: NOrdering) -> PlanarLevelTree:
@@ -527,4 +532,9 @@ class PosetView:
 
 def hasse(view: PosetView) -> list[tuple]:
     """Cover pairs as element pairs, deterministic order."""
-    return [(view.elements[i], view.elements[j]) for i, j in view.covers()]
+    try:
+        elements, covers = view.elements, view.covers()
+    except AttributeError:
+        check_type(view, PosetView, "a poset")
+        raise
+    return [(elements[i], elements[j]) for i, j in covers]

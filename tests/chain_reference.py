@@ -4,7 +4,10 @@
 matrix, degree by degree, with no clearing: the route `homology` took
 before it reduced from the top degree down.  `simplicial_chain_complex`
 builds the simplicial chain complex of the faces of given facets, with
-no order complex in between.  `minor_gcd` gives the determinantal
+no order complex in between.  `chain_store_complex` builds the
+boundaries of a poset's order complex the way the library did when it
+stored every chain: all degrees built and indexed before the first
+boundary.  `minor_gcd` gives the determinantal
 divisors of a matrix, the classical oracle of its invariant factors.
 `boundary_dense` copies one boundary of a chain complex into a dense
 matrix and `column_dicts` a dense matrix into column dicts.  `rank_mod` is a rank route that shares no code with the
@@ -52,6 +55,30 @@ def simplicial_chain_complex(facets):
         for face in layers[k]:
             cols.append({index[k - 1][face[:i] + face[i + 1:]]: (-1) ** i
                          for i in range(len(face))})
+        boundaries.append(tuple(cols))
+    return ChainComplex(tuple(map(len, layers)), tuple(boundaries))
+
+
+def chain_store_complex(view):
+    """The order complex of `view` with every degree's chains stored and
+    indexed: each degree extends the chains of the one below by every
+    element above the last vertex, read bit by bit from `view.above`."""
+    size = len(view.elements)
+    succ = [[j for j in range(size) if mask >> j & 1] for mask in view.above]
+    layers = []
+    current = [(i,) for i in range(size)]
+    while current:
+        layers.append(current)
+        current = [chain + (j,) for chain in current for j in succ[chain[-1]]]
+    if not layers:
+        layers = [[]]
+    index = [{chain: k for k, chain in enumerate(layer)} for layer in layers]
+    boundaries = []
+    for k in range(1, len(layers)):
+        cols = []
+        for chain in layers[k]:
+            cols.append({index[k - 1][chain[:i] + chain[i + 1:]]: (-1) ** i
+                         for i in range(len(chain))})
         boundaries.append(tuple(cols))
     return ChainComplex(tuple(map(len, layers)), tuple(boundaries))
 

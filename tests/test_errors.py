@@ -12,32 +12,36 @@ an integer; the delta of a ThetaMorphism is a DeltaMorphism.  The
 children of a PlanarLevelTree are an iterable of PlanarLevelTrees, and
 the leaves given to `branching_level` are LeafIds.  A tree handed to a
 tree reader is a PlanarLevelTree, and a vertex path is an iterable of
-child indices.  An ordering, a configuration or a labelled tree handed
-to an entry point is an NOrdering, a Configuration or a LabelledTree:
-anything else, the other kinds included, raises ValueError naming the
-type it should have.
+child indices.  An ordering, a configuration, a labelled tree, a poset,
+an order complex, a chain complex or a matrix handed to an entry point
+is an NOrdering, a Configuration, a LabelledTree, a PosetView, an
+OrderComplex, a ChainComplex or a Sequence: anything else, the other
+kinds included, raises ValueError naming the type it should have.
 """
 
 import random
 import re
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thetaconf import (ROOT_ONLY, CapExceeded, Configuration, DeltaMorphism,
-                       GammaMorphism, LabelledTree, LabelMismatch, LeafId,
-                       NOrdering, PlanarLevelTree, PosetView, ThetaMorphism,
-                       branching_level, cell_of, convexity_probe, degree,
-                       embed, enumerate_delta, enumerate_gamma,
-                       enumerate_hom_bruteforce, enumerate_nord,
-                       enumerate_trees, from_tree, functoriality_check,
-                       healthify, hom_exists, hom_morphism,
-                       identity_morphism, in_cell, is_healthy,
-                       label_bijection, leq, level_n_leaves, order_complex,
-                       pair_level, parse_symbol, parse_text, poset_homology,
-                       render_symbol, retract, sample, sample_in_cell,
-                       sigma_act, to_tree, upper_covers, witness)
+from thetaconf import (ROOT_ONLY, CapExceeded, ChainComplex, Configuration,
+                       DeltaMorphism, GammaMorphism, LabelledTree,
+                       LabelMismatch, LeafId, NOrdering, OrderComplex,
+                       PlanarLevelTree, PosetView, ThetaMorphism,
+                       boundary_matrices, branching_level, cell_of,
+                       convexity_probe, degree, embed, enumerate_delta,
+                       enumerate_gamma, enumerate_hom_bruteforce,
+                       enumerate_nord, enumerate_trees, from_tree,
+                       functoriality_check, hasse, healthify, hom_exists,
+                       hom_morphism, homology, identity_morphism, in_cell,
+                       is_healthy, label_bijection, leq, level_n_leaves,
+                       midpoint, order_complex, pair_level, parse_symbol,
+                       parse_text, poset_homology, render_symbol, retract,
+                       sample, sample_in_cell, sigma_act, smith_normal_form,
+                       to_tree, upper_covers, witness)
 from thetaconf.verify import (suite_cells, suite_morphisms, suite_poset,
                               suite_theorem_a, suite_theorem_b)
 
@@ -119,6 +123,20 @@ WRONG_TYPES = {
                              LabelledTree, "a labelled tree"),
     "hom_morphism(target)": (lambda x: hom_morphism(OBJECT, x),
                              LabelledTree, "a labelled tree"),
+    "pair_level": (lambda x: pair_level(x, "a", "b"), NOrdering,
+                   "an ordering"),
+    "midpoint(a)": (lambda x: midpoint(x, CONFIG), Configuration,
+                    "a configuration"),
+    "midpoint(b)": (lambda x: midpoint(CONFIG, x), Configuration,
+                    "a configuration"),
+    "hasse": (hasse, PosetView, "a poset"),
+    "order_complex": (lambda x: order_complex(x, 10), PosetView, "a poset"),
+    "poset_homology": (lambda x: poset_homology(x, 10), PosetView,
+                       "a poset"),
+    "boundary_matrices": (boundary_matrices, OrderComplex,
+                          "an order complex"),
+    "homology": (homology, ChainComplex, "a chain complex"),
+    "smith_normal_form": (smith_normal_form, Sequence, "a matrix"),
 }
 
 # entry point -> (call with the count under test, the name it reports)

@@ -1,15 +1,17 @@
 import random
+import tracemalloc
 from itertools import combinations
-from math import prod
+from math import comb, prod
 
 import pytest
 
-from chain_reference import (boundary_dense, column_dicts, det_bareiss,
-                             minor_gcd, rank_mod, reference_homology,
-                             simplicial_chain_complex)
+from chain_reference import (boundary_dense, chain_store_complex,
+                             column_dicts, det_bareiss, minor_gcd, rank_mod,
+                             reference_homology, simplicial_chain_complex)
 from thetaconf import (CapExceeded, ChainComplex, PosetView,
                        boundary_matrices, homology, order_complex,
                        poset_homology, smith_normal_form)
+from thetaconf.verify import DEFAULT_HOMOLOGY_CASES
 
 
 def test_smith_basics():
@@ -68,18 +70,71 @@ def test_order_complex_counts():
 
 
 def test_order_complex_cap():
-    # 6 vertices, then the 15 edges of the chain: the 5th edge is chain 11
+    # 6 vertices, then the 15 edges of the chain: 21 through degree 1
     with pytest.raises(CapExceeded) as caught:
         order_complex(_chain_view(6), 10)
     exc = caught.value
     assert (exc.stage, exc.count, exc.cap) == ("chains through degree 1",
-                                               11, 10)
-    assert str(exc) == "chains through degree 1: 11 exceed the cap 10"
+                                               21, 10)
+    assert str(exc) == "chains through degree 1: 21 exceed the cap 10"
     with pytest.raises(CapExceeded, match="chains through degree 3"):
         order_complex(_chain_view(6), 6 + 15 + 20)
     # the vertices alone go past the cap, though no edge is ever built
     with pytest.raises(CapExceeded, match="degree 0: 3 exceed the cap 2"):
         order_complex(PosetView((0, 1, 2), lambda a, b: a == b), 2)
+
+
+def test_order_complex_cap_refuses_before_building():
+    # a 40-element chain has comb(40, d + 1) chains of degree d: 760,098
+    # through degree 4, and 4,598,478 through degree 5
+    view = _chain_view(40)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded) as caught:
+            order_complex(view, 10 ** 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    exc = caught.value
+    assert (exc.stage, exc.count, exc.cap) == \
+        ("chains through degree 5", 4598478, 10 ** 6)
+    assert exc.count == sum(comb(40, d + 1) for d in range(6))
+    # no chain was built: a million chain tuples take about 90 MiB
+    assert peak < 2 ** 20
+
+
+def _random_view(seed):
+    """Seeded poset on up to 12 elements, listed in a shuffled order:
+    the transitive closure of random pairs i < j."""
+    rng = random.Random(seed)
+    size = rng.randrange(13)
+    below = [set() for _ in range(size)]
+    for j in range(size):
+        for i in range(j):
+            if rng.random() < 0.3:
+                below[j] |= below[i] | {i}
+    elements = list(range(size))
+    rng.shuffle(elements)
+    return PosetView(tuple(elements), lambda a, b: a == b or a in below[b])
+
+
+def _columns(cc):
+    return cc.dims, [[list(col.items()) for col in cols]
+                     for cols in cc.boundaries]
+
+
+@pytest.mark.parametrize("n,r", DEFAULT_HOMOLOGY_CASES)
+def test_boundaries_match_the_chain_store_route(n, r):
+    view = PosetView.of_orderings("abcd"[:r], n)
+    assert _columns(boundary_matrices(order_complex(view))) == \
+        _columns(chain_store_complex(view))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_boundaries_match_the_chain_store_route_on_random_posets(seed):
+    view = _random_view(seed)
+    assert _columns(boundary_matrices(order_complex(view))) == \
+        _columns(chain_store_complex(view))
 
 
 def test_boundary_of_boundary_vanishes():
@@ -105,6 +160,7 @@ def test_contractible_chain():
 def test_empty_and_antichain():
     empty = poset_homology(PosetView((), lambda a, b: False), 10)
     assert empty.betti == (0,)
+    assert empty.simplex_counts == (0,)
     assert empty.euler == 0
     anti = poset_homology(PosetView(tuple("abc"), lambda a, b: False), 10)
     assert anti.betti == (3,)

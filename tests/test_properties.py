@@ -55,9 +55,9 @@ from chain_reference import (column_dicts, minor_gcd, rank_mod,
 from gamma_reference import reference_compose
 from order_reference import (reference_in_cell, reference_leq,
                              reference_levels)
-from thetaconf import (Configuration, DeltaMorphism, GammaMorphism,
-                       LabelMismatch, LabelledTree, LeafId, NOrdering,
-                       PlanarLevelTree,
+from thetaconf import (CapExceeded, Configuration, DeltaMorphism,
+                       GammaMorphism, LabelMismatch, LabelledTree, LeafId,
+                       NOrdering, PlanarLevelTree, PosetView, order_complex,
                        ThetaMorphism, identity_morphism,
                        cell_of, degree, embed, enumerate_nord,
                        enumerate_trees, gamma_compose, healthify,
@@ -386,6 +386,46 @@ def test_in_cell_matches_the_conditions_on_every_pair(config):
         for c in (config, spread):
             assert in_cell(c, ordering) == every_pair_in_cell(c, ordering) \
                 == reference_in_cell(c, ordering)
+
+
+@st.composite
+def finite_posets(draw):
+    """Up to 8 elements in a drawn order, related by the transitive
+    closure of drawn pairs i < j."""
+    size = draw(st.integers(0, 8))
+    below = [set() for _ in range(size)]
+    for j in range(size):
+        for i in range(j):
+            if draw(st.booleans()):
+                below[j] |= below[i] | {i}
+    elements = draw(st.permutations(range(size)))
+    return PosetView(tuple(elements), lambda a, b: a == b or a in below[b])
+
+
+# The chain counts of `order_complex` against every subset of the poset
+# tested for being a chain, and its cap against the running total.
+@settings(STEADY, max_examples=200)
+@given(finite_posets(), st.integers(0, 300))
+def test_order_complex_counts_every_chain(view, cap):
+    elements = view.elements
+    sizes = [0] * (len(elements) + 2)
+    for mask in range(1 << len(elements)):
+        subset = [x for k, x in enumerate(elements) if mask >> k & 1]
+        if all(view.leq(a, b) or view.leq(b, a)
+               for a, b in combinations(subset, 2)):
+            sizes[len(subset)] += 1
+    top = max([k for k in range(1, len(sizes)) if sizes[k]], default=1)
+    expected = tuple(sizes[1:top + 1])
+    assert order_complex(view, 10 ** 6).counts() == expected
+    totals = [sum(expected[:d + 1]) for d in range(len(expected))]
+    if totals[-1] <= cap:
+        assert order_complex(view, cap).counts() == expected
+        return
+    degree = next(d for d, total in enumerate(totals) if total > cap)
+    with pytest.raises(CapExceeded) as caught:
+        order_complex(view, cap)
+    assert (caught.value.stage, caught.value.count) == \
+        (f"chains through degree {degree}", totals[degree])
 
 
 # Facets of two to four of seven vertices: about a quarter of the draws
