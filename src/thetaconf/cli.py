@@ -11,6 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
+from itertools import islice
+from typing import Iterable
 
 from .cells import cell_of, parse_point_file
 from .errors import CapExceeded, DEFAULT_MAX_COUNT, check_labels
@@ -32,6 +35,17 @@ def _emit(text: str, output: str | None) -> None:
             handle.write(text if text.endswith("\n") else text + "\n")
     else:
         print(text)
+
+
+def _emit_lines(lines: Iterable[str], output: str | None) -> None:
+    """Write the lines as they are produced, a batch at a time, so a long
+    listing is never held as one text; the bytes are those of `_emit` on
+    the joined lines."""
+    lines = iter(lines)
+    with open(output, "w", encoding="utf-8") if output \
+            else nullcontext(sys.stdout) as handle:
+        while batch := list(islice(lines, 4096)):
+            handle.write("\n".join(batch) + "\n")
 
 
 def _dot_quote(name: str) -> str:
@@ -81,18 +95,23 @@ def cmd_hasse(args: argparse.Namespace) -> int:
     return 0
 
 
+def _boundary_rows(cc) -> Iterable[str]:
+    """The csv header, then one row per boundary entry, by degree, then
+    column, then row."""
+    yield "degree,row,col,value"
+    for k in range(1, len(cc.dims)):
+        for col, column in enumerate(cc.boundaries[k - 1]):
+            for row, value in sorted(column.items()):
+                yield f"{k},{row},{col},{value}"
+
+
 def cmd_homology(args: argparse.Namespace) -> int:
     labels = _parse_labels(args.labels)
     view = PosetView.of_orderings(labels, args.n)
     if args.format == "csv":
         cx = order_complex(view, args.max_chains)
         cc = boundary_matrices(cx)
-        lines = ["degree,row,col,value"]
-        for k in range(1, len(cc.dims)):
-            for col, column in enumerate(cc.boundaries[k - 1]):
-                for row, value in sorted(column.items()):
-                    lines.append(f"{k},{row},{col},{value}")
-        _emit("\n".join(lines), args.output)
+        _emit_lines(_boundary_rows(cc), args.output)
         return 0
     result = poset_homology(view, args.max_chains)
     if args.format == "json":

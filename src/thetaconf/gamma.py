@@ -25,7 +25,8 @@ from itertools import combinations_with_replacement, product
 from typing import Hashable, Mapping, Sequence
 
 from .errors import (DEFAULT_MAX_COUNT, CapExceeded, LabelMismatch,
-                     check_count, check_labels, json_field, json_items)
+                     check_count, check_labels, check_type, json_field,
+                     json_items)
 from .trees import LeafId
 
 
@@ -90,9 +91,15 @@ class DeltaMorphism:
 
 def delta_compose(g: DeltaMorphism, f: DeltaMorphism) -> DeltaMorphism:
     """g after f."""
-    if f.target_rank != g.source_rank:
-        raise ValueError(f"cannot compose [{f.source_rank}]->[{f.target_rank}] "
-                         f"with [{g.source_rank}]->[{g.target_rank}]")
+    try:
+        middle, g_middle = f.target_rank, g.source_rank
+    except AttributeError:
+        check_type(g, DeltaMorphism, "a monotone map")
+        check_type(f, DeltaMorphism, "a monotone map")
+        raise
+    if middle != g_middle:
+        raise ValueError(f"cannot compose [{f.source_rank}]->[{middle}] "
+                         f"with [{g_middle}]->[{g.target_rank}]")
     return DeltaMorphism(f.source_rank, g.target_rank,
                          tuple(g.values[v] for v in f.values))
 
@@ -244,25 +251,41 @@ def _labels_from_json(data, key: str) -> tuple:
 def gamma_compose(phi: GammaMorphism, theta: GammaMorphism) -> GammaMorphism:
     """phi after theta: x |-> union of phi(t) over t in theta(x), that
     is, the owner of z is theta's owner of phi's owner of z."""
+    try:
+        phi_owners, theta_owners = phi.owners, theta.owners
+    except AttributeError:
+        check_type(phi, GammaMorphism, "a set-level map")
+        check_type(theta, GammaMorphism, "a set-level map")
+        raise
     if theta.target != phi.source:
         raise ValueError("middle objects differ (order included)")
     return GammaMorphism(theta.source, phi.target, tuple(
-        None if o is None else theta.owners[o] for o in phi.owners))
+        None if o is None else theta_owners[o] for o in phi_owners))
 
 
 def gamma_is_active(theta: GammaMorphism) -> bool:
-    return None not in theta.owners
+    try:
+        owners = theta.owners
+    except AttributeError:
+        check_type(theta, GammaMorphism, "a set-level map")
+        raise
+    return None not in owners
 
 
 def segal(f: DeltaMorphism) -> GammaMorphism:
     """Interval map of a monotone f: {1..s} -> {1..t},
     i |-> {f(i-1)+1, ..., f(i)}."""
-    owners: list = [None] * f.target_rank
-    for i in range(f.source_rank):
-        for j in range(f.values[i], f.values[i + 1]):
+    try:
+        s, t, values = f.source_rank, f.target_rank, f.values
+    except AttributeError:
+        check_type(f, DeltaMorphism, "a monotone map")
+        raise
+    owners: list = [None] * t
+    for i in range(s):
+        for j in range(values[i], values[i + 1]):
             owners[j] = i
-    return GammaMorphism(tuple(range(1, f.source_rank + 1)),
-                         tuple(range(1, f.target_rank + 1)), tuple(owners))
+    return GammaMorphism(tuple(range(1, s + 1)), tuple(range(1, t + 1)),
+                         tuple(owners))
 
 
 def enumerate_delta(s: int, t: int,

@@ -19,7 +19,14 @@ the levels of leaf pairs from the trees' words (`_word`).
 The public constructors and entry points check their arguments; the
 morphisms the enumeration and the lift build from checked trees and
 maps are made by the private `_unchecked` constructors and not checked
-again.
+again.  `branching_condition_holds` and `lift_active` share one
+contract check, `_check_contract`: the level and each tree once, the
+target's health, and the map's endpoints against the trees' level-n
+leaves, read from the trees' cached invariants.  The private
+`_assemble`, `_branching_holds` and `_lift` take their contract as
+checked (`_assemble` still checks each part's ranks);
+`verify.check_morphism_pair` checks it once per tree pair and calls
+`_assemble` and `_lift` for each morphism.
 """
 
 from __future__ import annotations
@@ -31,7 +38,8 @@ from typing import Mapping
 
 from .errors import (DEFAULT_MAX_COUNT, BranchingConditionViolation,
                      CapExceeded, LabelMismatch, NotActive, UnhealthyTarget,
-                     check_count, check_height, json_field, json_items)
+                     check_count, check_height, check_type, json_field,
+                     json_items)
 from .gamma import (DeltaMorphism, GammaMorphism, delta_compose,
                     gamma_is_active)
 from .trees import PlanarLevelTree, _check_fits, is_healthy, level_n_leaves
@@ -121,17 +129,23 @@ def identity_morphism(tree: PlanarLevelTree, n: int) -> ThetaMorphism:
 def theta_compose(g: ThetaMorphism, f: ThetaMorphism) -> ThetaMorphism:
     """g after f.  Caller guarantees the middle trees agree; the rank
     mismatch below catches shape errors."""
+    try:
+        g_delta, g_parts, f_delta, f_parts = g.delta, g.parts, f.delta, f.parts
+    except AttributeError:
+        check_type(g, ThetaMorphism, "a morphism")
+        check_type(f, ThetaMorphism, "a morphism")
+        raise
     if g.n != f.n:
         raise ValueError(f"levels differ: {f.n} vs {g.n}")
-    if f.delta.target_rank != g.delta.source_rank:
+    if f_delta.target_rank != g_delta.source_rank:
         raise ValueError("middle ranks differ")
-    delta = delta_compose(g.delta, f.delta)
+    delta = delta_compose(g_delta, f_delta)
     # Part k of g.f is g's part k after f's part at k's g-owner j; the
     # parts of g.f are exactly the k whose owner has f(0) < j <= f(s).
-    first, last = f.delta.values[0], f.delta.values[-1]
+    first, last = f_delta.values[0], f_delta.values[-1]
     return ThetaMorphism(f.n, delta, tuple(
-        theta_compose(g_part, f.parts[j - first - 1])
-        for (j, _), g_part in zip(_part_keys(g.delta.values), g.parts)
+        theta_compose(g_part, f_parts[j - first - 1])
+        for (j, _), g_part in zip(_part_keys(g_delta.values), g_parts)
         if first < j <= last))
 
 
@@ -148,8 +162,13 @@ def _check_ranks(f: ThetaMorphism, source: PlanarLevelTree,
 def assemble_morphism(f: ThetaMorphism, source: PlanarLevelTree,
                       target: PlanarLevelTree, n: int) -> GammaMorphism:
     """Set-level shadow of f on level-n leaves."""
-    if f.n != n:
-        raise ValueError(f"morphism level {f.n} does not match n={n}")
+    try:
+        level, _ = f.n, f.delta     # an ordering has a level, no delta
+    except AttributeError:
+        check_type(f, ThetaMorphism, "a morphism")
+        raise
+    if level != n:
+        raise ValueError(f"morphism level {level} does not match n={n}")
     return GammaMorphism(level_n_leaves(source, n), level_n_leaves(target, n),
                          tuple(_assemble(f, source, target, n)))
 
@@ -158,7 +177,7 @@ def _runs(tree: PlanarLevelTree, n: int) -> tuple[int, ...]:
     """Where each child's run of level-n leaves starts, then the total:
     child c owns positions runs[c] to runs[c + 1] - 1.  A tree shorter
     than n has no level-n leaves."""
-    if tree.height() == n:
+    if tree._height == n:
         return tree._offsets
     return (0,) * (len(tree.children) + 1)
 
@@ -181,10 +200,24 @@ def _assemble(f, source, target, n) -> list[int | None]:
 # -- branching condition and the constructive lift --------------------------
 
 
-def _check_endpoints(gbar: GammaMorphism, source: PlanarLevelTree,
-                     target: PlanarLevelTree, n: int):
-    if gbar.source != level_n_leaves(source, n) \
-            or gbar.target != level_n_leaves(target, n):
+def _check_contract(source: PlanarLevelTree, target: PlanarLevelTree, n: int,
+                    gbar: GammaMorphism, unhealthy: str):
+    """The contract of `branching_condition_holds` and `lift_active`:
+    n is a height both trees fit, the target is healthy (else
+    UnhealthyTarget with the message `unhealthy`), and gbar is a
+    set-level map between the trees' level-n leaves (else
+    LabelMismatch)."""
+    if not is_healthy(target, n):
+        raise UnhealthyTarget(unhealthy)
+    _check_fits(source, n)
+    try:
+        gbar_source, gbar_target = gbar.source, gbar.target
+    except AttributeError:
+        check_type(gbar, GammaMorphism, "a set-level map")
+        raise
+    if gbar_source != (source._deepest if source._height == n else ()) \
+            or gbar_target != (target._deepest if target._height == n
+                               else ()):
         raise LabelMismatch(
             "set-level map endpoints do not match the trees' level-n leaves")
 
@@ -200,10 +233,8 @@ def branching_condition_holds(source: PlanarLevelTree, target: PlanarLevelTree,
     passes, because a.meet(a) = n exceeds the level of any two distinct
     leaves.
     """
-    if not is_healthy(target, n):
-        raise UnhealthyTarget(
-            "branching condition contract applies to healthy targets only")
-    _check_endpoints(gbar, source, target, n)
+    _check_contract(source, target, n, gbar, "branching condition contract "
+                    "applies to healthy targets only")
     return _branching_holds(source, target, gbar)
 
 
@@ -238,9 +269,8 @@ def lift_active(source: PlanarLevelTree, target: PlanarLevelTree, n: int,
     under one source child; sub-maps are split off child by child and
     lifted recursively.
     """
-    if not is_healthy(target, n):
-        raise UnhealthyTarget("cannot lift into an unhealthy target")
-    _check_endpoints(gbar, source, target, n)
+    _check_contract(source, target, n, gbar,
+                    "cannot lift into an unhealthy target")
     if not gamma_is_active(gbar):
         raise NotActive("only active set-level maps lift")
     if not _branching_holds(source, target, gbar):
@@ -318,7 +348,7 @@ def enumerate_hom_bruteforce(source: PlanarLevelTree, target: PlanarLevelTree,
         maps = combinations_with_replacement(range(t + 1), s + 1)
         if active_only:
             owners = [j for j, child in enumerate(tgt.children, 1)
-                      if child.height() == level - 1]
+                      if child._height == level - 1]
             if owners:
                 first, last = owners[0], owners[-1]
                 maps = [v for v in maps if v[0] < first and v[-1] >= last]

@@ -296,7 +296,7 @@ def level_n_leaves(t: PlanarLevelTree, n: int) -> tuple[LeafId, ...]:
     are level-n vertices only when the height is exactly n.
     """
     _check_fits(t, n)
-    return t._deepest if t.height() == n else ()
+    return t._deepest if t._height == n else ()
 
 
 def is_healthy(t: PlanarLevelTree, n: int) -> bool:
@@ -305,7 +305,7 @@ def is_healthy(t: PlanarLevelTree, n: int) -> bool:
     The root-only tree is healthy for every n.
     """
     _check_fits(t, n)
-    return not t.children or (t.height() == n and t._balanced)
+    return not t.children or (t._height == n and t._balanced)
 
 
 def branching_level(t: PlanarLevelTree, n: int, a: LeafId, b: LeafId) -> int:
@@ -333,14 +333,14 @@ def healthify(t: PlanarLevelTree, n: int) -> PlanarLevelTree:
     planar order.  Idempotent; the result is healthy at n.
     """
     _check_fits(t, n)
-    return _word_tree(t._word, n) if t.height() == n else ROOT_ONLY
+    return _word_tree(t._word, n) if t._height == n else ROOT_ONLY
 
 
 def _check_fits(t: PlanarLevelTree, n: int):
     if type(n) is not int or n < 1:
         check_height(n)     # raises: a height is an int >= 1
     try:
-        height = t.height()
+        height = t._height
     except AttributeError:
         raise ValueError(f"a tree must be a PlanarLevelTree, got {t!r}") \
             from None

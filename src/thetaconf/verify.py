@@ -23,12 +23,12 @@ from .cells import (cell_of, convexity_probe, functoriality_check, in_cell,
                     sample, witness)
 from .errors import (DEFAULT_MAX_COUNT, CapExceeded, UnhealthyTarget,
                      check_count, check_height)
-from .gamma import enumerate_gamma, gamma_is_active
+from .gamma import GammaMorphism, enumerate_gamma, gamma_is_active
 from .homology import ChainComplex, boundary_matrices, homology, order_complex
 from .labelled import (LabelledTree, embed, hom_exists, initiality_check,
                        retract, unit_exists)
 from .nord import PosetView, degree, enumerate_nord, leq, sigma_act
-from .theta import (_lift, assemble_morphism, branching_condition_holds,
+from .theta import (_assemble, _lift, branching_condition_holds,
                     enumerate_hom_bruteforce)
 from .trees import (enumerate_trees, is_healthy, level_n_leaves, parse_symbol,
                     render_symbol)
@@ -151,25 +151,30 @@ def check_morphism_pair(job: tuple) -> tuple[bool, int, str]:
     set maps, with assembly injective and lift inverse to it.  The set
     maps are enumerated without pruning, as the independent route.  The
     target must be healthy, so the maps the filter keeps lift unchecked.
+    The trees and their leaves are checked here once, so each shadow is
+    assembled unchecked; every enumerated map still goes through the
+    public `branching_condition_holds`.
     """
     n, source_symbol, target_symbol, max_morphisms = job
     source = parse_symbol(source_symbol, n)
     target = parse_symbol(target_symbol, n)
     if not is_healthy(target, n):
         raise UnhealthyTarget(f"sweep target {target_symbol} is unhealthy")
+    source_leaves = level_n_leaves(source, n)
+    target_leaves = level_n_leaves(target, n)
     active = []
     for f in enumerate_hom_bruteforce(source, target, n,
                                       max_count=max_morphisms,
                                       active_only=True):
-        shadow = assemble_morphism(f, source, target, n)
+        shadow = GammaMorphism._unchecked(
+            source_leaves, target_leaves,
+            tuple(_assemble(f, source, target, n)))
         if not gamma_is_active(shadow):
             return False, len(active), "generated morphism is not active"
         active.append((shadow, f))
     by_shadow = dict(active)
     if len(by_shadow) != len(active):
         return False, len(active), "assembly not injective on active morphisms"
-    source_leaves = level_n_leaves(source, n)
-    target_leaves = level_n_leaves(target, n)
     good = [g for g in enumerate_gamma(source_leaves, target_leaves,
                                        active_only=True,
                                        max_count=max_morphisms)

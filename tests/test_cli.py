@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from thetaconf import PosetView, boundary_matrices, order_complex
 from thetaconf.cli import main
 
 
@@ -119,6 +120,23 @@ def test_homology_boundary_csv(capsys):
     assert len(entries) == 8
     assert all(row[0] == "1" for row in entries)
     assert {row[3] for row in entries} == {"1", "-1"}
+
+
+def test_homology_csv_rows_are_written_in_batches(tmp_path, capsys):
+    # (3,3) has more boundary entries than one write batch
+    cc = boundary_matrices(order_complex(
+        PosetView.of_orderings(("a", "b", "c"), 3), 10 ** 6))
+    rows = ["degree,row,col,value"] + [
+        f"{k},{row},{col},{value}" for k in range(1, len(cc.dims))
+        for col, column in enumerate(cc.boundaries[k - 1])
+        for row, value in sorted(column.items())]
+    assert len(rows) > 4096
+    args = ("homology", "--n", "3", "--labels", "a,b,c", "--format", "csv")
+    code, out, _ = run(capsys, *args)
+    assert code == 0 and out == "\n".join(rows) + "\n"
+    target = tmp_path / "boundary.csv"
+    run(capsys, *args, "--output", str(target))
+    assert target.read_text(encoding="utf-8") == out
 
 
 def test_homology_cap(capsys):

@@ -13,10 +13,12 @@ children of a PlanarLevelTree are an iterable of PlanarLevelTrees, and
 the leaves given to `branching_level` are LeafIds.  A tree handed to a
 tree reader is a PlanarLevelTree, and a vertex path is an iterable of
 child indices.  An ordering, a configuration, a labelled tree, a poset,
-an order complex, a chain complex or a matrix handed to an entry point
-is an NOrdering, a Configuration, a LabelledTree, a PosetView, an
-OrderComplex, a ChainComplex or a Sequence: anything else, the other
-kinds included, raises ValueError naming the type it should have.
+an order complex, a chain complex, a matrix, a monotone map, a
+set-level map or a morphism handed to an entry point is an NOrdering, a
+Configuration, a LabelledTree, a PosetView, an OrderComplex, a
+ChainComplex, a Sequence, a DeltaMorphism, a GammaMorphism or a
+ThetaMorphism: anything else, the other kinds included, raises
+ValueError naming the type it should have.
 """
 
 import random
@@ -31,17 +33,20 @@ from thetaconf import (ROOT_ONLY, CapExceeded, ChainComplex, Configuration,
                        DeltaMorphism, GammaMorphism, LabelledTree,
                        LabelMismatch, LeafId, NOrdering, OrderComplex,
                        PlanarLevelTree, PosetView, ThetaMorphism,
-                       boundary_matrices, branching_level, cell_of,
-                       convexity_probe, degree, embed, enumerate_delta,
-                       enumerate_gamma, enumerate_hom_bruteforce,
-                       enumerate_nord, enumerate_trees, from_tree,
-                       functoriality_check, hasse, healthify, hom_exists,
-                       hom_morphism, homology, identity_morphism, in_cell,
-                       is_healthy, label_bijection, leq, level_n_leaves,
-                       midpoint, order_complex, pair_level, parse_symbol,
-                       parse_text, poset_homology, render_symbol, retract,
-                       sample, sample_in_cell, sigma_act, smith_normal_form,
-                       to_tree, upper_covers, witness)
+                       assemble_morphism, boundary_matrices,
+                       branching_condition_holds, branching_level, cell_of,
+                       convexity_probe, degree, delta_compose, embed,
+                       enumerate_delta, enumerate_gamma,
+                       enumerate_hom_bruteforce, enumerate_nord,
+                       enumerate_trees, from_tree, functoriality_check,
+                       gamma_compose, gamma_is_active, hasse, healthify,
+                       hom_exists, hom_morphism, homology, identity_morphism,
+                       in_cell, is_healthy, label_bijection, leq,
+                       level_n_leaves, lift_active, midpoint, order_complex,
+                       pair_level, parse_symbol, parse_text, poset_homology,
+                       render_symbol, retract, sample, sample_in_cell, segal,
+                       sigma_act, smith_normal_form, theta_compose, to_tree,
+                       upper_covers, witness)
 from thetaconf.verify import (suite_cells, suite_morphisms, suite_poset,
                               suite_theorem_a, suite_theorem_b)
 
@@ -50,6 +55,9 @@ HIGH = NOrdering(("a", "b"), (1,), 2)
 TWO_LEAVES = parse_symbol("[2]", 1)
 CONFIG = Configuration(("a", "b"), ((0,), (1,)), 1)
 OBJECT = LabelledTree(TWO_LEAVES, 1, ("a", "b"))
+DELTA = DeltaMorphism.identity(2)
+GAMMA = GammaMorphism.identity(("a", "b"))
+THETA = identity_morphism(TWO_LEAVES, 1)
 
 # entry point -> call with the height under test
 HEIGHTS = {
@@ -137,6 +145,29 @@ WRONG_TYPES = {
                           "an order complex"),
     "homology": (homology, ChainComplex, "a chain complex"),
     "smith_normal_form": (smith_normal_form, Sequence, "a matrix"),
+    "delta_compose(g)": (lambda x: delta_compose(x, DELTA), DeltaMorphism,
+                         "a monotone map"),
+    "delta_compose(f)": (lambda x: delta_compose(DELTA, x), DeltaMorphism,
+                         "a monotone map"),
+    "segal": (segal, DeltaMorphism, "a monotone map"),
+    "gamma_compose(phi)": (lambda x: gamma_compose(x, GAMMA), GammaMorphism,
+                           "a set-level map"),
+    "gamma_compose(theta)": (lambda x: gamma_compose(GAMMA, x),
+                             GammaMorphism, "a set-level map"),
+    "gamma_is_active": (gamma_is_active, GammaMorphism, "a set-level map"),
+    "theta_compose(g)": (lambda x: theta_compose(x, THETA), ThetaMorphism,
+                         "a morphism"),
+    "theta_compose(f)": (lambda x: theta_compose(THETA, x), ThetaMorphism,
+                         "a morphism"),
+    "assemble_morphism(f)":
+        (lambda x: assemble_morphism(x, TWO_LEAVES, TWO_LEAVES, 1),
+         ThetaMorphism, "a morphism"),
+    "branching_condition_holds(gbar)":
+        (lambda x: branching_condition_holds(TWO_LEAVES, TWO_LEAVES, 1, x),
+         GammaMorphism, "a set-level map"),
+    "lift_active(gbar)":
+        (lambda x: lift_active(TWO_LEAVES, TWO_LEAVES, 1, x), GammaMorphism,
+         "a set-level map"),
 }
 
 # entry point -> (call with the count under test, the name it reports)

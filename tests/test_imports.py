@@ -55,7 +55,8 @@ UNCHECKED_SITES = [("cells.py", "_walk", "Configuration"),
                    ("theta.py", "_lift", "DeltaMorphism"),
                    ("theta.py", "_lift", "ThetaMorphism"),
                    ("theta.py", "homs", "DeltaMorphism"),
-                   ("theta.py", "homs", "ThetaMorphism")]
+                   ("theta.py", "homs", "ThetaMorphism"),
+                   ("verify.py", "check_morphism_pair", "GammaMorphism")]
 
 
 def _unchecked_uses(tree, name):

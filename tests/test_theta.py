@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 from gamma_reference import reference_branching_holds
-from thetaconf import (BranchingConditionViolation, CapExceeded,
+from thetaconf import (ROOT_ONLY, BranchingConditionViolation, CapExceeded,
                        DeltaMorphism, GammaMorphism, LabelMismatch, LeafId,
                        NotActive, ThetaMorphism, UnhealthyTarget,
                        assemble_morphism, branching_condition_holds,
@@ -316,6 +316,51 @@ def test_branching_condition_requires_healthy_target():
         {LeafId((0, 0)): {LeafId((1, 0))}})
     with pytest.raises(UnhealthyTarget):
         branching_condition_holds(u, t, 2, gbar)
+
+
+U2 = parse_symbol("[1]([2])", 2)
+T2 = parse_symbol("[2]([1],[1])", 2)
+SHORT = parse_symbol("[2]", 1)      # no level-2 leaves
+
+
+def _map(source, target):
+    """The set map sending every target leaf to the first source label."""
+    return GammaMorphism(source, target, (0,) * len(target))
+
+
+@pytest.mark.parametrize("call", [branching_condition_holds, lift_active])
+@pytest.mark.parametrize("source, target, n, gbar, error, message", [
+    (U2, T2, 2, _map((LeafId((9, 9)),), T2._deepest), LabelMismatch,
+     "set-level map endpoints do not match"),
+    (U2, T2, 2, _map(U2._deepest, (LeafId((9, 9)), LeafId((9, 8)))),
+     LabelMismatch, "set-level map endpoints do not match"),
+    # a source shorter than n has no level-n leaves, whatever its deepest
+    (SHORT, T2, 2, _map(SHORT._deepest, T2._deepest), LabelMismatch,
+     "set-level map endpoints do not match"),
+    (U2, ROOT_ONLY, 2, _map(U2._deepest, ROOT_ONLY._deepest), LabelMismatch,
+     "set-level map endpoints do not match"),
+    (U2, T2, True, _map(U2._deepest, T2._deepest), ValueError,
+     "height parameter n must be an integer, got True"),
+    (U2, SHORT, 1, _map(U2._deepest, SHORT._deepest), ValueError,
+     "tree of height 2 does not fit height 1"),
+    (SHORT, U2, 1, _map(SHORT._deepest, U2._deepest), ValueError,
+     "tree of height 2 does not fit height 1"),
+    (U2, parse_symbol("[2]([0],[1])", 2), 2, _map(U2._deepest, ()),
+     UnhealthyTarget, ""),
+])
+def test_the_set_map_contract_is_checked(call, source, target, n, gbar,
+                                         error, message):
+    with pytest.raises(ValueError) as caught:
+        call(source, target, n, gbar)
+    assert type(caught.value) is error
+    assert str(caught.value).startswith(message)
+
+
+def test_the_set_map_contract_takes_no_leaves_below_n():
+    unowned = GammaMorphism((), T2._deepest, (None, None))
+    assert branching_condition_holds(SHORT, T2, 2, unowned)
+    assert branching_condition_holds(U2, ROOT_ONLY, 2,
+                                     GammaMorphism(U2._deepest, (), ()))
 
 
 def test_active_generation_matches_the_assembly_filter():

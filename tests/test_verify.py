@@ -3,7 +3,9 @@ from math import factorial
 import pytest
 
 from thetaconf import (CapExceeded, ChainComplex, DeltaMorphism,
-                       ThetaMorphism, UnhealthyTarget, parse_symbol, verify)
+                       ThetaMorphism, UnhealthyTarget,
+                       branching_condition_holds, enumerate_gamma,
+                       level_n_leaves, parse_symbol, verify)
 from thetaconf.verify import (DEFAULT_HOMOLOGY_CASES, _dd_zero,
                               check_morphism_pair,
                               expected_configuration_betti,
@@ -162,6 +164,34 @@ def test_check_morphism_pair_rejects_a_wrong_lift(monkeypatch):
     monkeypatch.setattr(verify, "_lift", lambda *args: None)
     assert _rigged_pair(monkeypatch, lambda fs: fs) == \
         (False, 4, "lift is not inverse to assembly")
+
+
+def test_check_morphism_pair_tests_each_set_map_once_in_public(monkeypatch):
+    # the benchmark's gamma.kept counter reads these public calls
+    tested = []
+
+    def counted(source, target, n, gbar):
+        tested.append(gbar)
+        return branching_condition_holds(source, target, n, gbar)
+
+    monkeypatch.setattr(verify, "branching_condition_holds", counted)
+    for n in (1, 2, 3):
+        for job in verify._pair_jobs(n, 3):
+            del tested[:]
+            assert check_morphism_pair(job + (10 ** 6,))[0]
+            source, target = (parse_symbol(symbol, n) for symbol in job[1:])
+            assert tested == list(enumerate_gamma(
+                level_n_leaves(source, n), level_n_leaves(target, n),
+                active_only=True))
+
+
+def test_check_morphism_pair_rejects_a_filter_that_keeps_every_map(
+        monkeypatch):
+    # two of the four active maps raise the level of a leaf pair
+    monkeypatch.setattr(verify, "branching_condition_holds",
+                        lambda *args: True)
+    assert check_morphism_pair((2, "[2]([1],[1])", "[1]([2])", 10 ** 6)) == \
+        (False, 2, "shadow image differs from branching maps")
 
 
 def test_morphism_sweep_rejects_bad_heights():
