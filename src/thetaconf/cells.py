@@ -103,7 +103,11 @@ class Configuration(_Table):
 
     @classmethod
     def from_points(cls, points: Mapping, n: int) -> "Configuration":
-        labels = tuple(points)
+        try:
+            labels = tuple(points.keys())
+        except (AttributeError, TypeError):    # no keys, or no keys method
+            check_type(points, Mapping, "points")
+            raise
         return cls(labels, tuple(points[label] for label in labels), n)
 
     def _tables_over(self, alphabet: Mapping[Hashable, int]) -> tuple:
@@ -139,9 +143,14 @@ def parse_point_file(text: str) -> Configuration:
     """Lines of "label x_1 ... x_n"; entries are integers, rationals
     "p/q", or decimals.  Decimals go through float, so they denote the
     binary value of the literal."""
+    try:
+        lines = text.splitlines()
+    except AttributeError:
+        check_type(text, str, "a point file")
+        raise
     points = {}
     n = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -162,13 +171,13 @@ def parse_point_file(text: str) -> Configuration:
     return Configuration.from_points(points, n)
 
 
-def _parse_entry(token: str, lineno: int) -> Fraction:
+def _parse_entry(token: str, lineno: int) -> int | Fraction:
     try:
         if "/" in token:
             return Fraction(token)
         if "." in token or "e" in token or "E" in token:
             return Fraction(float(token))
-        return Fraction(int(token))
+        return int(token)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ValueError(f"line {lineno}: bad coordinate {token!r}: {exc}") \
             from None

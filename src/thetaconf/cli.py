@@ -3,7 +3,9 @@ point classification, and the verification suites.
 
 One binary, subcommand style.  Every subcommand supports --format json
 with a stable schema; exit status is 0 only when the requested work
-succeeded (for `verify`, when every check passed).
+succeeded (for `verify`, when every check passed).  Every subcommand
+finishes its work first, then streams its output as lines through one
+writer, `_emit_lines`, so a capped run writes nothing.
 """
 
 from __future__ import annotations
@@ -12,13 +14,13 @@ import argparse
 import json
 import sys
 from contextlib import nullcontext
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable
 
 from .cells import cell_of, parse_point_file
 from .errors import CapExceeded, DEFAULT_MAX_COUNT, check_labels
-from .homology import boundary_matrices, order_complex, poset_homology
-from .nord import PosetView, degree, enumerate_nord, hasse
+from .homology import boundary_matrices, homology, order_complex
+from .nord import PosetView, degree, enumerate_nord
 from .verify import DEFAULT_HOMOLOGY_CASES, SUITES
 
 
@@ -29,18 +31,9 @@ def _parse_labels(raw: str) -> tuple[str, ...]:
     return check_labels(labels)
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text)
-
-
 def _emit_lines(lines: Iterable[str], output: str | None) -> None:
-    """Write the lines as they are produced, a batch at a time, so a long
-    listing is never held as one text; the bytes are those of `_emit` on
-    the joined lines."""
+    """Write the lines, each ended by a newline, to `output` or stdout, a
+    batch at a time, so a long listing is never held as one text."""
     lines = iter(lines)
     with open(output, "w", encoding="utf-8") if output \
             else nullcontext(sys.stdout) as handle:
@@ -61,37 +54,37 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             "orderings": [dict(o.to_json(), text=o.text(), degree=degree(o))
                           for o in orderings],
         }
-        _emit(json.dumps(payload, indent=2), args.output)
+        lines = [json.dumps(payload, indent=2)]
     elif args.format == "csv":
-        lines = ["text,degree"]
-        lines += [f"{o.text()},{degree(o)}" for o in orderings]
-        _emit("\n".join(lines), args.output)
+        lines = chain(["text,degree"],
+                      (f"{o.text()},{degree(o)}" for o in orderings))
     else:
-        _emit("\n".join(f"{o.text()}\t{degree(o)}" for o in orderings)
-              or "(no orderings)", args.output)
+        lines = (f"{o.text()}\t{degree(o)}" for o in orderings)
+    _emit_lines(lines, args.output)
     return 0
 
 
 def cmd_hasse(args: argparse.Namespace) -> int:
+    """Each ordering is rendered once; an edge is a pair of indices into
+    the rendered nodes."""
     labels = _parse_labels(args.labels)
     view = PosetView.of_orderings(labels, args.n,
                                   max_count=args.max_morphisms)
     nodes = [o.text() for o in view.elements]
-    edges = [(a.text(), b.text()) for a, b in hasse(view)]
+    covers = view.covers()
     if args.format == "json":
         payload = {"n": args.n, "labels": list(labels), "nodes": nodes,
-                   "edges": [list(e) for e in edges]}
-        _emit(json.dumps(payload, indent=2), args.output)
+                   "edges": [[nodes[i], nodes[j]] for i, j in covers]}
+        lines = [json.dumps(payload, indent=2)]
     elif args.format == "dot":
-        lines = ["digraph hasse {"]
-        lines += [f"  {_dot_quote(node)};" for node in nodes]
-        lines += [f"  {_dot_quote(a)} -> {_dot_quote(b)};" for a, b in edges]
-        lines.append("}")
-        _emit("\n".join(lines), args.output)
+        quoted = [_dot_quote(node) for node in nodes]
+        lines = chain(["digraph hasse {"], (f"  {q};" for q in quoted),
+                      (f"  {quoted[i]} -> {quoted[j]};" for i, j in covers),
+                      ["}"])
     else:
-        lines = [f"nodes: {len(nodes)}", f"edges: {len(edges)}"]
-        lines += [f"{a} -> {b}" for a, b in edges]
-        _emit("\n".join(lines), args.output)
+        lines = chain([f"nodes: {len(nodes)}", f"edges: {len(covers)}"],
+                      (f"{nodes[i]} -> {nodes[j]}" for i, j in covers))
+    _emit_lines(lines, args.output)
     return 0
 
 
@@ -106,25 +99,24 @@ def _boundary_rows(cc) -> Iterable[str]:
 
 
 def cmd_homology(args: argparse.Namespace) -> int:
+    """One pipeline: the boundary matrices of the nerve, written as csv
+    rows or reduced to homology."""
     labels = _parse_labels(args.labels)
     view = PosetView.of_orderings(labels, args.n)
+    cc = boundary_matrices(order_complex(view, args.max_chains))
     if args.format == "csv":
-        cx = order_complex(view, args.max_chains)
-        cc = boundary_matrices(cx)
-        _emit_lines(_boundary_rows(cc), args.output)
-        return 0
-    result = poset_homology(view, args.max_chains)
-    if args.format == "json":
-        payload = dict(result.to_json(), n=args.n, labels=list(labels))
-        _emit(json.dumps(payload, indent=2), args.output)
+        lines = _boundary_rows(cc)
     else:
-        lines = [
-            f"betti: {list(result.betti)}",
-            f"torsion: {[list(t) for t in result.torsion]}",
-            f"euler: {result.euler}",
-            f"simplices: {list(result.simplex_counts)}",
-        ]
-        _emit("\n".join(lines), args.output)
+        result = homology(cc)
+        if args.format == "json":
+            payload = dict(result.to_json(), n=args.n, labels=list(labels))
+            lines = [json.dumps(payload, indent=2)]
+        else:
+            lines = [f"betti: {list(result.betti)}",
+                     f"torsion: {[list(t) for t in result.torsion]}",
+                     f"euler: {result.euler}",
+                     f"simplices: {list(result.simplex_counts)}"]
+    _emit_lines(lines, args.output)
     return 0
 
 
@@ -142,9 +134,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
     if args.format == "json":
         payload = dict(ordering.to_json(), text=ordering.text(),
                        degree=degree(ordering))
-        _emit(json.dumps(payload, indent=2), args.output)
+        lines = [json.dumps(payload, indent=2)]
     else:
-        _emit(ordering.text() or "(empty configuration)", args.output)
+        lines = [ordering.text()]
+    _emit_lines(lines, args.output)
     return 0
 
 
@@ -175,7 +168,7 @@ def _verify_kwargs(args: argparse.Namespace) -> dict:
 def cmd_verify(args: argparse.Namespace) -> int:
     report = SUITES[args.suite](**_verify_kwargs(args))
     if args.format == "json":
-        _emit(json.dumps(report, indent=2), args.output)
+        lines = [json.dumps(report, indent=2)]
     else:
         lines = [f"suite: {report['suite']}"]
         for check in report["checks"]:
@@ -183,7 +176,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             lines.append(
                 f"{status} {check['name']} ({check['checked']} checked)")
         lines.append("result: " + ("PASS" if report["passed"] else "FAIL"))
-        _emit("\n".join(lines), args.output)
+    _emit_lines(lines, args.output)
     return 0 if report["passed"] else 1
 
 

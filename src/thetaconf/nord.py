@@ -190,7 +190,11 @@ class NOrdering(_Table):
 def parse_text(text: str, n: int) -> NOrdering:
     """Inverse of NOrdering.text(); token positions disambiguate labels
     from word entries, so numeric-looking labels are fine."""
-    tokens = text.split()
+    try:
+        tokens = text.split()
+    except AttributeError:
+        check_type(text, str, "an ordering text")
+        raise
     if not tokens:
         return NOrdering((), (), n)
     if len(tokens) % 2 == 0:

@@ -26,7 +26,7 @@ from itertools import accumulate
 from typing import NamedTuple
 
 from .errors import (DEFAULT_MAX_COUNT, CapExceeded, SymbolParseError,
-                     check_count, check_height)
+                     check_count, check_height, check_type)
 
 
 class LeafId(NamedTuple):
@@ -277,7 +277,12 @@ def render_symbol(t: PlanarLevelTree, n: int) -> str:
 
 def tree_to_json(t: PlanarLevelTree) -> list:
     """Nested-array form: a vertex is the list of its children."""
-    return [tree_to_json(c) for c in t.children]
+    try:
+        children = t.children
+    except AttributeError:
+        check_type(t, PlanarLevelTree, "a tree")
+        raise
+    return [tree_to_json(c) for c in children]
 
 
 def tree_from_json(data: list) -> PlanarLevelTree:
@@ -321,7 +326,11 @@ def branching_level(t: PlanarLevelTree, n: int, a: LeafId, b: LeafId) -> int:
             raise ValueError(f"no vertex at path {leaf.path!r}") from None
         if level != n:
             raise ValueError(f"{leaf} is not a level-{n} leaf")
-        t.subtree(leaf.path)
+        try:
+            t.subtree(leaf.path)
+        except AttributeError:
+            check_type(t, PlanarLevelTree, "a tree")
+            raise
     return a.meet(b)
 
 
@@ -342,8 +351,8 @@ def _check_fits(t: PlanarLevelTree, n: int):
     try:
         height = t._height
     except AttributeError:
-        raise ValueError(f"a tree must be a PlanarLevelTree, got {t!r}") \
-            from None
+        check_type(t, PlanarLevelTree, "a tree")
+        raise
     if height > n:
         raise ValueError(f"tree of height {height} does not fit height {n}")
 

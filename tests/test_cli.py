@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from thetaconf import PosetView, boundary_matrices, order_complex
+from thetaconf import (PosetView, boundary_matrices, degree, enumerate_nord,
+                       hasse, order_complex)
 from thetaconf.cli import main
 
 
@@ -123,20 +124,95 @@ def test_homology_boundary_csv(capsys):
 
 
 def test_homology_csv_rows_are_written_in_batches(tmp_path, capsys):
-    # (3,3) has more boundary entries than one write batch
+    # each listing is longer than one write batch, and its reference is
+    # rendered here from the library and joined
     cc = boundary_matrices(order_complex(
         PosetView.of_orderings(("a", "b", "c"), 3), 10 ** 6))
     rows = ["degree,row,col,value"] + [
         f"{k},{row},{col},{value}" for k in range(1, len(cc.dims))
         for col, column in enumerate(cc.boundaries[k - 1])
         for row, value in sorted(column.items())]
-    assert len(rows) > 4096
-    args = ("homology", "--n", "3", "--labels", "a,b,c", "--format", "csv")
-    code, out, _ = run(capsys, *args)
-    assert code == 0 and out == "\n".join(rows) + "\n"
-    target = tmp_path / "boundary.csv"
-    run(capsys, *args, "--output", str(target))
-    assert target.read_text(encoding="utf-8") == out
+    listing = [f"{o.text()}\t{degree(o)}"
+               for o in enumerate_nord("abcdef", 2)]
+    view = PosetView.of_orderings("abcde", 2)
+    dot = (["digraph hasse {"]
+           + [f'  "{o.text()}";' for o in view.elements]
+           + [f'  "{a.text()}" -> "{b.text()}";' for a, b in hasse(view)]
+           + ["}"])
+    for args, lines in (
+            (("homology", "--n", "3", "--labels", "a,b,c", "--format", "csv"),
+             rows),
+            (("enumerate", "--n", "2", "--labels", "a,b,c,d,e,f"), listing),
+            (("hasse", "--n", "2", "--labels", "a,b,c,d,e"), dot)):
+        assert len(lines) > 4096
+        code, out, _ = run(capsys, *args)
+        assert code == 0 and out == "\n".join(lines) + "\n"
+        target = tmp_path / "listing"
+        run(capsys, *args, "--output", str(target))
+        assert target.read_text(encoding="utf-8") == out
+
+
+def _cli_edges(out: str, fmt: str) -> list[tuple[str, str]]:
+    if fmt == "json":
+        return [tuple(edge) for edge in json.loads(out)["edges"]]
+    if fmt == "dot":
+        return [tuple(end.strip('"') for end in line.strip(" ;").split(" -> "))
+                for line in out.splitlines() if " -> " in line]
+    return [tuple(line.split(" -> ")) for line in out.splitlines()[2:]]
+
+
+@pytest.mark.parametrize("fmt", ["text", "dot", "json"])
+@pytest.mark.parametrize("n, labels", [(1, "a,b,c"), (2, "a,b,c"),
+                                       (3, "a,b,c"), (2, "a,b,c,d")])
+def test_hasse_edges_are_the_library_covers(capsys, fmt, n, labels):
+    # the CLI reads covers by index; `hasse` renders both ends of each
+    view = PosetView.of_orderings(tuple(labels.split(",")), n)
+    expected = [(a.text(), b.text()) for a, b in hasse(view)]
+    code, out, _ = run(capsys, "hasse", "--n", str(n), "--labels", labels,
+                       "--format", fmt)
+    assert code == 0
+    assert _cli_edges(out, fmt) == expected
+
+
+POINTS = "a 0 0\nb 0 1\nc 1 0\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--n", "2", "--labels", "a,b,c", "--format", "text"),
+    ("enumerate", "--n", "2", "--labels", "a,b,c", "--format", "json"),
+    ("enumerate", "--n", "2", "--labels", "a,b,c", "--format", "csv"),
+    ("hasse", "--n", "2", "--labels", "a,b,c", "--format", "text"),
+    ("hasse", "--n", "2", "--labels", "a,b,c", "--format", "json"),
+    ("hasse", "--n", "2", "--labels", "a,b,c", "--format", "dot"),
+    ("homology", "--n", "2", "--labels", "a,b,c", "--format", "text"),
+    ("homology", "--n", "2", "--labels", "a,b,c", "--format", "json"),
+    ("homology", "--n", "2", "--labels", "a,b,c", "--format", "csv"),
+    ("classify", "--points", "POINTS", "--format", "text"),
+    ("classify", "--points", "POINTS", "--format", "json"),
+    ("verify", "poset", "--n", "1", "--labels", "a,b", "--format", "text"),
+    ("verify", "poset", "--n", "1", "--labels", "a,b", "--format", "json"),
+], ids=" ".join)
+def test_output_file_holds_the_stdout_bytes(tmp_path, capsys, argv):
+    points = tmp_path / "points.txt"
+    points.write_text(POINTS, encoding="utf-8")
+    argv = [str(points) if arg == "POINTS" else arg for arg in argv]
+    code, out, _ = run(capsys, *argv)
+    target = tmp_path / "out"
+    code_file, out_file, _ = run(capsys, *argv, "--output", str(target))
+    assert code == code_file == 0 and out and out_file == ""
+    assert target.read_bytes() == out.encode("utf-8")
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--n", "3", "--labels", "a,b,c,d", "--max-morphisms", "100"),
+    ("homology", "--n", "2", "--labels", "a,b,c,d,e"),
+], ids=" ".join)
+def test_capped_run_creates_no_output_file(tmp_path, capsys, argv):
+    # the work, and its cap, come before the writer opens the file
+    target = tmp_path / "out"
+    code, out, err = run(capsys, *argv, "--output", str(target))
+    assert code == 2 and out == "" and "exceed the cap" in err
+    assert not target.exists()
 
 
 def test_homology_cap(capsys):

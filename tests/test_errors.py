@@ -12,9 +12,11 @@ an integer; the delta of a ThetaMorphism is a DeltaMorphism.  The
 children of a PlanarLevelTree are an iterable of PlanarLevelTrees, and
 the leaves given to `branching_level` are LeafIds.  A tree handed to a
 tree reader is a PlanarLevelTree, and a vertex path is an iterable of
-child indices.  An ordering, a configuration, a labelled tree, a poset,
-an order complex, a chain complex, a matrix, a monotone map, a
-set-level map or a morphism handed to an entry point is an NOrdering, a
+child indices.  The text of an ordering or of a point file is a str,
+and the points given to `Configuration.from_points` are a Mapping.  An
+ordering, a configuration, a labelled tree, a poset, an order complex,
+a chain complex, a matrix, a monotone map, a set-level map or a
+morphism handed to an entry point is an NOrdering, a
 Configuration, a LabelledTree, a PosetView, an OrderComplex, a
 ChainComplex, a Sequence, a DeltaMorphism, a GammaMorphism or a
 ThetaMorphism: anything else, the other kinds included, raises
@@ -23,7 +25,7 @@ ValueError naming the type it should have.
 
 import random
 import re
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -43,10 +45,11 @@ from thetaconf import (ROOT_ONLY, CapExceeded, ChainComplex, Configuration,
                        hom_exists, hom_morphism, homology, identity_morphism,
                        in_cell, is_healthy, label_bijection, leq,
                        level_n_leaves, lift_active, midpoint, order_complex,
-                       pair_level, parse_symbol, parse_text, poset_homology,
-                       render_symbol, retract, sample, sample_in_cell, segal,
-                       sigma_act, smith_normal_form, theta_compose, to_tree,
-                       upper_covers, witness)
+                       pair_level, parse_point_file, parse_symbol, parse_text,
+                       poset_homology, render_symbol, retract, sample,
+                       sample_in_cell, segal, sigma_act, smith_normal_form,
+                       theta_compose, to_tree, tree_to_json, upper_covers,
+                       witness)
 from thetaconf.verify import (suite_cells, suite_morphisms, suite_poset,
                               suite_theorem_a, suite_theorem_b)
 
@@ -168,6 +171,14 @@ WRONG_TYPES = {
     "lift_active(gbar)":
         (lambda x: lift_active(TWO_LEAVES, TWO_LEAVES, 1, x), GammaMorphism,
          "a set-level map"),
+    "tree_to_json": (tree_to_json, PlanarLevelTree, "a tree"),
+    "branching_level(tree)":
+        (lambda x: branching_level(x, 1, LeafId((0,)), LeafId((1,))),
+         PlanarLevelTree, "a tree"),
+    "parse_text": (lambda x: parse_text(x, 2), str, "an ordering text"),
+    "parse_point_file": (parse_point_file, str, "a point file"),
+    "Configuration.from_points":
+        (lambda x: Configuration.from_points(x, 2), Mapping, "points"),
 }
 
 # entry point -> (call with the count under test, the name it reports)
