@@ -143,14 +143,10 @@ def parse_point_file(text: str) -> Configuration:
     """Lines of "label x_1 ... x_n"; entries are integers, rationals
     "p/q", or decimals.  Decimals go through float, so they denote the
     binary value of the literal."""
-    try:
-        lines = text.splitlines()
-    except AttributeError:
-        check_type(text, str, "a point file")
-        raise
+    check_type(text, str, "a point file")
     points = {}
     n = None
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -271,18 +267,15 @@ def witness(ordering: NOrdering) -> Configuration:
 def sample(labels: Iterable[Hashable], n: int, seed: int) -> Configuration:
     """Seeded random configuration on a grid of side max(2, r): r
     distinct grid cells, so coordinates tie often and every cell shape
-    is reachable."""
+    is reachable.  Points are drawn coordinate by coordinate, repeats
+    skipped, and kept in draw order, so the grid may be of any size."""
     check_height(n)
     labels = check_labels(labels)
     side = max(2, len(labels))
     rng = random.Random(seed)
-    coords = []
-    for code in rng.sample(range(side ** n), len(labels)):
-        digits = []
-        for _ in range(n):
-            code, digit = divmod(code, side)
-            digits.append(digit)
-        coords.append(tuple(digits))
+    coords: dict = {}
+    while len(coords) < len(labels):
+        coords[tuple(rng.randrange(side) for _ in range(n))] = None
     return Configuration(labels, tuple(coords), n)
 
 

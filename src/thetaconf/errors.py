@@ -86,8 +86,9 @@ def check_count(value: int, name: str) -> None:
 
 def check_type(value, kind: type, what: str) -> None:
     """Reject `value`, the argument named by `what`, unless it is a
-    `kind`.  Entry points call it only after reading an attribute of
-    the argument has failed, so a well-typed call pays nothing."""
+    `kind`.  Most entry points call it only after reading an attribute
+    of the argument has failed, so a well-typed call pays nothing; the
+    text readers call it first, since bytes have the methods they read."""
     if not isinstance(value, kind):
         raise ValueError(f"{what} must be a {kind.__name__}, got "
                          f"{value!r}") from None

@@ -10,7 +10,9 @@ opposite of finite pointed sets), and it is stored that way: one owner
 position per target label, None for the base point.  Composition
 composes the owner maps, and a morphism is active when no target label
 is unowned.  The interval functor turns a monotone f: [s] -> [t] into
-the set-level map i |-> {j : f(i-1) < j <= f(i)} on {1..s} -> {1..t}.
+the set-level map i |-> {j : f(i-1) < j <= f(i)} on {1..s} -> {1..t};
+`_part_keys` lists its (i, j) pairs, and the Theta_n layer keys a
+morphism's parts by them.
 
 The public constructors and entry points check their arguments; the
 maps an enumeration builds from arguments it has checked are made by
@@ -28,6 +30,13 @@ from .errors import (DEFAULT_MAX_COUNT, CapExceeded, LabelMismatch,
                      check_count, check_labels, check_type, json_field,
                      json_items)
 from .trees import LeafId
+
+
+def _part_keys(values: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The 1-based (i, j) with f(i-1) < j <= f(i) of a monotone map
+    `values`, in ascending j."""
+    return [(i, j) for i in range(1, len(values))
+            for j in range(values[i - 1] + 1, values[i] + 1)]
 
 
 @dataclass(frozen=True)
@@ -281,9 +290,8 @@ def segal(f: DeltaMorphism) -> GammaMorphism:
         check_type(f, DeltaMorphism, "a monotone map")
         raise
     owners: list = [None] * t
-    for i in range(s):
-        for j in range(values[i], values[i + 1]):
-            owners[j] = i
+    for i, j in _part_keys(values):
+        owners[j - 1] = i - 1
     return GammaMorphism(tuple(range(1, s + 1)), tuple(range(1, t + 1)),
                          tuple(owners))
 

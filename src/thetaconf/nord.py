@@ -190,11 +190,8 @@ class NOrdering(_Table):
 def parse_text(text: str, n: int) -> NOrdering:
     """Inverse of NOrdering.text(); token positions disambiguate labels
     from word entries, so numeric-looking labels are fine."""
-    try:
-        tokens = text.split()
-    except AttributeError:
-        check_type(text, str, "an ordering text")
-        raise
+    check_type(text, str, "an ordering text")
+    tokens = text.split()
     if not tokens:
         return NOrdering((), (), n)
     if len(tokens) % 2 == 0:

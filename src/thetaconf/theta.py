@@ -22,11 +22,11 @@ maps are made by the private `_unchecked` constructors and not checked
 again.  `branching_condition_holds` and `lift_active` share one
 contract check, `_check_contract`: the level and each tree once, the
 target's health, and the map's endpoints against the trees' level-n
-leaves, read from the trees' cached invariants.  The private
-`_assemble`, `_branching_holds` and `_lift` take their contract as
-checked (`_assemble` still checks each part's ranks);
-`verify.check_morphism_pair` checks it once per tree pair and calls
-`_assemble` and `_lift` for each morphism.
+leaves, read from the trees' cached invariants.  Below those entry
+points a shadow is its owner tuple: `_assemble` returns one, and
+`_branching_holds` and `_lift` take one.  These private routines take
+their contract as checked (`_assemble` still checks each part's
+ranks).
 """
 
 from __future__ import annotations
@@ -40,16 +40,9 @@ from .errors import (DEFAULT_MAX_COUNT, BranchingConditionViolation,
                      CapExceeded, LabelMismatch, NotActive, UnhealthyTarget,
                      check_count, check_height, check_type, json_field,
                      json_items)
-from .gamma import (DeltaMorphism, GammaMorphism, delta_compose,
-                    gamma_is_active)
+from .gamma import (DeltaMorphism, GammaMorphism, _part_keys,
+                    delta_compose, gamma_is_active)
 from .trees import PlanarLevelTree, _check_fits, is_healthy, level_n_leaves
-
-
-def _part_keys(values: tuple[int, ...]) -> list[tuple[int, int]]:
-    """The 1-based (i, j) of each part of a morphism with monotone map
-    `values`: f(i-1) < j <= f(i), in ascending j."""
-    return [(i, j) for i in range(1, len(values))
-            for j in range(values[i - 1] + 1, values[i] + 1)]
 
 
 @dataclass(frozen=True)
@@ -235,19 +228,20 @@ def branching_condition_holds(source: PlanarLevelTree, target: PlanarLevelTree,
     """
     _check_contract(source, target, n, gbar, "branching condition contract "
                     "applies to healthy targets only")
-    return _branching_holds(source, target, gbar)
+    return _branching_holds(source, target, gbar.owners)
 
 
 def _branching_holds(source: PlanarLevelTree, target: PlanarLevelTree,
-                     gbar: GammaMorphism) -> bool:
-    """The condition itself, for a map whose contract is checked, on
-    consecutive owned target leaves only, by the neighbour lemma of
-    `nord.leq`.  For maps, owners may repeat, and a pair with one owner
-    passes; unowned leaves may lie in a gap, and a pair's target level
-    is the least word entry over the whole gap, read at height n."""
+                     owners) -> bool:
+    """The condition itself, for a map given as its owner positions
+    whose contract is checked, on consecutive owned target leaves only,
+    by the neighbour lemma of `nord.leq`.  For maps, owners may repeat,
+    and a pair with one owner passes; unowned leaves may lie in a gap,
+    and a pair's target level is the least word entry over the whole
+    gap, read at height n."""
     s_word, t_word = source._word, target._word
     k = i = None    # position and owner of the last owned target leaf
-    for m, j in enumerate(gbar.owners):
+    for m, j in enumerate(owners):
         if j is None:
             continue
         if i is not None and i != j:    # leaf k precedes leaf m
@@ -273,7 +267,7 @@ def lift_active(source: PlanarLevelTree, target: PlanarLevelTree, n: int,
                     "cannot lift into an unhealthy target")
     if not gamma_is_active(gbar):
         raise NotActive("only active set-level maps lift")
-    if not _branching_holds(source, target, gbar):
+    if not _branching_holds(source, target, gbar.owners):
         raise BranchingConditionViolation(
             "set-level map violates the branching condition")
     return _lift(source, target, n, gbar.owners)

@@ -23,7 +23,7 @@ from .cells import (cell_of, convexity_probe, functoriality_check, in_cell,
                     sample, witness)
 from .errors import (DEFAULT_MAX_COUNT, CapExceeded, UnhealthyTarget,
                      check_count, check_height)
-from .gamma import GammaMorphism, enumerate_gamma, gamma_is_active
+from .gamma import enumerate_gamma
 from .homology import ChainComplex, boundary_matrices, homology, order_complex
 from .labelled import (LabelledTree, embed, hom_exists, initiality_check,
                        retract, unit_exists)
@@ -148,45 +148,48 @@ def _pair_jobs(n: int, max_edges: int) -> list[tuple]:
 def check_morphism_pair(job: tuple) -> tuple[bool, int, str]:
     """One (source, target) cell of the sweep: the generated active
     morphisms must have active shadows and biject with branching-condition
-    set maps, with assembly injective and lift inverse to it.  The set
-    maps are enumerated without pruning, as the independent route.  The
-    target must be healthy, so the maps the filter keeps lift unchecked.
-    The trees and their leaves are checked here once, so each shadow is
-    assembled unchecked; every enumerated map still goes through the
-    public `branching_condition_holds`.
+    set maps, with assembly injective and lift inverse to it.  Each
+    shadow is its owner tuple, the key of its morphism.  The set maps are
+    enumerated without pruning, as the independent route, and walked
+    once: each goes through the public `branching_condition_holds`, and
+    each it keeps must be a key and lift to that key's morphism.  The
+    target must be healthy and the trees are checked here once, so the
+    shadows are assembled, and the kept maps lifted, unchecked.  The
+    count is of generated morphisms.
     """
     n, source_symbol, target_symbol, max_morphisms = job
     source = parse_symbol(source_symbol, n)
     target = parse_symbol(target_symbol, n)
     if not is_healthy(target, n):
         raise UnhealthyTarget(f"sweep target {target_symbol} is unhealthy")
-    source_leaves = level_n_leaves(source, n)
-    target_leaves = level_n_leaves(target, n)
-    active = []
-    for f in enumerate_hom_bruteforce(source, target, n,
-                                      max_count=max_morphisms,
-                                      active_only=True):
-        shadow = GammaMorphism._unchecked(
-            source_leaves, target_leaves,
-            tuple(_assemble(f, source, target, n)))
-        if not gamma_is_active(shadow):
-            return False, len(active), "generated morphism is not active"
-        active.append((shadow, f))
-    by_shadow = dict(active)
-    if len(by_shadow) != len(active):
-        return False, len(active), "assembly not injective on active morphisms"
-    good = [g for g in enumerate_gamma(source_leaves, target_leaves,
-                                       active_only=True,
-                                       max_count=max_morphisms)
-            if branching_condition_holds(source, target, n, g)]
-    if set(by_shadow) != set(good):
-        return False, len(active), "shadow image differs from branching maps"
-    # each shadow in by_shadow is its own morphism's, so a lift equal to
-    # by_shadow[g] also assembles back to g
-    for g in good:
-        if _lift(source, target, n, g.owners) != by_shadow[g]:
-            return False, len(active), "lift is not inverse to assembly"
-    return True, len(active), ""
+    generated = enumerate_hom_bruteforce(source, target, n,
+                                         max_count=max_morphisms,
+                                         active_only=True)
+    by_shadow = {}
+    for count, f in enumerate(generated):
+        owners = tuple(_assemble(f, source, target, n))
+        if None in owners:
+            return False, count, "generated morphism is not active"
+        by_shadow[owners] = f
+    count = len(generated)
+    if len(by_shadow) != count:
+        return False, count, "assembly not injective on active morphisms"
+    lifted = 0
+    for g in enumerate_gamma(level_n_leaves(source, n),
+                             level_n_leaves(target, n), active_only=True,
+                             max_count=max_morphisms):
+        if not branching_condition_holds(source, target, n, g):
+            continue
+        f = by_shadow.get(g.owners)
+        if f is None:
+            return False, count, "shadow image differs from branching maps"
+        # f's shadow is g, so a lift equal to f also assembles back to g
+        if _lift(source, target, n, g.owners) != f:
+            return False, count, "lift is not inverse to assembly"
+        lifted += 1
+    if lifted != count:
+        return False, count, "shadow image differs from branching maps"
+    return True, count, ""
 
 
 def suite_morphisms(levels: Iterable[int] = (1, 2, 3), max_edges: int = 6,

@@ -86,6 +86,15 @@ def test_point_file_rejects(text, message):
         parse_point_file(text)
 
 
+@pytest.mark.parametrize("read,text", [
+    (parse_point_file, b"a 0 0\nb 0 1\n"),
+    (lambda text: parse_text(text, 2), b"a 0 b"),
+])
+def test_text_readers_reject_bytes(read, text):
+    with pytest.raises(ValueError, match=r"must be a str, got b'a 0"):
+        read(text)
+
+
 def test_cell_of_split_pair():
     assert cell_of(_config(2, a=(0, 0), b=(0, 1))).text() == "a 1 b"
     assert cell_of(_config(2, a=(0, 0), b=(1, -5))).text() == "a 0 b"
@@ -160,6 +169,15 @@ def test_witness_coordinates_are_integers():
 def test_sample_deterministic():
     assert sample(("a", "b"), 2, seed=5) == sample(("a", "b"), 2, seed=5)
     assert sample(("a", "b"), 2, seed=5) != sample(("a", "b"), 2, seed=6)
+
+
+def test_sample_on_a_grid_too_large_to_number():
+    # 2^64 grid cells: more than a range's length can hold
+    config = sample(("a", "b"), 64, 0)
+    assert config == sample(("a", "b"), 64, 0)
+    assert config.labels == ("a", "b") and config.n == 64
+    assert len(set(config.coords)) == 2
+    assert all(x in (0, 1) for point in config.coords for x in point)
 
 
 def test_sample_ties_coordinates():

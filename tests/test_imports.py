@@ -55,8 +55,7 @@ UNCHECKED_SITES = [("cells.py", "_walk", "Configuration"),
                    ("theta.py", "_lift", "DeltaMorphism"),
                    ("theta.py", "_lift", "ThetaMorphism"),
                    ("theta.py", "homs", "DeltaMorphism"),
-                   ("theta.py", "homs", "ThetaMorphism"),
-                   ("verify.py", "check_morphism_pair", "GammaMorphism")]
+                   ("theta.py", "homs", "ThetaMorphism")]
 
 
 def _unchecked_uses(tree, name):

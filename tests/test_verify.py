@@ -3,9 +3,10 @@ from math import factorial
 import pytest
 
 from thetaconf import (CapExceeded, ChainComplex, DeltaMorphism,
-                       ThetaMorphism, UnhealthyTarget,
+                       ThetaMorphism, UnhealthyTarget, assemble_morphism,
                        branching_condition_holds, enumerate_gamma,
-                       level_n_leaves, parse_symbol, verify)
+                       enumerate_hom_bruteforce, gamma_is_active,
+                       level_n_leaves, lift_active, parse_symbol, verify)
 from thetaconf.verify import (DEFAULT_HOMOLOGY_CASES, _dd_zero,
                               check_morphism_pair,
                               expected_configuration_betti,
@@ -117,6 +118,34 @@ def test_check_morphism_pair():
     # two collapses onto a single leaf plus two separations (the level
     # drop is strict, so both leaf orders are allowed)
     assert count == 4
+
+
+def _reference_pair(job):
+    """(ok, count) of `check_morphism_pair` from public entry points
+    only: shadows by `assemble_morphism`, kept maps by
+    `branching_condition_holds`, lifts by `lift_active`."""
+    n, source_symbol, target_symbol, cap = job
+    source, target = parse_symbol(source_symbol, n), \
+        parse_symbol(target_symbol, n)
+    generated = enumerate_hom_bruteforce(source, target, n, max_count=cap,
+                                         active_only=True)
+    shadows = [assemble_morphism(f, source, target, n) for f in generated]
+    kept = {g for g in enumerate_gamma(level_n_leaves(source, n),
+                                       level_n_leaves(target, n),
+                                       active_only=True, max_count=cap)
+            if branching_condition_holds(source, target, n, g)}
+    ok = all(map(gamma_is_active, shadows)) \
+        and len(set(shadows)) == len(shadows) and set(shadows) == kept \
+        and all(lift_active(source, target, n, g) == f
+                for g, f in zip(shadows, generated))
+    return ok, len(generated)
+
+
+def test_check_morphism_pair_matches_a_public_reference():
+    for n in (1, 2, 3):
+        for job in verify._pair_jobs(n, 4):
+            job += (10 ** 6,)
+            assert check_morphism_pair(job)[:2] == _reference_pair(job), job
 
 
 def test_check_morphism_pair_rejects_an_inactive_morphism(monkeypatch):
