@@ -247,7 +247,7 @@ def pair_level(ordering: NOrdering, a: Hashable, b: Hashable) -> int:
 def to_tree(ordering: NOrdering) -> PlanarLevelTree:
     """Healthy height-n tree realizing the ordering; leaf k in planar
     order carries labels[k].  Orderings with the same word and n share
-    one tree object, so its cached invariants are computed once."""
+    one tree object, built once with its invariants."""
     try:
         labels, word, n = ordering.labels, ordering.word, ordering.n
     except AttributeError:

@@ -22,7 +22,7 @@ maps are made by the private `_unchecked` constructors and not checked
 again.  `branching_condition_holds` and `lift_active` share one
 contract check, `_check_contract`: the level and each tree once, the
 target's health, and the map's endpoints against the trees' level-n
-leaves, read from the trees' cached invariants.  Below those entry
+leaves, read from the trees' invariants.  Below those entry
 points a shadow is its owner tuple: `_assemble` returns one, and
 `_branching_holds` and `_lift` take one.  These private routines take
 their contract as checked (`_assemble` still checks each part's

@@ -6,23 +6,23 @@ the root.  A tree "of height n" is a tree whose height is at most n; the
 bound n is never stored on the tree, it is passed to the operations that
 need it, so the same object can be read at any sufficient height.
 
-A tree computes its invariants once, bottom-up from its children, and
-keeps them with the instance: its height, its edge count, its hash, the
+A tree computes its invariants when it is built, from its children's,
+and keeps them in slots: its height, its edge count, its hash, the
 addresses of its deepest vertices in planar order, whether every leaf
 sits at the deepest level, where each child's run of deepest leaves
 starts (`_offsets`) and its word (`_word`), the branching levels of
-consecutive deepest leaves.  A healthy height-n tree is its word, which
-`_word_tree` builds back.  The leaf readers below are lookups on these.
-`parse_symbol` and `_word_tree` hand out one tree per argument pair from
-caches bounded at 4096 entries, so equal trees share their invariants.
+consecutive deepest leaves.  Reading one never walks the tree.  A
+healthy height-n tree is its word, which `_word_tree` builds back, level
+by level from the leaves up.  The leaf readers below are lookups on
+these.  `parse_symbol` and `_word_tree` hand out one tree per argument
+pair from caches bounded at 4096 entries.
 """
 
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache
-from itertools import accumulate
+from dataclasses import dataclass, field
+from functools import cache, lru_cache
 from typing import NamedTuple
 
 from .errors import (DEFAULT_MAX_COUNT, CapExceeded, SymbolParseError,
@@ -56,79 +56,69 @@ class LeafId(NamedTuple):
         return ".".join(str(i) for i in self.path)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlanarLevelTree:
     """Immutable planar level tree; equality and hashing are structural.
 
-    The cached invariants stay out of equality, repr and pickles; the hash
-    is one of them, computed once from the children's."""
+    `__post_init__` computes the invariants from the children's, which
+    they hold already, so no tree is walked twice.  The invariants stay
+    out of equality, repr and pickles; the hash is one of them."""
 
     children: tuple["PlanarLevelTree", ...] = ()
+    _hash: int = field(init=False, compare=False, repr=False)
+    _height: int = field(init=False, compare=False, repr=False)
+    _edges: int = field(init=False, compare=False, repr=False)
+    # addresses of the vertices at level height(), in planar order
+    _deepest: tuple[LeafId, ...] = field(init=False, compare=False,
+                                         repr=False)
+    # where each child's run of deepest leaves starts, then the total:
+    # child c owns positions _offsets[c] to _offsets[c + 1] - 1
+    _offsets: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    # branching levels of consecutive deepest leaves: the words of the
+    # children that reach below, entries raised by one, joined by 0s
+    _word: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    # True when every leaf sits at level height()
+    _balanced: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if type(self.children) is not tuple:
             with suppress(TypeError):
                 object.__setattr__(self, "children", tuple(self.children))
-        if type(self.children) is not tuple or not all(
-                isinstance(c, PlanarLevelTree) for c in self.children):
+        children = self.children
+        if type(children) is not tuple or not all(
+                isinstance(c, PlanarLevelTree) for c in children):
             raise ValueError(f"children must be an iterable of "
-                             f"PlanarLevelTrees, got {self.children!r}")
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.children,))
+                             f"PlanarLevelTrees, got {children!r}")
+        below = max([c._height for c in children], default=-1)
+        deepest = [] if children else [LeafId(())]
+        offsets, word, edges, balanced = [0], [], len(children), True
+        for i, c in enumerate(children):
+            edges += c._edges
+            if c._height == below:
+                deepest += [LeafId((i, *leaf.path)) for leaf in c._deepest]
+                word += [b + 1 for b in c._word]
+                word.append(0)
+                balanced = balanced and c._balanced
+            else:
+                balanced = False
+            offsets.append(len(word))
+        # explicit stores: a loop over the fields costs more per tree
+        store = object.__setattr__
+        store(self, "_hash", hash((children,)))
+        store(self, "_height", below + 1)
+        store(self, "_edges", edges)
+        store(self, "_deepest", tuple(deepest))
+        store(self, "_offsets", tuple(offsets))
+        store(self, "_word", tuple(word[:-1]))
+        store(self, "_balanced", balanced)
 
     def __hash__(self):
         return self._hash
 
     def __reduce__(self):
-        # the children alone: a cached hash holds only in the interpreter
-        # that computed it
+        # the children alone: the hash holds only in the interpreter
+        # that computed it, and the rest follows from the children
         return PlanarLevelTree, (self.children,)
-
-    @cached_property
-    def _height(self) -> int:
-        return 1 + max((c.height() for c in self.children), default=-1)
-
-    @cached_property
-    def _edges(self) -> int:
-        return len(self.children) + sum(c.edge_count() for c in self.children)
-
-    @cached_property
-    def _deepest(self) -> tuple[LeafId, ...]:
-        """Addresses of the vertices at level height(), in planar order."""
-        if not self.children:
-            return (LeafId(()),)
-        below = self._height - 1
-        return tuple(LeafId((i,) + leaf.path)
-                     for i, c in enumerate(self.children) if c._height == below
-                     for leaf in c._deepest)
-
-    @cached_property
-    def _offsets(self) -> tuple[int, ...]:
-        """Where each child's run of deepest leaves starts, then the total:
-        child c owns positions _offsets[c] to _offsets[c + 1] - 1."""
-        below = self._height - 1
-        return tuple(accumulate(
-            (len(c._word) + 1 if c._height == below else 0
-             for c in self.children), initial=0))
-
-    @cached_property
-    def _word(self) -> tuple[int, ...]:
-        """Branching levels of consecutive deepest leaves: the words of the
-        children that reach below, entries raised by one, joined by 0s."""
-        below = self._height - 1
-        word: list[int] = []
-        for c in self.children:
-            if c._height == below:
-                word += [b + 1 for b in c._word] + [0]
-        return tuple(word[:-1])
-
-    @cached_property
-    def _balanced(self) -> bool:
-        """True when every leaf sits at level height()."""
-        below = self._height - 1
-        return all(c._height == below and c._balanced for c in self.children)
 
     def height(self) -> int:
         return self._height
@@ -158,15 +148,20 @@ ROOT_ONLY = PlanarLevelTree()
 @lru_cache(maxsize=4096)
 def _word_tree(word: tuple[int, ...], n: int) -> PlanarLevelTree:
     """The healthy height-n tree whose word is `word`, with entries in
-    0..n-1.  At n = 0 it is the root-only tree; otherwise the root's
-    children are the trees at height n - 1 of the runs of the word
-    between its zeros, each entry lowered by one."""
-    if n == 0:
-        return ROOT_ONLY
-    bounds = [-1, *(k for k, b in enumerate(word) if b == 0), len(word)]
-    return PlanarLevelTree(tuple(
-        _word_tree(tuple(b - 1 for b in word[a + 1:z]), n - 1)
-        for a, z in zip(bounds, bounds[1:])))
+    0..n-1, built bottom-up from its len(word) + 1 leaves: at each level
+    d from n - 1 down to 0, the vertices separated by an entry d become
+    the children of one vertex, and the entries d go."""
+    vertices, separators = [ROOT_ONLY] * (len(word) + 1), word
+    for d in reversed(range(n)):
+        groups = [[vertices[0]]]
+        for b, vertex in zip(separators, vertices[1:]):
+            if b == d:
+                groups[-1].append(vertex)
+            else:
+                groups.append([vertex])
+        vertices = [PlanarLevelTree(tuple(group)) for group in groups]
+        separators = [b for b in separators if b != d]
+    return vertices[0]
 
 
 # -- symbol grammar ---------------------------------------------------------
@@ -315,6 +310,7 @@ def is_healthy(t: PlanarLevelTree, n: int) -> bool:
 
 def branching_level(t: PlanarLevelTree, n: int, a: LeafId, b: LeafId) -> int:
     """Level of the deepest common ancestor of two distinct level-n leaves."""
+    _check_fits(t, n)
     if a == b:
         raise ValueError(f"branching level needs two distinct leaves, got {a}")
     for leaf in (a, b):
@@ -326,11 +322,7 @@ def branching_level(t: PlanarLevelTree, n: int, a: LeafId, b: LeafId) -> int:
             raise ValueError(f"no vertex at path {leaf.path!r}") from None
         if level != n:
             raise ValueError(f"{leaf} is not a level-{n} leaf")
-        try:
-            t.subtree(leaf.path)
-        except AttributeError:
-            check_type(t, PlanarLevelTree, "a tree")
-            raise
+        t.subtree(leaf.path)
     return a.meet(b)
 
 

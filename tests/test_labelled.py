@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from thetaconf import (CapExceeded, LabelMismatch, LabelledTree, LeafId,
@@ -138,3 +143,23 @@ def test_hom_exists_tracks_poset_order():
 def test_labelled_rejects_bad_input(build, error, message):
     with pytest.raises(error, match=message):
         build()
+
+
+TALL = """
+from thetaconf import NOrdering, embed, hom_exists, retract, unit_exists
+o = NOrdering(("a", "b", "c"), (0, 999), 1000)
+obj = embed(o)
+assert retract(obj) == o
+assert hom_exists(obj, obj) and unit_exists(obj)
+"""
+
+
+def test_a_tall_ordering_embeds_without_deep_recursion():
+    # a fresh interpreter: no tree is built or cached beforehand, and the
+    # recursion limit is the default one
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", TALL], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")

@@ -733,9 +733,12 @@ def test_cached_tree_equals_and_hashes_like_a_fresh_copy():
     for t in enumerate_trees(5, 3):
         n = max(t.height(), 1)
         level_n_leaves(t, n), is_healthy(t, n), t.edge_count()
-        assert set(vars(t)) > {"children"}      # the caches are filled
         fresh = tree_from_json(tree_to_json(t))
         assert t == fresh and hash(t) == hash(fresh)
+        assert (t._word, t._offsets, t._deepest, t._balanced, t.height(),
+                t.edge_count()) == (fresh._word, fresh._offsets,
+                                    fresh._deepest, fresh._balanced,
+                                    fresh.height(), fresh.edge_count())
         assert repr(t) == repr(fresh)
         assert level_n_leaves(fresh, n) == level_n_leaves(t, n)
 

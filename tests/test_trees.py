@@ -135,6 +135,18 @@ def test_branching_level_rejects_bad_input():
         branching_level(s, 2, a, LeafId((1,)))
 
 
+def test_branching_level_checks_the_height_first():
+    t = parse_symbol("[2]([1]([1]),[1]([1]))", 3)
+    a, b = LeafId((0,)), LeafId((1,))
+    with pytest.raises(ValueError, match="^tree of height 3 does not fit "
+                                         "height 1$"):
+        branching_level(t, 1, a, b)
+    two = parse_symbol("[2]", 1)
+    with pytest.raises(ValueError, match="^height parameter n must be an "
+                                         "integer"):
+        branching_level(two, True, a, b)
+
+
 def test_leaf_id_meet():
     a, b = LeafId((0, 1, 2)), LeafId((0, 1, 0))
     assert a.meet(b) == b.meet(a) == 2
