@@ -24,7 +24,6 @@ from .theta import (ThetaMorphism, assemble_morphism,
                     identity_morphism, lift_active, theta_compose)
 from .trees import (LeafId, PlanarLevelTree, ROOT_ONLY, branching_level,
                     enumerate_trees, healthify, is_healthy, level_n_leaves,
-                    parse_symbol, render_symbol, tree_from_json,
-                    tree_to_json)
+                    parse_symbol, render_symbol)
 
 __version__ = "0.1.0"

@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Mapping
 
 from .errors import (LabelMismatch, bijection_values, check_count,
-                     check_height, check_labels, check_type)
+                     check_height, check_labels, check_seed, check_type)
 from .nord import NOrdering, _checks_over, _fill, _Table, leq
 
 _SAMPLE_SPAN = 2**40
@@ -271,6 +271,7 @@ def sample(labels: Iterable[Hashable], n: int, seed: int) -> Configuration:
     skipped, and kept in draw order, so the grid may be of any size."""
     check_height(n)
     labels = check_labels(labels)
+    check_seed(seed)
     side = max(2, len(labels))
     rng = random.Random(seed)
     coords: dict = {}
@@ -285,6 +286,8 @@ def sample_in_cell(ordering: NOrdering, rng: random.Random) -> Configuration:
     on the axes after it.  All defining equalities hold by construction
     and the inequalities hold strictly.  The first leaf stays at the
     origin; every cell is invariant under translation."""
+    check_type(rng, random.Random, "a random generator")
+
     def step(axis: int, b: int) -> int:
         return rng.randrange(1 if axis == b else -_SAMPLE_SPAN, _SAMPLE_SPAN)
 
@@ -310,6 +313,7 @@ def convexity_probe(ordering: NOrdering, samples: int, seed: int) -> bool:
     samples strictly raise coordinate beta + 1 across each planar
     neighbour pair with word entry beta, and so does their midpoint."""
     check_count(samples, "samples")
+    check_seed(seed)
     rng = random.Random(seed)
     return all(in_cell(midpoint(sample_in_cell(ordering, rng),
                                 sample_in_cell(ordering, rng)), ordering)
@@ -321,6 +325,7 @@ def functoriality_check(lower: NOrdering, upper: NOrdering,
     """Cells nest along the poset order: sampled points of the lower
     cell lie in the upper cell."""
     check_count(samples, "samples")
+    check_seed(seed)
     if not leq(lower, upper):
         raise ValueError("orderings are not related; nothing to check")
     rng = random.Random(seed)

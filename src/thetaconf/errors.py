@@ -1,5 +1,6 @@
 """Shared exception types, the resource-cap default, the argument rules
-(labels, heights and counts) and the field checks of the JSON readers."""
+(labels, heights, counts and seeds) and the field checks of the JSON
+readers."""
 
 from contextlib import suppress
 from typing import Hashable, Iterable, Mapping
@@ -84,11 +85,19 @@ def check_count(value: int, name: str) -> None:
         raise ValueError(f"{name} must be >= 0, got {value}")
 
 
+def check_seed(seed: int) -> None:
+    """Reject a random seed that is not an int (a bool is not one)."""
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+
+
 def check_type(value, kind: type, what: str) -> None:
     """Reject `value`, the argument named by `what`, unless it is a
     `kind`.  Most entry points call it only after reading an attribute
     of the argument has failed, so a well-typed call pays nothing; the
-    text readers call it first, since bytes have the methods they read."""
+    text readers call it first, since bytes have the methods they read,
+    and so does `sample_in_cell`, which reads its generator only deep
+    in the walk."""
     if not isinstance(value, kind):
         raise ValueError(f"{what} must be a {kind.__name__}, got "
                          f"{value!r}") from None

@@ -16,10 +16,16 @@ healthy height-n tree is its word, which `_word_tree` builds back, level
 by level from the leaves up.  The leaf readers below are lookups on
 these.  `parse_symbol` and `_word_tree` hand out one tree per argument
 pair from caches bounded at 4096 entries.
+
+The bracket symbol is a tree's one written form: `render_symbol` writes
+it, `parse_symbol` reads it, and repr and pickles hold it.  Both work
+from an explicit stack, as `==` does, without recursion, so a tree of
+any height can be written, read, compared and pickled.
 """
 
 from __future__ import annotations
 
+import re
 from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
@@ -56,29 +62,28 @@ class LeafId(NamedTuple):
         return ".".join(str(i) for i in self.path)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class PlanarLevelTree:
     """Immutable planar level tree; equality and hashing are structural.
 
     `__post_init__` computes the invariants from the children's, which
-    they hold already, so no tree is walked twice.  The invariants stay
-    out of equality, repr and pickles; the hash is one of them."""
+    they hold already, so no tree is walked twice.  Equality compares
+    the vertex pairs from a stack; repr and pickles hold the symbol."""
 
     children: tuple["PlanarLevelTree", ...] = ()
-    _hash: int = field(init=False, compare=False, repr=False)
-    _height: int = field(init=False, compare=False, repr=False)
-    _edges: int = field(init=False, compare=False, repr=False)
+    _hash: int = field(init=False)
+    _height: int = field(init=False)
+    _edges: int = field(init=False)
     # addresses of the vertices at level height(), in planar order
-    _deepest: tuple[LeafId, ...] = field(init=False, compare=False,
-                                         repr=False)
+    _deepest: tuple[LeafId, ...] = field(init=False)
     # where each child's run of deepest leaves starts, then the total:
     # child c owns positions _offsets[c] to _offsets[c + 1] - 1
-    _offsets: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    _offsets: tuple[int, ...] = field(init=False)
     # branching levels of consecutive deepest leaves: the words of the
     # children that reach below, entries raised by one, joined by 0s
-    _word: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    _word: tuple[int, ...] = field(init=False)
     # True when every leaf sits at level height()
-    _balanced: bool = field(init=False, compare=False, repr=False)
+    _balanced: bool = field(init=False)
 
     def __post_init__(self):
         if type(self.children) is not tuple:
@@ -115,10 +120,22 @@ class PlanarLevelTree:
     def __hash__(self):
         return self._hash
 
+    def __eq__(self, other):
+        if type(other) is not PlanarLevelTree:
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is not b:
+                if a._hash != b._hash or len(a.children) != len(b.children):
+                    return False
+                pairs += zip(a.children, b.children)
+        return True
+
     def __reduce__(self):
-        # the children alone: the hash holds only in the interpreter
-        # that computed it, and the rest follows from the children
-        return PlanarLevelTree, (self.children,)
+        # the symbol: the hash holds only in the interpreter that made it
+        n = max(self._height, 1)
+        return _parse, (render_symbol(self, n), n)
 
     def height(self) -> int:
         return self._height
@@ -170,7 +187,9 @@ def _word_tree(word: tuple[int, ...], n: int) -> PlanarLevelTree:
 #
 # "[s](T_1,...,T_s)" needs exactly s arguments.  "[0]" never takes a list.
 # A bare "[s]" with s >= 1 is only legal where a height-1 object is
-# expected.  Whitespace is insignificant.
+# expected.  Whitespace is insignificant.  A token is a nat, a run of
+# decimal digits (`\d` is `str.isdecimal`), or one other character.
+_TOKEN = re.compile(r"\s*(\d+|\S)")
 
 
 def parse_symbol(text: str, n: int) -> PlanarLevelTree:
@@ -185,72 +204,59 @@ def parse_symbol(text: str, n: int) -> PlanarLevelTree:
 
 @lru_cache(maxsize=4096)
 def _parse(text: str, n: int) -> PlanarLevelTree:
-    parser = _SymbolParser(text)
-    result = parser.parse_tree(n)
-    parser.skip_ws()
-    if parser.pos != len(parser.text):
-        raise SymbolParseError("trailing input after tree symbol", parser.pos)
-    return result
-
-
-class _SymbolParser:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def expect(self, ch):
-        self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            raise SymbolParseError(f"expected {ch!r}", self.pos)
-        self.pos += 1
-
-    def parse_nat(self):
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise SymbolParseError("expected a natural number", start)
-        return int(self.text[start : self.pos])
-
-    def parse_tree(self, budget):
-        self.expect("[")
-        count_pos = self.pos
-        s = self.parse_nat()
-        self.expect("]")
-        self.skip_ws()
-        has_list = self.pos < len(self.text) and self.text[self.pos] == "("
-        if not has_list:
+    """One loop over the tokens.  `lists` holds the argument lists still
+    open, each as (its trees so far, its count s, the token index of its
+    "["); a tree read inside k of them has the height budget n - k."""
+    tokens = _TOKEN.findall(text) + [""]        # "": the end of the text
+    lists, i = [], 0
+    while True:
+        if tokens[i] != "[":
+            raise _error(text, "expected '['", i)
+        if not tokens[i + 1].isdecimal():
+            raise _error(text, "expected a natural number", i + 1)
+        if tokens[i + 2] != "]":
+            raise _error(text, "expected ']'", i + 2)
+        head, s, budget = i, int(tokens[i + 1]), n - len(lists)
+        i += 3
+        if tokens[i] == "(":
             if s == 0:
-                return ROOT_ONLY
-            if budget != 1:
-                raise SymbolParseError(
-                    f"bare [{s}] is only legal as a height-1 object", count_pos
-                )
-            return PlanarLevelTree(tuple([ROOT_ONLY] * s))
-        if s == 0:
-            raise SymbolParseError("[0] takes no argument list", self.pos)
-        if budget < 2:
-            raise SymbolParseError(
-                "argument list exceeds the height budget", self.pos
-            )
-        self.expect("(")
-        children = [self.parse_tree(budget - 1)]
-        self.skip_ws()
-        while self.pos < len(self.text) and self.text[self.pos] == ",":
-            self.pos += 1
-            children.append(self.parse_tree(budget - 1))
-            self.skip_ws()
-        self.expect(")")
-        if len(children) != s:
-            raise SymbolParseError(
-                f"[{s}] expects {s} arguments, got {len(children)}", count_pos
-            )
-        return PlanarLevelTree(tuple(children))
+                raise _error(text, "[0] takes no argument list", i)
+            if budget < 2:
+                raise _error(text, "argument list exceeds the height budget",
+                             i)
+            lists.append(([], s, head))
+            i += 1
+            continue
+        if s and budget != 1:
+            raise _error(text, f"bare [{s}] is only legal as a height-1 "
+                               f"object", head, 1)
+        tree = PlanarLevelTree((ROOT_ONLY,) * s) if s else ROOT_ONLY
+        # close each open list that ends here, until one goes on after ","
+        while lists:
+            children, s, head = lists[-1]
+            children.append(tree)
+            if tokens[i] == ",":
+                i += 1
+                break
+            if tokens[i] != ")":
+                raise _error(text, "expected ')'", i)
+            i += 1
+            if len(children) != s:
+                raise _error(text, f"[{s}] expects {s} arguments, got "
+                                   f"{len(children)}", head, 1)
+            lists.pop()
+            tree = PlanarLevelTree(tuple(children))
+        else:
+            if tokens[i]:
+                raise _error(text, "trailing input after tree symbol", i)
+            return tree
+
+
+def _error(text: str, message: str, k: int, shift: int = 0):
+    """The parse error at token k of `text` (its end past the last
+    token), or `shift` characters after it."""
+    starts = [match.start(1) for match in _TOKEN.finditer(text)]
+    return SymbolParseError(message, (starts + [len(text)])[k] + shift)
 
 
 def render_symbol(t: PlanarLevelTree, n: int) -> str:
@@ -260,30 +266,25 @@ def render_symbol(t: PlanarLevelTree, n: int) -> str:
     at height 1 renders bare "[s]"; otherwise children render at
     height n-1.  parse_symbol(render_symbol(t, n), n) == t.
     """
-    check_height(n)
     _check_fits(t, n)
-    s = len(t.children)
-    if s == 0:
-        return "[0]"
-    if n == 1:
-        return f"[{s}]"
-    return f"[{s}](" + ",".join(render_symbol(c, n - 1) for c in t.children) + ")"
-
-
-def tree_to_json(t: PlanarLevelTree) -> list:
-    """Nested-array form: a vertex is the list of its children."""
-    try:
-        children = t.children
-    except AttributeError:
-        check_type(t, PlanarLevelTree, "a tree")
-        raise
-    return [tree_to_json(c) for c in children]
-
-
-def tree_from_json(data: list) -> PlanarLevelTree:
-    if not isinstance(data, list):
-        raise ValueError(f"expected a nested list, got {type(data).__name__}")
-    return PlanarLevelTree(tuple(tree_from_json(c) for c in data))
+    # the (tree, height) pairs still to write, and the "," and ")" after them
+    parts, stack = [], [(t, n)]
+    while stack:
+        top = stack.pop()
+        if type(top) is str:
+            parts.append(top)
+            continue
+        t, n = top
+        s = len(t.children)
+        if s == 0 or n == 1:
+            parts.append(f"[{s}]")
+            continue
+        parts.append(f"[{s}](")
+        stack.append(")")
+        for c in reversed(t.children):
+            stack += ((c, n - 1), ",")
+        stack.pop()
+    return "".join(parts)
 
 
 # -- leaves and levels ------------------------------------------------------

@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Sequence
 from .cells import (cell_of, convexity_probe, functoriality_check, in_cell,
                     sample, witness)
 from .errors import (DEFAULT_MAX_COUNT, CapExceeded, UnhealthyTarget,
-                     check_count, check_height)
+                     check_count, check_height, check_seed)
 from .gamma import enumerate_gamma
 from .homology import ChainComplex, boundary_matrices, homology, order_complex
 from .labelled import (LabelledTree, embed, hom_exists, initiality_check,
@@ -299,6 +299,7 @@ def suite_cells(max_size: int = 3, levels: Iterable[int] = (1, 2, 3),
                 samples: int = 1000, seed: int = 0) -> dict:
     check_count(max_size, "max_size")
     check_count(samples, "samples")
+    check_seed(seed)
     levels = _levels(levels)
     checks = [_all("witness-roundtrip",
                    (cell_of(witness(o)) == o

@@ -1,9 +1,10 @@
 """The error contract of the argument rules.
 
-Every public entry point that takes a height, a count or labels checks
-it through `errors.check_height`, `errors.check_count` or
-`errors.check_labels`, so a malformed argument raises ValueError with
-one wording everywhere, and never a bare TypeError; so does a word or
+Every public entry point that takes a height, a count, labels or a
+random seed checks it through `errors.check_height`,
+`errors.check_count`, `errors.check_labels` or `errors.check_seed`, so a
+malformed argument raises ValueError with one wording everywhere, and
+never a bare TypeError; so does a word or
 a set of coordinates that is not iterable, and a tree symbol that is
 not a string.  Where a label is
 looked up, an unhashable one raises LabelMismatch.  The values of a
@@ -13,7 +14,8 @@ children of a PlanarLevelTree are an iterable of PlanarLevelTrees, and
 the leaves given to `branching_level` are LeafIds.  A tree handed to a
 tree reader is a PlanarLevelTree, and a vertex path is an iterable of
 child indices.  The text of an ordering or of a point file is a str,
-and the points given to `Configuration.from_points` are a Mapping.  An
+and the points given to `Configuration.from_points` are a Mapping.  The
+generator given to `sample_in_cell` is a `random.Random`.  An
 ordering, a configuration, a labelled tree, a poset, an order complex,
 a chain complex, a matrix, a monotone map, a set-level map or a
 morphism handed to an entry point is an NOrdering, a
@@ -48,8 +50,7 @@ from thetaconf import (ROOT_ONLY, CapExceeded, ChainComplex, Configuration,
                        pair_level, parse_point_file, parse_symbol, parse_text,
                        poset_homology, render_symbol, retract, sample,
                        sample_in_cell, segal, sigma_act, smith_normal_form,
-                       theta_compose, to_tree, tree_to_json, upper_covers,
-                       witness)
+                       theta_compose, to_tree, upper_covers, witness)
 from thetaconf.verify import (suite_cells, suite_morphisms, suite_poset,
                               suite_theorem_a, suite_theorem_b)
 
@@ -118,6 +119,8 @@ WRONG_TYPES = {
     "witness": (witness, NOrdering, "an ordering"),
     "sample_in_cell": (lambda x: sample_in_cell(x, random.Random(0)),
                        NOrdering, "an ordering"),
+    "sample_in_cell(rng)": (lambda x: sample_in_cell(LOW, x), random.Random,
+                            "a random generator"),
     "sigma_act": (lambda x: sigma_act({"a": "b", "b": "a"}, x), NOrdering,
                   "an ordering"),
     "embed": (embed, NOrdering, "an ordering"),
@@ -171,7 +174,6 @@ WRONG_TYPES = {
     "lift_active(gbar)":
         (lambda x: lift_active(TWO_LEAVES, TWO_LEAVES, 1, x), GammaMorphism,
          "a set-level map"),
-    "tree_to_json": (tree_to_json, PlanarLevelTree, "a tree"),
     "branching_level(tree)":
         (lambda x: branching_level(x, 1, LeafId((0,)), LeafId((1,))),
          PlanarLevelTree, "a tree"),
@@ -233,6 +235,16 @@ COUNTS = {
         (lambda c: suite_theorem_b(max_size=c, levels=()), "max_size"),
     "suite_cells(max_size)":
         (lambda c: suite_cells(max_size=c, levels=()), "max_size"),
+}
+
+# entry point -> call with the seed under test
+SEEDS = {
+    "sample": lambda seed: sample(("a", "b"), 2, seed),
+    "convexity_probe": lambda seed: convexity_probe(LOW, 2, seed),
+    "functoriality_check": lambda seed: functoriality_check(LOW, HIGH, 2,
+                                                            seed),
+    "suite_cells": lambda seed: suite_cells(max_size=1, levels=(1,),
+                                            samples=1, seed=seed),
 }
 
 # entry point -> call with two labels under test
@@ -327,6 +339,10 @@ PROBES = (
                     id=f"{name}-{bad!r}")
        for name, (call, field) in COUNTS.items()
        for bad in ("9", None, 2.5, True)]
+    + [pytest.param(call, bad, ValueError,
+                    f"seed must be an integer, got {bad!r}",
+                    id=f"{name}(seed)-{bad!r}")
+       for name, call in SEEDS.items() for bad in ("1", 1.5, None, True, [1])]
     + [pytest.param(call, bad, ValueError, message, id=f"{name}-{bad!r}")
        for name, call in LABELS.items()
        for bad, message in ((([1], "b"), "labels must be hashable"),
@@ -404,6 +420,7 @@ FUZZED = ([(name, call, ARGUMENTS) for name, call in HEIGHTS.items()]
           + [(name, call, st.one_of(LABEL_PAIRS, ARGUMENTS))
              for name, (call, _, _) in WRONG_TYPES.items()]
           + [(name, call, ARGUMENTS) for name, (call, _) in COUNTS.items()]
+          + [(name, call, ARGUMENTS) for name, call in SEEDS.items()]
           + [(name, call, LABEL_PAIRS) for name, call in LABELS.items()]
           + [(name, call, st.one_of(LABEL_PAIRS, ARGUMENTS))
              for name, (call, _) in SEQUENCES.items()]

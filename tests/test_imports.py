@@ -24,12 +24,14 @@ def test_package_imports_only_the_standard_library():
 
 
 RULE_WORDING = ("must be >= 0", "must be >= 1", "labels must be hashable",
-                "labels must be iterable", "duplicate labels")
+                "labels must be iterable", "duplicate labels",
+                "seed must be")
 
 
 def test_argument_rules_are_worded_in_errors_only():
-    # labels, heights and counts are checked by `errors.check_labels`,
-    # `check_height` and `check_count`; a copy elsewhere would drift
+    # labels, heights, counts and seeds are checked by
+    # `errors.check_labels`, `check_height`, `check_count` and
+    # `check_seed`; a copy elsewhere would drift
     copies = []
     for path in SOURCES:
         if path.name == "errors.py":

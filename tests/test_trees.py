@@ -1,14 +1,18 @@
+import os
 import pickle
+import subprocess
+import sys
 from functools import cache
 from itertools import accumulate
 from math import comb
+from pathlib import Path
 
 import pytest
 
 from thetaconf import (CapExceeded, LeafId, PlanarLevelTree, ROOT_ONLY,
                        SymbolParseError, branching_level, enumerate_trees,
                        healthify, is_healthy, level_n_leaves, parse_symbol,
-                       render_symbol, tree_from_json, tree_to_json)
+                       render_symbol)
 from thetaconf.trees import _parse, _word_tree
 
 
@@ -184,11 +188,6 @@ def test_healthify_can_collapse_to_root():
     assert healthify(t, 2) == ROOT_ONLY
 
 
-def test_json_roundtrip():
-    t = parse_symbol("[2]([2]([0],[1]),[0])", 3)
-    assert tree_from_json(tree_to_json(t)) == t
-
-
 @cache
 def _forests(edges, height):
     # ordered lists of child slots, each slot costing 1 + subtree edges
@@ -291,12 +290,17 @@ def test_offsets_are_the_children_leaf_counts_summed():
         assert t._offsets == tuple(accumulate(counts, initial=0))
 
 
+def fresh_copy(t):
+    """t rebuilt vertex by vertex, sharing no object with it."""
+    return PlanarLevelTree(tuple(fresh_copy(c) for c in t.children))
+
+
 def test_kept_hash_is_structural():
     for t in OWN_HEIGHT:
         t._word, t._offsets, hash(t)        # fill the caches first
         copy = pickle.loads(pickle.dumps(t))
         assert copy == t and hash(copy) == hash(t)
-        assert hash(tree_from_json(tree_to_json(t))) == hash(t)
+        assert hash(fresh_copy(t)) == hash(t)
 
 
 @pytest.mark.parametrize("build, message", [
@@ -305,8 +309,42 @@ def test_kept_hash_is_structural():
     (lambda: parse_symbol("[0]", "2"), "n must be an integer, got '2'"),
     (lambda: render_symbol(ROOT_ONLY, 2.0), "n must be an integer, got 2.0"),
     (lambda: parse_symbol("[x]", 1), "expected a natural number"),
-    (lambda: tree_from_json("[]"), "expected a nested list"),
+    # a digit that is not decimal: int() cannot read it
+    (lambda: parse_symbol("[²]", 1),
+     r"^expected a natural number \(at position 1\)$"),
 ])
 def test_trees_reject_bad_input(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+def test_a_deep_symbol_parses_without_recursion():
+    t = parse_symbol("[1](" * 1999 + "[1]" + ")" * 1999, 2000)
+    assert t.height() == 2000 and t.edge_count() == 2000
+
+
+TALL = """
+import pickle
+from thetaconf import (LabelledTree, NOrdering, embed, parse_symbol,
+                       render_symbol, to_tree)
+from thetaconf import trees
+o = NOrdering(("a", "b", "c"), (0, 2999), 3000)
+t = to_tree(o)
+assert t == trees._word_tree.__wrapped__(t._word, 3000)
+assert pickle.loads(pickle.dumps(t)) == t
+assert repr(t).startswith("PlanarLevelTree('[2]([1]([1](")
+# the spaces make a symbol the parse cache has not seen
+assert parse_symbol(render_symbol(t, 3000).replace(",", ", "), 3000) == t
+assert LabelledTree.from_json(embed(o).to_json()) == embed(o)
+"""
+
+
+def test_a_tall_tree_is_compared_pickled_and_written_without_recursion():
+    # a fresh interpreter: no tree is built or cached beforehand, and the
+    # recursion limit is the default one
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", TALL], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
