@@ -14,7 +14,13 @@ inverts it constructively.  Both work on owner positions: each child
 owns a contiguous run of its parent's level-n leaves, and part (i, j)
 fills target child j's run, shifted by the start of source child i's.
 The runs are each tree's `_offsets`, and the branching condition reads
-the levels of leaf pairs from the trees' words (`_word`).
+the levels of leaf pairs from the trees' words (`_word`).  Neither
+recurses, so a morphism of any height is assembled and lifted.
+Assembly makes one pass top down, from a stack of parts with the
+absolute offsets of their runs, and writes each level-1 owner at its
+place in one owner list.  The lift makes one pass breadth first, which
+reads each part's map off the owner list, then builds the morphisms
+bottom up, each from the slice of parts its children made.
 
 The public constructors and entry points check their arguments; the
 morphisms the enumeration and the lift build from checked trees and
@@ -31,9 +37,9 @@ ranks).
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product
+from itertools import accumulate, combinations_with_replacement, product
 from typing import Mapping
 
 from .errors import (DEFAULT_MAX_COUNT, BranchingConditionViolation,
@@ -176,17 +182,27 @@ def _runs(tree: PlanarLevelTree, n: int) -> tuple[int, ...]:
 
 
 def _assemble(f, source, target, n) -> list[int | None]:
-    """The owner positions of f's shadow.  Part (i, j) fills target
-    child j's run with its owners shifted to source child i's run; at
-    level 1 each run is one leaf, owned by the part's source leaf."""
-    _check_ranks(f, source, target)
-    s_runs, t_runs = _runs(source, n), _runs(target, n)
-    owners: list = [None] * t_runs[-1]
-    for k, (i, j) in enumerate(_part_keys(f.delta.values)):
-        sub = [0] if n == 1 else _assemble(
-            f.parts[k], source.children[i - 1], target.children[j - 1], n - 1)
-        owners[t_runs[j - 1]:t_runs[j]] = [
-            None if o is None else o + s_runs[i - 1] for o in sub]
+    """The owner positions of f's shadow, filled top down from a stack
+    of (part, source subtree, target subtree, level, source offset,
+    target offset).  Part (i, j) fills target child j's run from source
+    child i's, so its offsets are the entry's plus the runs' starts; at
+    level 1 each run is one leaf, whose owner is written at its absolute
+    position.  Leaves no part reaches stay unowned."""
+    owners: list = [None] * _runs(target, n)[-1]
+    stack = [(f, source, target, n, 0, 0)]
+    while stack:
+        f, source, target, n, s_off, t_off = stack.pop()
+        _check_ranks(f, source, target)
+        s_runs, t_runs = _runs(source, n), _runs(target, n)
+        keys = _part_keys(f.delta.values)
+        if n == 1:
+            for i, j in keys:
+                owners[t_off + t_runs[j - 1]] = s_off + s_runs[i - 1]
+            continue
+        s_children, t_children = source.children, target.children
+        stack += [(part, s_children[i - 1], t_children[j - 1], n - 1,
+                   s_off + s_runs[i - 1], t_off + t_runs[j - 1])
+                  for (i, j), part in zip(keys, f.parts)]
     return owners
 
 
@@ -260,8 +276,8 @@ def lift_active(source: PlanarLevelTree, target: PlanarLevelTree, n: int,
     Requires a healthy target, an active gbar and the branching
     condition; each failure is reported distinctly.  The cut points
     f(i) are forced because every target child has leaves, all owned
-    under one source child; sub-maps are split off child by child and
-    lifted recursively.
+    under one source child; each part is then the lift of its child's
+    run, found level by level in one pass (`_lift`).
     """
     _check_contract(source, target, n, gbar,
                     "cannot lift into an unhealthy target")
@@ -278,27 +294,48 @@ def _lift(source, target, n, owners) -> ThetaMorphism:
     go into a healthy target, be active and satisfy the branching
     condition; `lift_active` checks these first.
 
-    Target child j's head is the source child whose run holds every
-    owner in j's run; f(i) is the number of heads h < i (0-based h,
-    1-based i), and part j lifts j's run, shifted to the head's run."""
-    s_runs, t_runs = _runs(source, n), _runs(target, n)
-    by_child = [owners[a:b] for a, b in zip(t_runs, t_runs[1:])]
-    heads = []
-    for run in by_child:
-        child_heads = {bisect_right(s_runs, o) - 1 for o in run}
-        assert len(child_heads) == 1, \
-            "each target child must be owned under exactly one source child"
-        heads.extend(child_heads)
-    assert heads == sorted(heads), "heads must be monotone"
-    s, t = len(source.children), len(target.children)
-    # 0 <= heads < s, so f(0) = 0 and f(s) = t: one part per target child
-    delta = DeltaMorphism._unchecked(s, t, tuple(bisect_left(heads, i)
-                                                 for i in range(s + 1)))
-    parts = () if n == 1 else tuple(
-        _lift(source.children[h], target.children[j], n - 1,
-              [o - s_runs[h] for o in run])
-        for j, (h, run) in enumerate(zip(heads, by_child)))
-    return ThetaMorphism._unchecked(n, delta, parts)
+    One pass breadth first, over entries (source subtree, target
+    subtree, level, source offset, target offset), finds each entry's
+    map; a second, bottom up, builds the morphisms.  Target child j's
+    head is the source child whose run holds every owner in j's run:
+    the one whose run holds the least, if it holds the largest too.
+    f(i) counts the heads h < i (0-based h, 1-based i), and part j
+    lifts j's run under its head, as the next entry.  An entry's parts
+    are thus the entries its own children appended, in one slice."""
+    entries = [(source, target, n, 0, 0)]
+    maps = []   # per entry: its level, its map and the span of its parts
+    for source, target, n, s_off, t_off in entries:     # entries grows
+        # a healthy target's subtrees, and the source subtrees that own
+        # its leaves, reach their level, so their runs are their offsets
+        s_runs, t_runs = source._offsets, target._offsets
+        s, t = len(source.children), len(target.children)
+        counts, first = [0] * s, len(entries)
+        if n == 1:      # each run is one leaf, whose owner is its head
+            heads = [o - s_off for o in owners[t_off:t_off + t]]
+            for h in heads:
+                counts[h] += 1
+        else:
+            heads = []
+            for a, b in zip(t_runs, t_runs[1:]):
+                run = owners[t_off + a:t_off + b]
+                h = bisect_right(s_runs, min(run) - s_off) - 1
+                assert max(run) - s_off < s_runs[h + 1], \
+                    "each target child must be owned under exactly one " \
+                    "source child"
+                heads.append(h)
+                counts[h] += 1
+            entries += [(source.children[h], target.children[j], n - 1,
+                         s_off + s_runs[h], t_off + t_runs[j])
+                        for j, h in enumerate(heads)]
+        assert heads == sorted(heads), "heads must be monotone"
+        # 0 <= heads < s, so f(0) = 0 and f(s) = t: one part per target child
+        maps.append((n, DeltaMorphism._unchecked(
+            s, t, tuple(accumulate(counts, initial=0))), first, len(entries)))
+    built = [None] * len(maps)
+    for k in reversed(range(len(maps))):
+        n, delta, first, end = maps[k]
+        built[k] = ThetaMorphism._unchecked(n, delta, tuple(built[first:end]))
+    return built[0]
 
 
 # -- brute-force hom sets ----------------------------------------------------

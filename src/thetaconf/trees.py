@@ -188,14 +188,18 @@ def _word_tree(word: tuple[int, ...], n: int) -> PlanarLevelTree:
 # "[s](T_1,...,T_s)" needs exactly s arguments.  "[0]" never takes a list.
 # A bare "[s]" with s >= 1 is only legal where a height-1 object is
 # expected.  Whitespace is insignificant.  A token is a nat, a run of
-# decimal digits (`\d` is `str.isdecimal`), or one other character.
+# decimal digits (`\d` is `str.isdecimal`), or one other character.  A
+# nat above DEFAULT_MAX_COUNT raises CapExceeded before any of its
+# leaves is built.
 _TOKEN = re.compile(r"\s*(\d+|\S)")
+_COUNT_DIGITS = len(str(DEFAULT_MAX_COUNT))
 
 
 def parse_symbol(text: str, n: int) -> PlanarLevelTree:
     """Parse a tree symbol as an object of height n (n >= 1).  Equal
     symbols at one height give the same tree object while the cache
-    holds it; a malformed symbol raises on every call."""
+    holds it; a malformed symbol raises on every call, and so does a
+    count above DEFAULT_MAX_COUNT (CapExceeded)."""
     if not isinstance(text, str):
         raise ValueError(f"a tree symbol must be a string, got {text!r}")
     check_height(n)
@@ -212,11 +216,14 @@ def _parse(text: str, n: int) -> PlanarLevelTree:
     while True:
         if tokens[i] != "[":
             raise _error(text, "expected '['", i)
-        if not tokens[i + 1].isdecimal():
+        digits = tokens[i + 1]
+        if not digits.isdecimal():
             raise _error(text, "expected a natural number", i + 1)
+        # a count shorter than the cap's is under it
+        s = int(digits) if len(digits) < _COUNT_DIGITS else _long_count(digits)
         if tokens[i + 2] != "]":
             raise _error(text, "expected ']'", i + 2)
-        head, s, budget = i, int(tokens[i + 1]), n - len(lists)
+        head, budget = i, n - len(lists)
         i += 3
         if tokens[i] == "(":
             if s == 0:
@@ -250,6 +257,23 @@ def _parse(text: str, n: int) -> PlanarLevelTree:
             if tokens[i]:
                 raise _error(text, "trailing input after tree symbol", i)
             return tree
+
+
+def _long_count(digits: str) -> int:
+    """The count written by a run of decimal digits as long as the cap's
+    or longer.  CapExceeded when the count has more significant digits
+    than the cap, before int() reads it (past 4300 digits int() raises),
+    or when its value is above the cap.  Leading zeros, in any script,
+    are not significant."""
+    first = next((k for k, d in enumerate(map(int, digits)) if d),
+                 len(digits))
+    size = len(digits) - first
+    if size > _COUNT_DIGITS:
+        raise CapExceeded("tree symbol count digits", size, _COUNT_DIGITS)
+    count = int(digits[first:] or "0")
+    if count > DEFAULT_MAX_COUNT:
+        raise CapExceeded("tree symbol count", count, DEFAULT_MAX_COUNT)
+    return count
 
 
 def _error(text: str, message: str, k: int, shift: int = 0):

@@ -5,16 +5,18 @@ from math import comb
 import pytest
 
 from gamma_reference import reference_branching_holds
+from theta_reference import reference_assemble, reference_lift
 from thetaconf import (ROOT_ONLY, BranchingConditionViolation, CapExceeded,
                        DeltaMorphism, GammaMorphism, LabelMismatch, LeafId,
-                       NotActive, ThetaMorphism, UnhealthyTarget,
+                       NOrdering, NotActive, ThetaMorphism, UnhealthyTarget,
                        assemble_morphism, branching_condition_holds,
                        enumerate_delta, enumerate_gamma,
                        enumerate_hom_bruteforce, enumerate_trees,
                        gamma_compose, gamma_is_active, identity_morphism,
-                       is_healthy, level_n_leaves, lift_active, parse_symbol,
+                       embed, hom_morphism, is_healthy, label_bijection,
+                       level_n_leaves, lift_active, parse_symbol,
                        theta_compose)
-from thetaconf.theta import _lift, _runs
+from thetaconf.theta import _assemble, _lift, _runs
 
 
 def _delta(s, t, *values):
@@ -450,6 +452,48 @@ def test_objects_built_unchecked_pass_the_checked_route(n):
     assert (maps, morphisms, lifts) == {1: (1279, 582, 126),
                                         2: (827, 7717, 116),
                                         3: (542, 16785, 37)}[n]
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_assembly_and_lift_match_the_recursive_reference(n):
+    """The work-list assembly and lift give what the recursive ones
+    gave, on every tree pair with at most 4 edges: the same owner list
+    for every morphism, inactive ones and unhealthy targets included,
+    and the same lift for every active map the branching condition
+    keeps."""
+    trees = enumerate_trees(4, n)
+    morphisms = lifts = 0
+    for source in trees:
+        for target in trees:
+            for f in enumerate_hom_bruteforce(source, target, n):
+                assert _assemble(f, source, target, n) == \
+                    reference_assemble(f, source, target, n)
+                morphisms += 1
+            if not is_healthy(target, n):
+                continue
+            for g in enumerate_gamma(level_n_leaves(source, n),
+                                     level_n_leaves(target, n),
+                                     active_only=True):
+                if branching_condition_holds(source, target, n, g):
+                    assert _lift(source, target, n, g.owners) == \
+                        reference_lift(source, target, n, g.owners)
+                    lifts += 1
+    assert (morphisms, lifts) == {1: (456, 126), 2: (5895, 116),
+                                  3: (9325, 37)}[n]
+
+
+def test_a_tall_shadow_is_lifted_and_assembled_without_recursion():
+    # 1000 levels: past the default recursion limit, which the recursive
+    # lift and assembly met once per level
+    n = 1000
+    source = embed(NOrdering(("a", "b", "c"), (0, n - 1), n))
+    target = embed(NOrdering(("a", "b", "c"), (0, 0), n))
+    gbar = label_bijection(source, target)
+    f = hom_morphism(source, target)
+    assert f is not None
+    assert assemble_morphism(f, source.tree, target.tree, n) == gbar
+    lifted = lift_active(source.tree, target.tree, n, gbar)
+    assert assemble_morphism(lifted, source.tree, target.tree, n) == gbar
 
 
 @pytest.mark.parametrize("build, message", [

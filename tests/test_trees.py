@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from thetaconf import (CapExceeded, LeafId, PlanarLevelTree, ROOT_ONLY,
-                       SymbolParseError, branching_level, enumerate_trees,
+from thetaconf import (DEFAULT_MAX_COUNT, ROOT_ONLY, CapExceeded, LeafId,
+                       PlanarLevelTree, SymbolParseError, branching_level,
+                       enumerate_trees,
                        healthify, is_healthy, level_n_leaves, parse_symbol,
                        render_symbol)
 from thetaconf.trees import _parse, _word_tree
@@ -316,6 +317,32 @@ def test_kept_hash_is_structural():
 def test_trees_reject_bad_input(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+@pytest.mark.parametrize("count, stage, reached, cap", [
+    # int() would read it, but no index-sized tuple holds its leaves
+    ("9" * 20, "tree symbol count digits", 20, 7),
+    # past 4300 digits int() raises, with no position
+    ("9" * 5000, "tree symbol count digits", 5000, 7),
+    (str(DEFAULT_MAX_COUNT + 1), "tree symbol count", DEFAULT_MAX_COUNT + 1,
+     DEFAULT_MAX_COUNT),
+])
+def test_a_symbol_count_past_the_cap_is_refused_before_building(
+        count, stage, reached, cap):
+    with pytest.raises(CapExceeded) as info:
+        parse_symbol(f"[{count}]", 1)
+    assert (info.value.stage, info.value.count, info.value.cap) == \
+        (stage, reached, cap)
+
+
+def test_a_symbol_count_under_the_cap_is_read_in_full():
+    # leading zeros are not significant, in any script of decimal digits
+    assert parse_symbol("[" + "0" * 5000 + "2]", 1) == parse_symbol("[2]", 1)
+    assert parse_symbol("[" + "\u0660" * 8 + "\u0663]", 1) == \
+        parse_symbol("[3]", 1)
+    # a count under the cap is built in full: 200,000 leaves from 8
+    # characters, parsed uncached so that the tree goes with the test
+    assert _parse.__wrapped__("[200000]", 1).edge_count() == 200000
 
 
 def test_a_deep_symbol_parses_without_recursion():
