@@ -1,6 +1,6 @@
 """Shared exception types, the resource-cap default, the argument rules
-(labels, heights, counts and seeds) and the field checks of the JSON
-readers."""
+(labels, heights, counts, seeds and types) and the field checks of the
+JSON readers."""
 
 from contextlib import suppress
 from typing import Hashable, Iterable, Mapping
@@ -93,11 +93,11 @@ def check_seed(seed: int) -> None:
 
 def check_type(value, kind: type, what: str) -> None:
     """Reject `value`, the argument named by `what`, unless it is a
-    `kind`.  Most entry points call it only after reading an attribute
-    of the argument has failed, so a well-typed call pays nothing; the
-    text readers call it first, since bytes have the methods they read,
-    and so does `sample_in_cell`, which reads its generator only deep
-    in the walk."""
+    `kind`, so an object that only has the right attributes is refused
+    too.  Entry points call it before they first read the argument.
+    Only `nord.leq`, `cells.in_cell` and `trees._check_fits`, run tens
+    of thousands of times a pass, call it after reading a private slot
+    has failed, which a stand-in with the public fields fails too."""
     if not isinstance(value, kind):
         raise ValueError(f"{what} must be a {kind.__name__}, got "
                          f"{value!r}") from None

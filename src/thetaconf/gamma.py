@@ -100,15 +100,12 @@ class DeltaMorphism:
 
 def delta_compose(g: DeltaMorphism, f: DeltaMorphism) -> DeltaMorphism:
     """g after f."""
-    try:
-        middle, g_middle = f.target_rank, g.source_rank
-    except AttributeError:
-        check_type(g, DeltaMorphism, "a monotone map")
-        check_type(f, DeltaMorphism, "a monotone map")
-        raise
-    if middle != g_middle:
-        raise ValueError(f"cannot compose [{f.source_rank}]->[{middle}] "
-                         f"with [{g_middle}]->[{g.target_rank}]")
+    check_type(g, DeltaMorphism, "a monotone map")
+    check_type(f, DeltaMorphism, "a monotone map")
+    if f.target_rank != g.source_rank:
+        raise ValueError(f"cannot compose [{f.source_rank}]->"
+                         f"[{f.target_rank}] with [{g.source_rank}]->"
+                         f"[{g.target_rank}]")
     return DeltaMorphism(f.source_rank, g.target_rank,
                          tuple(g.values[v] for v in f.values))
 
@@ -260,12 +257,9 @@ def _labels_from_json(data, key: str) -> tuple:
 def gamma_compose(phi: GammaMorphism, theta: GammaMorphism) -> GammaMorphism:
     """phi after theta: x |-> union of phi(t) over t in theta(x), that
     is, the owner of z is theta's owner of phi's owner of z."""
-    try:
-        phi_owners, theta_owners = phi.owners, theta.owners
-    except AttributeError:
-        check_type(phi, GammaMorphism, "a set-level map")
-        check_type(theta, GammaMorphism, "a set-level map")
-        raise
+    check_type(phi, GammaMorphism, "a set-level map")
+    check_type(theta, GammaMorphism, "a set-level map")
+    phi_owners, theta_owners = phi.owners, theta.owners
     if theta.target != phi.source:
         raise ValueError("middle objects differ (order included)")
     return GammaMorphism(theta.source, phi.target, tuple(
@@ -273,22 +267,15 @@ def gamma_compose(phi: GammaMorphism, theta: GammaMorphism) -> GammaMorphism:
 
 
 def gamma_is_active(theta: GammaMorphism) -> bool:
-    try:
-        owners = theta.owners
-    except AttributeError:
-        check_type(theta, GammaMorphism, "a set-level map")
-        raise
-    return None not in owners
+    check_type(theta, GammaMorphism, "a set-level map")
+    return None not in theta.owners
 
 
 def segal(f: DeltaMorphism) -> GammaMorphism:
     """Interval map of a monotone f: {1..s} -> {1..t},
     i |-> {f(i-1)+1, ..., f(i)}."""
-    try:
-        s, t, values = f.source_rank, f.target_rank, f.values
-    except AttributeError:
-        check_type(f, DeltaMorphism, "a monotone map")
-        raise
+    check_type(f, DeltaMorphism, "a monotone map")
+    s, t, values = f.source_rank, f.target_rank, f.values
     owners: list = [None] * t
     for i, j in _part_keys(values):
         owners[j - 1] = i - 1

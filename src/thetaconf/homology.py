@@ -73,11 +73,8 @@ def order_complex(view: PosetView,
     relation is transitive.  The running total through a degree is
     checked against the cap before the next degree is counted."""
     check_count(max_chains, "max_chains")
-    try:
-        elements, above = view.elements, view.above
-    except AttributeError:
-        check_type(view, PosetView, "a poset")
-        raise
+    check_type(view, PosetView, "a poset")
+    elements, above = view.elements, view.above
     succ = [_bits(mask) for mask in above]
     sizes: list[int] = []
     total, starts = 0, [1] * len(succ)
@@ -108,11 +105,8 @@ def boundary_matrices(cx: OrderComplex) -> ChainComplex:
     those of the degree below by each successor of the last vertex, so
     each degree is listed lexicographically.  Only the degree below is
     indexed, one index at a time: the top degree never is."""
-    try:
-        dims, succ = cx.counts(), cx.succ
-    except AttributeError:
-        check_type(cx, OrderComplex, "an order complex")
-        raise
+    check_type(cx, OrderComplex, "an order complex")
+    dims, succ = cx.counts(), cx.succ
     layer = [(i,) for i in range(len(succ))]
     boundaries = []
     for _ in dims[1:]:
@@ -140,14 +134,11 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[tuple[int, ...],
     a matrix or a row that is not a sequence, rows of unequal length
     and an entry that is not an int (a bool is not one), so the
     arithmetic stays exact."""
-    try:
-        for r, row in enumerate(matrix):
-            if not isinstance(row, Sequence):
-                raise ValueError(f"row {r} must be a sequence, got {row!r}")
-        width = len(matrix[0]) if matrix else 0
-    except TypeError:
-        check_type(matrix, Sequence, "a matrix")
-        raise
+    check_type(matrix, Sequence, "a matrix")
+    for r, row in enumerate(matrix):
+        if not isinstance(row, Sequence):
+            raise ValueError(f"row {r} must be a sequence, got {row!r}")
+    width = len(matrix[0]) if matrix else 0
     columns: list[dict[int, int]] = [{} for _ in range(width)]
     for r, row in enumerate(matrix):
         if len(row) != width:
@@ -300,11 +291,8 @@ def homology(cc: ChainComplex) -> HomologyResult:
     simplex-count Euler characteristic by construction.  The boundaries
     are reduced from the top degree down, each without the columns that
     the unit pivots of the one above cleared."""
-    try:
-        dims, boundaries = cc.dims, cc.boundaries
-    except AttributeError:
-        check_type(cc, ChainComplex, "a chain complex")
-        raise
+    check_type(cc, ChainComplex, "a chain complex")
+    dims, boundaries = cc.dims, cc.boundaries
     dim = len(dims)
     factor_lists: list[tuple[int, ...]] = [()] * (dim + 1)
     cleared: set[int] = set()

@@ -64,18 +64,14 @@ class LabelledTree:
 def label_bijection(source: LabelledTree, target: LabelledTree) -> GammaMorphism:
     """The only candidate shadow of a label-respecting morphism: each
     source leaf goes to the singleton of the equally labelled target leaf."""
-    try:
-        source_leaves, target_leaves = source.leaves, target.leaves
-    except AttributeError:
-        check_type(source, LabelledTree, "a labelled tree")
-        check_type(target, LabelledTree, "a labelled tree")
-        raise
+    check_type(source, LabelledTree, "a labelled tree")
+    check_type(target, LabelledTree, "a labelled tree")
     if source.n != target.n:
         raise LabelMismatch(f"height parameters differ: {source.n} vs {target.n}")
     if set(source.labels) != set(target.labels):
         raise LabelMismatch("label sets differ")
     position = {x: i for i, x in enumerate(source.labels)}
-    return GammaMorphism(source_leaves, target_leaves,
+    return GammaMorphism(source.leaves, target.leaves,
                          tuple(position[x] for x in target.labels))
 
 
@@ -105,12 +101,8 @@ def retract(obj: LabelledTree) -> NOrdering:
     """Healthify and read the ordering back off.  Level-n leaves survive
     healthification unchanged and in order, so the labels carry over;
     retract(embed(S)) == S."""
-    try:
-        tree, n, labels = obj.tree, obj.n, obj.labels
-    except AttributeError:
-        check_type(obj, LabelledTree, "a labelled tree")
-        raise
-    return from_tree(healthify(tree, n), n, labels)
+    check_type(obj, LabelledTree, "a labelled tree")
+    return from_tree(healthify(obj.tree, obj.n), obj.n, obj.labels)
 
 
 def unit_exists(obj: LabelledTree) -> bool:

@@ -128,12 +128,9 @@ def identity_morphism(tree: PlanarLevelTree, n: int) -> ThetaMorphism:
 def theta_compose(g: ThetaMorphism, f: ThetaMorphism) -> ThetaMorphism:
     """g after f.  Caller guarantees the middle trees agree; the rank
     mismatch below catches shape errors."""
-    try:
-        g_delta, g_parts, f_delta, f_parts = g.delta, g.parts, f.delta, f.parts
-    except AttributeError:
-        check_type(g, ThetaMorphism, "a morphism")
-        check_type(f, ThetaMorphism, "a morphism")
-        raise
+    check_type(g, ThetaMorphism, "a morphism")
+    check_type(f, ThetaMorphism, "a morphism")
+    g_delta, g_parts, f_delta, f_parts = g.delta, g.parts, f.delta, f.parts
     if g.n != f.n:
         raise ValueError(f"levels differ: {f.n} vs {g.n}")
     if f_delta.target_rank != g_delta.source_rank:
@@ -161,13 +158,9 @@ def _check_ranks(f: ThetaMorphism, source: PlanarLevelTree,
 def assemble_morphism(f: ThetaMorphism, source: PlanarLevelTree,
                       target: PlanarLevelTree, n: int) -> GammaMorphism:
     """Set-level shadow of f on level-n leaves."""
-    try:
-        level, _ = f.n, f.delta     # an ordering has a level, no delta
-    except AttributeError:
-        check_type(f, ThetaMorphism, "a morphism")
-        raise
-    if level != n:
-        raise ValueError(f"morphism level {level} does not match n={n}")
+    check_type(f, ThetaMorphism, "a morphism")
+    if f.n != n:
+        raise ValueError(f"morphism level {f.n} does not match n={n}")
     return GammaMorphism(level_n_leaves(source, n), level_n_leaves(target, n),
                          tuple(_assemble(f, source, target, n)))
 
@@ -219,13 +212,9 @@ def _check_contract(source: PlanarLevelTree, target: PlanarLevelTree, n: int,
     if not is_healthy(target, n):
         raise UnhealthyTarget(unhealthy)
     _check_fits(source, n)
-    try:
-        gbar_source, gbar_target = gbar.source, gbar.target
-    except AttributeError:
-        check_type(gbar, GammaMorphism, "a set-level map")
-        raise
-    if gbar_source != (source._deepest if source._height == n else ()) \
-            or gbar_target != (target._deepest if target._height == n
+    check_type(gbar, GammaMorphism, "a set-level map")
+    if gbar.source != (source._deepest if source._height == n else ()) \
+            or gbar.target != (target._deepest if target._height == n
                                else ()):
         raise LabelMismatch(
             "set-level map endpoints do not match the trees' level-n leaves")

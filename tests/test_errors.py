@@ -22,11 +22,16 @@ morphism handed to an entry point is an NOrdering, a
 Configuration, a LabelledTree, a PosetView, an OrderComplex, a
 ChainComplex, a Sequence, a DeltaMorphism, a GammaMorphism or a
 ThetaMorphism: anything else, the other kinds included, raises
-ValueError naming the type it should have.
+ValueError naming the type it should have.  So does a stand-in that
+holds the public fields of a valid instance: the type is checked before
+the argument is read, or, in the three kernels that defer the check,
+the first read is of a private slot.
 """
 
 import random
 import re
+from dataclasses import fields, is_dataclass
+from types import SimpleNamespace
 from typing import Mapping, Sequence
 
 import pytest
@@ -60,7 +65,7 @@ TWO_LEAVES = parse_symbol("[2]", 1)
 CONFIG = Configuration(("a", "b"), ((0,), (1,)), 1)
 OBJECT = LabelledTree(TWO_LEAVES, 1, ("a", "b"))
 DELTA = DeltaMorphism.identity(2)
-GAMMA = GammaMorphism.identity(("a", "b"))
+GAMMA = GammaMorphism.identity(level_n_leaves(TWO_LEAVES, 1))
 THETA = identity_morphism(TWO_LEAVES, 1)
 
 # entry point -> call with the height under test
@@ -182,6 +187,43 @@ WRONG_TYPES = {
     "Configuration.from_points":
         (lambda x: Configuration.from_points(x, 2), Mapping, "points"),
 }
+
+POSET = PosetView.of_orderings("ab", 2)
+COMPLEX = order_complex(POSET)
+# a valid instance of each thetaconf class in WRONG_TYPES
+VALID = {NOrdering: LOW, Configuration: CONFIG, LabelledTree: OBJECT,
+         PosetView: POSET, OrderComplex: COMPLEX,
+         ChainComplex: boundary_matrices(COMPLEX), DeltaMorphism: DELTA,
+         GammaMorphism: GAMMA, ThetaMorphism: THETA,
+         PlanarLevelTree: TWO_LEAVES}
+
+
+def stand_in(value):
+    """A SimpleNamespace holding the public fields of `value`."""
+    names = ([f.name for f in fields(value)] if is_dataclass(value)
+             else list(vars(value)))
+    return SimpleNamespace(**{name: getattr(value, name) for name in names
+                              if not name.startswith("_")})
+
+
+def test_every_thetaconf_kind_has_a_valid_instance():
+    assert {kind for _, kind, _ in WRONG_TYPES.values()
+            if kind.__module__.startswith("thetaconf")} == set(VALID)
+
+
+@pytest.mark.parametrize("call, kind, what", [
+    pytest.param(call, kind, what, id=name)
+    for name, (call, kind, what) in WRONG_TYPES.items() if kind in VALID])
+def test_a_stand_in_with_the_public_fields_is_refused(call, kind, what):
+    refusal = f"{what} must be a {kind.__name__}, got "
+    try:
+        call(VALID[kind])       # the instance itself passes the type rule
+    except ValueError as exc:
+        assert not str(exc).startswith(refusal)
+    with pytest.raises(ValueError) as caught:
+        call(stand_in(VALID[kind]))
+    assert str(caught.value).startswith(refusal + "namespace(")
+
 
 # entry point -> (call with the count under test, the name it reports)
 COUNTS = {

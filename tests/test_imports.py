@@ -90,6 +90,44 @@ def test_private_constructors_are_used_only_where_inputs_are_checked():
     assert sorted(uses) == UNCHECKED_SITES
 
 
+# the only places that check an argument's type after reading it has
+# failed, (module, enclosing function): kernels called so often that an
+# up-front check would show in the benchmark passes
+DEFERRED_TYPE_CHECKS = [("cells.py", "in_cell"), ("nord.py", "leq"),
+                        ("trees.py", "_check_fits")]
+
+
+def _deferred_type_checks(tree, name):
+    """(module, innermost enclosing function) for every call of
+    `check_type` inside an `except` handler of the module `tree`."""
+    sites = []
+
+    def walk(node, function, handled):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                walk(child, child.name, False)
+                continue
+            if isinstance(child, ast.Call) and handled \
+                    and isinstance(child.func, ast.Name) \
+                    and child.func.id == "check_type":
+                sites.append((name, function))
+            walk(child, function,
+                 handled or isinstance(child, ast.ExceptHandler))
+
+    walk(tree, None, False)
+    return sites
+
+
+def test_argument_types_are_checked_first_outside_the_kernels():
+    # everywhere else `check_type` runs before the argument's first
+    # read, so a stand-in with the public fields is refused
+    sites = []
+    for path in SOURCES:
+        sites += _deferred_type_checks(ast.parse(path.read_text(), str(path)),
+                                       path.name)
+    assert sorted(set(sites)) == DEFERRED_TYPE_CHECKS
+
+
 def test_sources_parse_at_the_python_floor():
     # a regex, not tomllib: the floor itself may lack tomllib
     pyproject = (Path(__file__).parent.parent / "pyproject.toml").read_text()

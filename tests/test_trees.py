@@ -335,6 +335,20 @@ def test_a_symbol_count_past_the_cap_is_refused_before_building(
         (stage, reached, cap)
 
 
+@pytest.mark.parametrize("text, n, reached", [
+    # each count is under the cap, their sum is not; the sum is checked
+    # as each count is read, so the last one is never built
+    ("[2]([1],[999999])", 2, DEFAULT_MAX_COUNT + 2),
+    ("[1]([1]([999999]))", 3, DEFAULT_MAX_COUNT + 1),
+    ("[3]([0],[2],[999998])", 2, DEFAULT_MAX_COUNT + 3),
+])
+def test_a_symbol_whose_counts_sum_past_the_cap_is_refused(text, n, reached):
+    with pytest.raises(CapExceeded) as info:
+        parse_symbol(text, n)
+    assert (info.value.stage, info.value.count, info.value.cap) == \
+        ("tree symbol count", reached, DEFAULT_MAX_COUNT)
+
+
 def test_a_symbol_count_under_the_cap_is_read_in_full():
     # leading zeros are not significant, in any script of decimal digits
     assert parse_symbol("[" + "0" * 5000 + "2]", 1) == parse_symbol("[2]", 1)
