@@ -2,9 +2,13 @@
 
 The order complex of a finite poset has the strict chains as simplices.
 `order_complex` only counts them, degree by degree, so its cap refuses
-before any chain is built; `boundary_matrices` builds them one degree
-at a time and indexes only the degree below the one it builds.
-Boundary maps use the usual alternating signs.  Homology is computed
+before any chain is built.  `boundary_matrices` builds no chain either:
+each degree is listed lexicographically, so the chains that extend one
+chain of the degree below form a contiguous block, and the row of each
+face is found from the ranks of the chain's own faces by arithmetic,
+with no chain tuple and no face index.  Every row index is one shared
+int, read out of a single `range` list.  Boundary maps use the usual
+alternating signs.  Homology is computed
 degree by degree from ranks and invariant factors of the boundary
 matrices; arithmetic is plain Python integers throughout, so nothing
 can overflow.
@@ -44,11 +48,15 @@ operations as well, and are never cleared.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, chain, repeat
 from math import gcd
+from operator import add
 from typing import Container, Sequence
 
 from .errors import DEFAULT_MAX_COUNT, CapExceeded, check_count, check_type
 from .nord import PosetView, _bits
+
+_flat = chain.from_iterable
 
 
 @dataclass(frozen=True)
@@ -101,28 +109,71 @@ class ChainComplex:
 
 
 def boundary_matrices(cx: OrderComplex) -> ChainComplex:
-    """Alternating-sign boundary matrices.  Each degree's chains extend
-    those of the degree below by each successor of the last vertex, so
-    each degree is listed lexicographically.  Only the degree below is
-    indexed, one index at a time: the top degree never is."""
+    """Alternating-sign boundary matrices, each face's row found by rank
+    arithmetic.  A chain c of degree k + 1 extends a chain p of degree k
+    by a vertex j above p's last vertex; the chains that extend p are a
+    block in successor order, and p's column lists its faces f_0 ... f_k
+    in drop order, f_k being p without its last vertex.  So the face of
+    c that drops vertex i < k is f_i extended by j, the chain at j's
+    place in the block of f_i, whose last vertex is p's; the face that
+    drops p's last vertex u is a sibling of p in the block of f_k, moved
+    by the places of j and u among the successors of the vertex before
+    u; and the face that drops j is p.  Degree 1 has the column
+    {j: 1, u: -1} for the edge (u, j).  The rows are built as one list
+    per face position for the whole degree, every index taken from one
+    shared list so that the columns hold no int of their own."""
     check_type(cx, OrderComplex, "an order complex")
     dims, succ = cx.counts(), cx.succ
-    layer = [(i,) for i in range(len(succ))]
-    boundaries = []
-    for _ in dims[1:]:
-        faces = dict(zip(layer, range(len(layer))))
-        layer = [chain + (j,) for chain in layer for j in succ[chain[-1]]]
-        cols = []
-        for simplex in layer:
-            col: dict[int, int] = {}
-            sign = 1
-            for drop in range(len(simplex)):
-                col[faces[simplex[:drop] + simplex[drop + 1:]]] = sign
-                sign = -sign
-            cols.append(col)
-        boundaries.append(tuple(cols))
-        del faces
+    if len(dims) == 1:
+        return ChainComplex(dims, ())
+    index = list(range(max(dims)))
+    at = index.__getitem__
+    fan = list(map(len, succ))
+    heads = list(_flat(succ))
+    rows = [list(map(at, heads)), list(_flat(map(repeat, index, fan)))]
+    boundaries = [_columns(rows)]
+    # Each chain of degree >= 1 is tracked by its last edge e = (u, v):
+    # follow[e] lists the edges (v, j) in order, and shift[e] the place
+    # of each (u, j) among the edges leaving u minus the place of e.
+    first = list(accumulate(fan, initial=0))
+    out = list(map(at, map(slice, first, first[1:])))
+    follow = list(map(out.__getitem__, heads))
+    fan = list(map(len, follow))
+    shift = []
+    for up in succ:
+        place = dict(zip(up, index))
+        for s, v in enumerate(up):
+            shift.append([place[j] - s for j in succ[v]])
+    edge = index[:dims[1]]
+    # rows[i][c]: the row of the face of chain c that drops vertex i
+    for _ in dims[2:]:
+        # block[f]: the chains of the parents' degree that extend f
+        block = list(map(at, map(slice, first, first[1:])))
+        width = list(map(fan.__getitem__, edge))
+        parent = list(_flat(map(repeat, index, width)))
+        rows = [list(_flat(map(block.__getitem__, face)))
+                for face in rows[:-1]]
+        del block
+        rows.append(list(map(at, map(add, parent,
+                                     _flat(map(shift.__getitem__, edge))))))
+        rows.append(parent)
+        boundaries.append(_columns(rows))
+        first = list(accumulate(width, initial=0))
+        edge = list(_flat(map(follow.__getitem__, edge)))
     return ChainComplex(dims, tuple(boundaries))
+
+
+def _columns(rows: list[list[int]]) -> tuple[dict[int, int], ...]:
+    """Column dicts from the rows of each face position, in drop order
+    with alternating signs, so each column keeps its faces in drop
+    order."""
+    cols = [{r: 1} for r in rows[0]]
+    sign = -1
+    for row in rows[1:]:
+        for col, r in zip(cols, row):
+            col[r] = sign
+        sign = -sign
+    return tuple(cols)
 
 
 # -- Smith normal form -------------------------------------------------------

@@ -21,6 +21,9 @@ absolute offsets of their runs, and writes each level-1 owner at its
 place in one owner list.  The lift makes one pass breadth first, which
 reads each part's map off the owner list, then builds the morphisms
 bottom up, each from the slice of parts its children made.
+`identity_morphism` builds the same way, and `ThetaMorphism.to_json`
+writes from a stack; `==`, `repr`, pickling, `from_json` and
+`theta_compose` still recurse once per level.
 
 The public constructors and entry points check their arguments; the
 morphisms the enumeration and the lift build from checked trees and
@@ -93,13 +96,20 @@ class ThetaMorphism:
 
     def to_json(self) -> dict:
         # "t" is carried alongside the value list because a monotone map
-        # does not determine its codomain rank.
-        out = {"n": self.n, "delta": list(self.delta.values),
-               "t": self.delta.target_rank}
-        if self.n > 1:
-            out["parts"] = {f"{i},{j}": sub.to_json() for (i, j), sub
-                            in zip(_part_keys(self.delta.values), self.parts)}
-        return out
+        # does not determine its codomain rank.  Each part's dict is
+        # placed in its parent's before it is filled, from a stack.
+        root: dict = {}
+        stack = [(self, root)]
+        while stack:
+            f, out = stack.pop()
+            values = f.delta.values
+            out.update(n=f.n, delta=list(values), t=f.delta.target_rank)
+            if f.n > 1:
+                parts = out["parts"] = {}
+                for (i, j), sub in zip(_part_keys(values), f.parts):
+                    parts[f"{i},{j}"] = part = {}
+                    stack.append((sub, part))
+        return root
 
     @classmethod
     def from_json(cls, data: Mapping) -> "ThetaMorphism":
@@ -119,10 +129,24 @@ class ThetaMorphism:
 
 
 def identity_morphism(tree: PlanarLevelTree, n: int) -> ThetaMorphism:
+    """The identity of `tree` at level n.  The subtrees are listed
+    breadth first, so each one's children are a contiguous slice of the
+    list, and the morphisms are built bottom up, each from the slice its
+    children made."""
     _check_fits(tree, n)
-    return ThetaMorphism(n, DeltaMorphism.identity(len(tree.children)),
-                         tuple(identity_morphism(c, n - 1)
-                               for c in tree.children if n > 1))
+    entries = [(tree, n)]
+    spans = []
+    for t, level in entries:        # entries grows
+        first = len(entries)
+        if level > 1:
+            entries += [(c, level - 1) for c in t.children]
+        spans.append((first, len(entries)))
+    built: list = [None] * len(entries)
+    for k in reversed(range(len(entries))):
+        (t, level), (first, end) = entries[k], spans[k]
+        built[k] = ThetaMorphism(level, DeltaMorphism.identity(len(t.children)),
+                                 tuple(built[first:end]))
+    return built[0]
 
 
 def theta_compose(g: ThetaMorphism, f: ThetaMorphism) -> ThetaMorphism:
