@@ -5,10 +5,10 @@ The order complex of a finite poset has the strict chains as simplices.
 before any chain is built.  `boundary_matrices` builds no chain either:
 each degree is listed lexicographically, so the chains that extend one
 chain of the degree below form a contiguous block, and the row of each
-face is found from the ranks of the chain's own faces by arithmetic,
-with no chain tuple and no face index.  Every row index is one shared
-int, read out of a single `range` list.  Boundary maps use the usual
-alternating signs.  Homology is computed
+face of a chain is found by rank arithmetic from the rows of the faces
+of the chain it extends, with no chain tuple and no face index.  Every
+row index is one shared int, read out of a single `range` list.
+Boundary maps use the usual alternating signs.  Homology is computed
 degree by degree from ranks and invariant factors of the boundary
 matrices; arithmetic is plain Python integers throughout, so nothing
 can overflow.

@@ -144,8 +144,9 @@ def identity_morphism(tree: PlanarLevelTree, n: int) -> ThetaMorphism:
     built: list = [None] * len(entries)
     for k in reversed(range(len(entries))):
         (t, level), (first, end) = entries[k], spans[k]
-        built[k] = ThetaMorphism(level, DeltaMorphism.identity(len(t.children)),
-                                 tuple(built[first:end]))
+        built[k] = ThetaMorphism(
+            level, DeltaMorphism.identity(len(t.children)),
+            tuple(built[first:end]))
     return built[0]
 
 

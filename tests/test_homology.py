@@ -4,6 +4,8 @@ from itertools import combinations
 from math import comb, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chain_reference import (boundary_dense, chain_store_complex,
                              column_dicts, det_bareiss, minor_gcd, rank_mod,
@@ -133,6 +135,50 @@ def test_boundaries_match_the_chain_store_route(n, r):
 @pytest.mark.parametrize("seed", range(40))
 def test_boundaries_match_the_chain_store_route_on_random_posets(seed):
     view = _random_view(seed)
+    assert _columns(boundary_matrices(order_complex(view))) == \
+        _columns(chain_store_complex(view))
+
+
+@pytest.mark.parametrize("view", [
+    PosetView((), lambda a, b: False),
+    PosetView((0,), lambda a, b: a == b),
+    PosetView(tuple("abc"), lambda a, b: a == b),
+    _chain_view(6),
+], ids=["empty", "one-element", "antichain", "total-order"])
+def test_boundaries_match_the_chain_store_route_on_small_posets(view):
+    assert _columns(boundary_matrices(order_complex(view))) == \
+        _columns(chain_store_complex(view))
+
+
+@pytest.mark.parametrize("elements", [(0, 1, 2, 3, 4), (3, 0, 4, 2, 1)])
+def test_boundaries_match_where_maximal_chains_differ_in_length(elements):
+    # 0 < 1 < 2 < 3 and 1 < 4: the edges (0, 4), (1, 4) and the triangle
+    # (0, 1, 4) end at a maximal element below the top degree
+    above = {0: {1, 2, 3, 4}, 1: {2, 3, 4}, 2: {3}, 3: set(), 4: set()}
+    view = PosetView(elements, lambda a, b: a == b or b in above[a])
+    cc = boundary_matrices(order_complex(view))
+    assert cc.dims == (5, 8, 5, 1)
+    assert _columns(cc) == _columns(chain_store_complex(view))
+    assert homology(cc).betti == (1, 0, 0, 0)
+
+
+@st.composite
+def small_posets(draw):
+    """A poset on up to 10 elements, the transitive closure of drawn
+    pairs i < j, listed in a drawn order."""
+    size = draw(st.integers(0, 10))
+    below = [set() for _ in range(size)]
+    for j in range(size):
+        for i in range(j):
+            if draw(st.booleans()):
+                below[j] |= below[i] | {i}
+    elements = draw(st.permutations(range(size)))
+    return PosetView(tuple(elements), lambda a, b: a == b or a in below[b])
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(small_posets())
+def test_boundaries_match_the_chain_store_route_on_drawn_posets(view):
     assert _columns(boundary_matrices(order_complex(view))) == \
         _columns(chain_store_complex(view))
 

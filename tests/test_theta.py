@@ -5,7 +5,8 @@ from math import comb
 import pytest
 
 from gamma_reference import reference_branching_holds
-from theta_reference import reference_assemble, reference_lift
+from theta_reference import (reference_assemble, reference_identity,
+                             reference_lift, reference_to_json)
 from thetaconf import (ROOT_ONLY, BranchingConditionViolation, CapExceeded,
                        DeltaMorphism, GammaMorphism, LabelMismatch, LeafId,
                        NOrdering, NotActive, ThetaMorphism, UnhealthyTarget,
@@ -494,6 +495,55 @@ def test_a_tall_shadow_is_lifted_and_assembled_without_recursion():
     assert assemble_morphism(f, source.tree, target.tree, n) == gbar
     lifted = lift_active(source.tree, target.tree, n, gbar)
     assert assemble_morphism(lifted, source.tree, target.tree, n) == gbar
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_identity_and_json_match_the_recursive_routes(n):
+    """The identity of every tree with at most 4 edges, and the JSON of
+    every morphism between trees with at most 3, equal the recursive
+    routes', keys in the same order."""
+    trees = enumerate_trees(4, n)
+    for tree in trees:
+        assert identity_morphism(tree, n) == reference_identity(tree, n)
+    small = [t for t in trees if t.edge_count() <= 3]
+    written = 0
+    for source in small:
+        for target in small:
+            for f in enumerate_hom_bruteforce(source, target, n):
+                assert json.dumps(f.to_json()) == \
+                    json.dumps(reference_to_json(f))
+                written += 1
+    assert written == {1: 121, 2: 558, 3: 668}[n]
+
+
+def test_a_tall_identity_is_built_and_written_without_recursion():
+    # 1000 levels: the recursive identity failed from n = 498 and the
+    # recursive to_json from n = 500, at the default recursion limit
+    n = 1000
+    x = embed(NOrdering(("a", "b"), (0,), n))
+    tree = x.tree
+    ident = identity_morphism(tree, n)
+    assert assemble_morphism(ident, tree, tree, n) == \
+        GammaMorphism.identity(level_n_leaves(tree, n))
+    # the lift builds the same identity without identity_morphism, so
+    # to_json is pinned on its own
+    lifted = hom_morphism(x, x)
+    stack = [(f.to_json(), tree, n) for f in (ident, lifted)]
+    written = 0
+    while stack:
+        data, t, level = stack.pop()
+        k = len(t.children)
+        assert (data["n"], data["delta"], data["t"]) == \
+            (level, list(range(k + 1)), k)
+        written += 1
+        if level == 1:
+            assert "parts" not in data
+            continue
+        parts = data["parts"]
+        assert list(parts) == [f"{j},{j}" for j in range(1, k + 1)]
+        stack += [(parts[f"{j},{j}"], c, level - 1)
+                  for j, c in enumerate(t.children, 1)]
+    assert written == 2 * (2 * n - 1)
 
 
 @pytest.mark.parametrize("build, message", [

@@ -6,7 +6,9 @@ recurses once per tree level, splitting the owner list into one
 sub-list per target child and shifting it to its source child's run.
 They share the library's helpers, not its traversal, and the lift
 builds through the public constructors, so each of its morphisms is
-checked.
+checked.  `reference_identity` and `reference_to_json` are the
+recursive identity and JSON writer the library used before they became
+loops.
 """
 
 from bisect import bisect_left, bisect_right
@@ -56,3 +58,21 @@ def reference_lift(source, target, n, owners) -> ThetaMorphism:
                        [o - s_runs[h] for o in run])
         for j, (h, run) in enumerate(zip(heads, by_child)))
     return ThetaMorphism(n, delta, parts)
+
+
+def reference_identity(tree, n) -> ThetaMorphism:
+    """The identity of `tree` at level n, one call per subtree."""
+    return ThetaMorphism(n, DeltaMorphism.identity(len(tree.children)),
+                         tuple(reference_identity(c, n - 1)
+                               for c in tree.children if n > 1))
+
+
+def reference_to_json(f) -> dict:
+    """The JSON form of f, each part's dict written by a recursive call
+    and keyed "i,j" by its source and target child."""
+    out = {"n": f.n, "delta": list(f.delta.values),
+           "t": f.delta.target_rank}
+    if f.n > 1:
+        out["parts"] = {f"{i},{j}": reference_to_json(sub) for (i, j), sub
+                        in zip(_part_keys(f.delta.values), f.parts)}
+    return out
